@@ -17,7 +17,7 @@ from .verify import format_report, run_full_suite
 
 _EXPECTED_ERRORS = (ConfigError, CheckpointError, DatasetError, PairError,
                     ImageParseError, UnsupportedImageError, TrainingError,
-                    ContractError, DimensionError, ValueError, OSError)
+                    ContractError, DimensionError, ValueError, OSError, MemoryError)
 
 
 def _network_for_checkpoint(ckpt_path: str, config_path: str | None) -> EnhancementNetwork:
@@ -133,7 +133,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _EXPECTED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, MemoryError):
+            print(f"error: out of memory ({str(exc) or 'allocation failed'})\n"
+                  "hint: pass --tile to infer/eval, or lower crop_size in the run "
+                  "config for train", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -5,6 +5,12 @@ verification runs). Operators record themselves onto the active tape;
 ``backward`` replays the tape in reverse and accumulates gradients into
 every tensor it reaches. A tape lives for exactly one forward/backward
 pass and is confined to the thread that created it.
+
+The recorded graph is released when the tape's ``with`` block exits,
+normally or through an exception: every recorded tensor's ``tape_node``
+is ``None`` afterwards, so a finished step is freed by reference counting
+alone, while the ``.grad`` of every tensor (parameters and inputs alike)
+is kept. Run ``backward`` inside the block.
 """
 
 import math
@@ -101,6 +107,11 @@ class Tape:
     Recording order is the topological order; ``backward`` walks the node
     list in exact reverse. A tape is single-use: once consumed it cannot
     be replayed.
+
+    Leaving the ``with`` block, normally or through an exception, releases
+    the graph: each recorded output's ``tape_node`` becomes ``None`` and
+    the node list is emptied, which breaks the tensor <-> node reference
+    cycles. Gradients already accumulated into ``.grad`` are kept.
     """
 
     def __init__(self):
@@ -116,6 +127,9 @@ class Tape:
         if not stack or stack[-1] is not self:
             raise ContractError("tape context exited out of order")
         stack.pop()
+        for node in self.nodes:
+            node.output.tape_node = None
+        self.nodes.clear()
         return False
 
 
@@ -389,9 +403,9 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row softmax over the last axis, with per-row max subtraction."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward_fn(up):
         dot = (up * out).sum(axis=-1, keepdims=True)

@@ -7,6 +7,7 @@ resumed run reproduces the loss sequence of an uninterrupted one.
 """
 
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,20 @@ def _save_checkpoint(path: Path, network, optimizer, iteration, config):
     Path(f"{path}.cfg").write_text(format_config(config))
 
 
+def _reset_loss_log(path: Path, iteration: int):
+    """Rewrite the loss log as its header plus the rows logged at or before
+    ``iteration``, so a resumed run appends exactly what an uninterrupted
+    one would have written. Rows past the checkpoint, and a row cut short
+    by a crash, are dropped; at iteration 0 (a fresh run) the old log is
+    not read. The rewrite replaces the file atomically."""
+    rows = path.read_text().splitlines(keepends=True)[1:] if iteration and path.exists() else []
+    kept = [row for row in rows
+            if row.endswith("\n") and int(row.split(",", 1)[0]) <= iteration]
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("iteration,lr,loss\n" + "".join(kept))
+    os.replace(tmp, path)
+
+
 def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
     """Run (or continue) a training run; returns the final checkpoint path."""
     config.validate()
@@ -78,12 +93,10 @@ def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
                           batch_size=config.batch_size, workers=config.workers)
     total = config.schedule.total_iters
     loss_path = out_dir / "loss_log.csv"
-    mode = "a" if (resume is not None and loss_path.exists()) else "w"
+    _reset_loss_log(loss_path, start)
     loss_rows: list[tuple[int, float, float]] = []
 
-    with open(loss_path, mode) as loss_file:
-        if mode == "w":
-            loss_file.write("iteration,lr,loss\n")
+    with open(loss_path, "a") as loss_file:
         params = network.parameters()
         for i, (inputs, targets) in zip(range(start, total), stream.batches(start, total)):
             lr = config.schedule.lr_at(i)

@@ -1,13 +1,19 @@
 """Tape semantics, backward rules, and the finite-difference harness."""
 
+import gc
+from contextlib import contextmanager
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cenet.blocks import EnhancementNetwork
+from cenet.config import desk_preset
 from cenet.tensor import (
     ContractError,
     Tape,
     Tensor,
+    _TapeNode,
     add,
     backward,
     concat_channels,
@@ -88,6 +94,92 @@ class TestBackward:
     def test_ops_outside_tape_do_not_record(self):
         y = scale(t4(np.ones((1, 1, 1, 1))), 2.0)
         assert y.tape_node is None
+
+
+@contextmanager
+def cyclic_garbage():
+    """Run the body with the cyclic collector off and DEBUG_SAVEALL on.
+
+    On a clean exit, the yielded list receives the type names of the tape
+    objects that a collection then finds: garbage that reference counting
+    alone could not free. Both settings are restored afterwards.
+    """
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    found: list[str] = []
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield found
+        gc.collect()
+        found += sorted(type(o).__name__ for o in gc.garbage
+                        if isinstance(o, (_TapeNode, Tensor, Tape)))
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()  # what DEBUG_SAVEALL kept is still cyclic: free it now
+        if was_enabled:
+            gc.enable()
+
+
+class TestTapeRelease:
+    """A finished tape is freed by reference counting alone."""
+
+    @pytest.fixture
+    def desk(self):
+        network = EnhancementNetwork(desk_preset().network, seed=0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
+        target = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
+        return network, x, target
+
+    def test_finished_tape_needs_no_cyclic_gc(self, desk):
+        network, x, target = desk
+        with cyclic_garbage() as garbage:
+            with Tape():
+                out = network.forward(x)
+                loss = l1_loss(out, target)
+                backward(loss)
+            del out, loss
+        assert garbage == []
+
+    def test_tape_left_by_an_exception_needs_no_cyclic_gc(self, desk):
+        network, x, target = desk
+
+        def failing_step():
+            with Tape():
+                loss = l1_loss(network.forward(x), target)
+                scale(loss, float("inf"))
+
+        with cyclic_garbage() as garbage:
+            with pytest.raises(ContractError, match="non-finite"):
+                failing_step()
+        assert garbage == []
+
+    def test_grads_survive_tape_exit(self, desk):
+        network, x, target = desk
+        with cyclic_garbage() as garbage:
+            with Tape():
+                loss = l1_loss(network.forward(x), target)
+                backward(loss)
+            assert loss.tape_node is None
+            assert x.grad is not None and x.grad.shape == x.shape
+            assert target.grad is None
+            for name, p in network.named_parameters().items():
+                assert p.grad is not None and p.grad.shape == p.shape, name
+            del loss
+        assert garbage == []
+
+    def test_second_backward_inside_block_still_rejected(self, desk):
+        network, x, target = desk
+        with cyclic_garbage() as garbage:
+            with Tape():
+                loss = l1_loss(network.forward(x), target)
+                backward(loss)
+                with pytest.raises(ContractError, match="consumed"):
+                    backward(loss)
+            del loss
+        assert garbage == []
 
 
 class TestBackwardRules:

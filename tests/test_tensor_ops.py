@@ -175,6 +175,14 @@ class TestSoftmax:
         out = softmax_rows(t4(np.full((1, 1, 1, 2), 1000.0)))
         npt.assert_allclose(out.data.ravel(), [0.5, 0.5])
 
+    def test_in_place_steps_match_two_temporary_formula(self):
+        x = np.random.default_rng(3).uniform(-30, 30, (1, 2, 5, 7)).astype(np.float32)
+        before = x.copy()
+        out = softmax_rows(Tensor(x)).data
+        npt.assert_array_equal(x, before)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        npt.assert_array_equal(out, e / e.sum(axis=-1, keepdims=True))
+
     @given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_rows_sum_to_one(self, rows, cols, seed):

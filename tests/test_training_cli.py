@@ -96,6 +96,20 @@ class TestTraining:
         for name, arr in ck_a.optimizer_tensors.items():
             npt.assert_array_equal(arr, ck_b.optimizer_tensors[name])
 
+    def test_resume_from_mid_run_checkpoint_rewrites_log_exactly(self, dataset, tmp_path):
+        config = tiny_config(dataset, tmp_path / "run", iters=30)
+        config.checkpoint_every = 10
+        train(config)
+        log_path = tmp_path / "run" / "loss_log.csv"
+        uninterrupted = log_path.read_bytes()
+        final = load(tmp_path / "run" / "checkpoint_final.ckpt")
+
+        train(config, resume=tmp_path / "run" / "checkpoint_00000020.ckpt")
+        assert log_path.read_bytes() == uninterrupted
+        resumed = load(tmp_path / "run" / "checkpoint_final.ckpt")
+        for name, arr in final.tensors.items():
+            npt.assert_array_equal(arr, resumed.tensors[name])
+
     def test_divergence_aborts_with_iteration(self, dataset, tmp_path):
         config = tiny_config(dataset, tmp_path / "boom", iters=50)
         config.schedule.initial_lr = 1e14
@@ -252,6 +266,18 @@ class TestCli:
     def test_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_with_hint(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 9.00 GiB for an array")
+
+        monkeypatch.setattr(cli, "_cmd_infer", exhausted)
+        code = cli.main(["infer", "--checkpoint", "c.ckpt", "--input", "in.png",
+                         "--output", "out.png"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (Unable to allocate 9.00 GiB")
+        assert "--tile" in err and "crop_size" in err
 
 
 class TestAblate:
