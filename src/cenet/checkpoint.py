@@ -14,6 +14,7 @@ error, and loading into a model with a different parameter census is an
 explicit incompatibility error.
 """
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -137,8 +138,26 @@ def deserialize(data: bytes) -> Checkpoint:
     return Checkpoint(iteration, tensors, opt_step, opt_tensors)
 
 
+def write_atomic(path, data: bytes):
+    """Replace ``path`` with ``data`` so that a crash leaves either the old
+    file or the new one under that name: write a sibling temp file, fsync
+    it, then ``os.replace`` it over ``path``. On failure the temp file is
+    removed and the old file is untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save(ckpt: Checkpoint, path):
-    Path(path).write_bytes(serialize(ckpt))
+    write_atomic(path, serialize(ckpt))
 
 
 def load(path) -> Checkpoint:

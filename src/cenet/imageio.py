@@ -60,62 +60,83 @@ class Image:
 # PNG
 # ---------------------------------------------------------------------------
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
+def _defilter_rows(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
+    """Undo None/Sub/Up filters one row at a time; uint8 arithmetic wraps mod 256."""
+    out = np.empty_like(filtered)
+    prev = np.zeros_like(filtered[0])
+    for y, ftype in enumerate(ftypes):
+        if ftype == 0:
+            out[y] = filtered[y]
+        elif ftype == 1:  # Sub: prefix sum along each channel lane
+            np.cumsum(filtered[y], axis=0, dtype=np.uint8, out=out[y])
+        else:  # Up
+            np.add(filtered[y], prev, out=out[y])
+        prev = out[y]
+    return out
+
+
+# Per-filter predictor (k_a * a + k_b * b) >> shift, with a the left and b the
+# upper neighbour; Paeth rows take the Paeth predictor instead.
+_K_A = np.array([0, 1, 0, 1, 0], dtype=np.int16)
+_K_B = np.array([0, 0, 1, 1, 0], dtype=np.int16)
+_SHIFT = np.array([0, 0, 0, 1, 0], dtype=np.int16)
+
+
+def _defilter_wavefront(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
+    """Undo any mix of the five filters along anti-diagonals.
+
+    Pixel (y, x) depends only on its left (y, x-1), upper (y-1, x) and
+    upper-left (y-1, x-1) neighbours, which lie on anti-diagonals y+x-1 and
+    y+x-2, so each anti-diagonal is reconstructed in one vector step. The
+    image sits in a zero-bordered (H+1, W+1) grid, where consecutive pixels
+    of an anti-diagonal are W pixels apart, so every operand is a strided
+    view of the flat grid.
+    """
+    height, width, bpp = filtered.shape
+    grid_w = width + 1
+    recon = np.zeros(((height + 1) * grid_w, bpp), dtype=np.int16)
+    filt = np.zeros_like(recon)
+    filt.reshape(height + 1, grid_w, bpp)[1:, 1:] = filtered
+    rows = ftypes[:, None]
+    k_a, k_b, shift = _K_A[rows], _K_B[rows], _SHIFT[rows]
+    is_paeth = rows == 4
+    for d in range(height + width - 1):
+        y0, y1 = max(0, d - width + 1), min(height - 1, d) + 1
+        start = (y0 + 1) * grid_w + d - y0 + 1
+        stop = start + (y1 - y0 - 1) * width + 1
+        a = recon[start - 1:stop - 1:width]
+        b = recon[start - grid_w:stop - grid_w:width]
+        c = recon[start - grid_w - 1:stop - grid_w - 1:width]
+        b_c, a_c = b - c, a - c
+        pa, pb, pc = np.abs(b_c), np.abs(a_c), np.abs(b_c + a_c)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        linear = (k_a[y0:y1] * a + k_b[y0:y1] * b) >> shift[y0:y1]
+        pred = np.where(is_paeth[y0:y1], paeth, linear)
+        recon[start:stop:width] = (filt[start:stop:width] + pred) & 0xFF
+    return recon.reshape(height + 1, grid_w, bpp)[1:, 1:].astype(np.uint8)
 
 
 def _defilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
+    """Reconstruct (H, W, bpp) bytes from a PNG scanline stream (W3C PNG §9).
+
+    Streams whose rows use only None, Sub or Up are undone row by row; any
+    Average or Paeth row sends the whole image through the wavefront.
+    """
     stride = width * bpp
     expected = (1 + stride) * height
     if len(raw) != expected:
         raise ImageParseError(
             f"decompressed pixel stream is {len(raw)} bytes, expected {expected}")
-    out = np.zeros((height, stride), dtype=np.int32)
     raw_arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + stride)
-    prev = np.zeros(stride, dtype=np.int32)
-    for y in range(height):
-        ftype = int(raw_arr[y, 0])
-        line = raw_arr[y, 1:].astype(np.int32)
-        if ftype == 0:
-            recon = line
-        elif ftype == 1:  # Sub: prefix sum per channel lane, mod 256
-            lanes = line.reshape(width, bpp)
-            recon = (np.cumsum(lanes, axis=0) % 256).reshape(stride)
-        elif ftype == 2:  # Up
-            recon = (line + prev) % 256
-        elif ftype == 3:  # Average
-            recon = np.zeros(stride, dtype=np.int32)
-            lanes = line.reshape(width, bpp)
-            rl = recon.reshape(width, bpp)
-            pl = prev.reshape(width, bpp)
-            left = np.zeros(bpp, dtype=np.int32)
-            for x in range(width):
-                rl[x] = (lanes[x] + (left + pl[x]) // 2) % 256
-                left = rl[x]
-        elif ftype == 4:  # Paeth
-            recon = np.zeros(stride, dtype=np.int32)
-            lanes = line.reshape(width, bpp)
-            rl = recon.reshape(width, bpp)
-            pl = prev.reshape(width, bpp)
-            left = np.zeros(bpp, dtype=np.int32)
-            upleft = np.zeros(bpp, dtype=np.int32)
-            for x in range(width):
-                pred = np.array([_paeth(int(left[i]), int(pl[x, i]), int(upleft[i]))
-                                 for i in range(bpp)], dtype=np.int32)
-                rl[x] = (lanes[x] + pred) % 256
-                left = rl[x]
-                upleft = pl[x]
-        else:
-            raise ImageParseError(f"unknown scanline filter type {ftype} on row {y}")
-        out[y] = recon
-        prev = recon
-    return out.astype(np.uint8).reshape(height, width, bpp)
+    ftypes = raw_arr[:, 0]
+    bad = np.flatnonzero(ftypes > 4)
+    if bad.size:
+        y = int(bad[0])
+        raise ImageParseError(f"unknown scanline filter type {ftypes[y]} on row {y}")
+    filtered = raw_arr[:, 1:].reshape(height, width, bpp)
+    if (ftypes >= 3).any():
+        return _defilter_wavefront(filtered, ftypes)
+    return _defilter_rows(filtered, ftypes)
 
 
 def decode_png(data: bytes) -> Image:
@@ -191,13 +212,10 @@ def encode_png(image: Image) -> bytes:
     arr = image.to_u8()
     h, w = arr.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    scanlines = bytearray()
-    for y in range(h):
-        scanlines.append(0)
-        scanlines.extend(arr[y].tobytes())
+    scanlines = np.pad(arr.reshape(h, w * 3), ((0, 0), (1, 0)))  # filter None per row
     return (PNG_SIGNATURE
             + _chunk(b"IHDR", ihdr)
-            + _chunk(b"IDAT", zlib.compress(bytes(scanlines), 6))
+            + _chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 6))
             + _chunk(b"IEND", b""))
 
 

@@ -7,12 +7,11 @@ resumed run reproduces the loss sequence of an uninterrupted one.
 """
 
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .blocks import EnhancementNetwork
-from .checkpoint import Checkpoint, apply_to_network, load, save
+from .checkpoint import Checkpoint, apply_to_network, load, save, write_atomic
 from .config import RunConfig, format_config
 from .dataset import SampleStream, scan_dataset
 from .optim import Adam
@@ -51,7 +50,7 @@ def restore(ckpt: Checkpoint, network: EnhancementNetwork,
 
 def _save_checkpoint(path: Path, network, optimizer, iteration, config):
     save(snapshot(network, optimizer, iteration), path)
-    Path(f"{path}.cfg").write_text(format_config(config))
+    write_atomic(f"{path}.cfg", format_config(config).encode())
 
 
 def _reset_loss_log(path: Path, iteration: int):
@@ -63,9 +62,7 @@ def _reset_loss_log(path: Path, iteration: int):
     rows = path.read_text().splitlines(keepends=True)[1:] if iteration and path.exists() else []
     kept = [row for row in rows
             if row.endswith("\n") and int(row.split(",", 1)[0]) <= iteration]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("iteration,lr,loss\n" + "".join(kept))
-    os.replace(tmp, path)
+    write_atomic(path, ("iteration,lr,loss\n" + "".join(kept)).encode())
 
 
 def train(config: RunConfig, resume=None, echo=None) -> TrainResult:

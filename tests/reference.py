@@ -107,3 +107,38 @@ def synthetic_pair(size=64, seed=5):
     dark = (0.05 + 0.30 * base).astype(np.float32)
     bright = np.clip(0.08 + 0.85 * base, 0, 1).astype(np.float32)
     return dark, bright
+
+
+def png_defilter_naive(raw, width, height, bpp):
+    """Reference PNG scanline defilter (W3C PNG §9), one byte at a time with
+    Python ints; returns an (H, W, bpp) uint8 array."""
+    stride = width * bpp
+    out = [[0] * stride for _ in range(height)]
+    for y in range(height):
+        row = raw[y * (stride + 1):(y + 1) * (stride + 1)]
+        ftype = row[0]
+        for i in range(stride):
+            a = out[y][i - bpp] if i >= bpp else 0
+            b = out[y - 1][i] if y > 0 else 0
+            c = out[y - 1][i - bpp] if y > 0 and i >= bpp else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) // 2
+            elif ftype == 4:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                if pa <= pb and pa <= pc:
+                    pred = a
+                elif pb <= pc:
+                    pred = b
+                else:
+                    pred = c
+            else:
+                raise ValueError(f"filter type {ftype} on row {y}")
+            out[y][i] = (row[1 + i] + pred) % 256
+    return np.array(out, dtype=np.uint8).reshape(height, width, bpp)

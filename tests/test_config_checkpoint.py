@@ -1,9 +1,12 @@
 """Config parsing and checkpoint persistence."""
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cenet import checkpoint, training
 from cenet.blocks import EnhancementNetwork, NetworkConfig
 from cenet.checkpoint import (
     Checkpoint,
@@ -150,3 +153,43 @@ class TestCheckpoint:
         apply_to_network(ckpt, fresh)
         for name, param in fresh.named_parameters().items():
             npt.assert_array_equal(param.data, tensors[name])
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, failing):
+        _, net, opt = trained_network()
+        path = tmp_path / "model.ckpt"
+        save(Checkpoint(1, {n: p.data for n, p in net.named_parameters().items()}), path)
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("injected failure")
+
+        monkeypatch.setattr(checkpoint.os, failing, fail)
+        with pytest.raises(OSError, match="injected"):
+            save(training.snapshot(net, opt, 2), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_failed_sidecar_write_keeps_previous_sidecar(self, tmp_path, monkeypatch):
+        _, net, opt = trained_network()
+        path = tmp_path / "checkpoint_final.ckpt"
+        first, second = desk_preset(), desk_preset()
+        second.seed = first.seed + 1
+        training._save_checkpoint(path, net, opt, 1, first)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        real_fsync = os.fsync
+        calls = []
+
+        def fail_second(fd):  # the checkpoint lands, then the sidecar write fails
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError("injected failure")
+            real_fsync(fd)
+
+        monkeypatch.setattr(checkpoint.os, "fsync", fail_second)
+        with pytest.raises(OSError, match="injected"):
+            training._save_checkpoint(path, net, opt, 2, second)
+        assert sorted(os.listdir(tmp_path)) == sorted(before)
+        assert (tmp_path / "checkpoint_final.ckpt.cfg").read_bytes() == before[
+            "checkpoint_final.ckpt.cfg"]
+        assert load(path).iteration == 2

@@ -14,6 +14,7 @@ from cenet.imageio import (
     Image,
     ImageParseError,
     UnsupportedImageError,
+    _defilter,
     decode_image,
     decode_png,
     decode_ppm,
@@ -21,6 +22,7 @@ from cenet.imageio import (
     encode_png,
     encode_ppm,
 )
+from reference import png_defilter_naive
 
 
 def rand_u8(h, w, seed, channels=3):
@@ -67,6 +69,14 @@ def build_png(arr, color_type=2, bit_depth=8, interlace=0, filters=None):
         prev = line
     return (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr)
             + png_chunk(b"IDAT", zlib.compress(bytes(rows)))
+            + png_chunk(b"IEND", b""))
+
+
+def png_from_stream(raw, w, h):
+    """Wrap a raw (already filtered) RGB scanline stream in a minimal PNG."""
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    return (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr)
+            + png_chunk(b"IDAT", zlib.compress(raw))
             + png_chunk(b"IEND", b""))
 
 
@@ -121,6 +131,38 @@ class TestPng:
         arr = rand_u8(10, 6, seed=2)
         img = decode_png(build_png(arr, filters=filters))
         npt.assert_array_equal(img.to_u8(), arr)
+
+    @given(st.sampled_from([3, 4]), st.integers(1, 40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_defilter_matches_scalar_oracle(self, bpp, width, data):
+        ftypes = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=20))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        body = rand_u8(len(ftypes), width * bpp, seed, channels=1)[:, :, 0]
+        raw = np.concatenate([np.array(ftypes, np.uint8)[:, None], body], axis=1).tobytes()
+        npt.assert_array_equal(_defilter(raw, width, len(ftypes), bpp),
+                               png_defilter_naive(raw, width, len(ftypes), bpp))
+
+    @pytest.mark.parametrize("bad_row", [0, 3, 5])
+    def test_unknown_filter_type_names_first_bad_row(self, bad_row):
+        w, h = 4, 8
+        rows = np.zeros((h, 1 + 3 * w), dtype=np.uint8)
+        rows[:, 0] = 4  # Paeth rows, so a bad byte would reach the wavefront
+        rows[bad_row, 0] = 5
+        rows[h - 1, 0] = 7
+        with pytest.raises(ImageParseError, match=f"filter type 5 on row {bad_row}$"):
+            decode_png(png_from_stream(rows.tobytes(), w, h))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_stream_length_rejected(self, delta):
+        w, h = 4, 3
+        raw = bytes((1 + 3 * w) * h + delta)
+        with pytest.raises(ImageParseError, match=f"is {len(raw)} bytes, expected {len(raw) - delta}"):
+            decode_png(png_from_stream(raw, w, h))
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (7, 5), (320, 480)])
+    def test_encoder_matches_reference_writer(self, h, w):
+        arr = rand_u8(h, w, seed=11)
+        assert encode_png(Image.from_u8(arr)) == build_png(arr)
 
     def test_rgba_drops_alpha_with_warning(self, caplog):
         arr = rand_u8(5, 4, seed=3, channels=4)
