@@ -18,16 +18,16 @@ from .tensor import (
     Parameter,
     Tensor,
     add,
+    attention,
+    attention_weights,
     concat_channels,
     conv2d,
-    matmul,
     maxpool2d,
-    permute,
     prelu,
-    reshape,
-    softmax_rows,
     upsample_nearest2x,
 )
+# Unused here; perfbench's tracer looks these names up on this module.
+from .tensor import matmul, permute, reshape, softmax_rows  # noqa: F401
 
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:
@@ -130,31 +130,20 @@ class NonLocalBlock:
                                  zero=True)
         self.out_b = _channel_param(f"{name}.out.bias", channels, 0.0, dtype)
 
-    def _attention(self, z: Tensor) -> tuple[Tensor, Tensor]:
-        n, c, h, w = z.shape
-        positions = h * w
-        q = conv2d(z, self.query_w, self.query_b)
-        k = conv2d(z, self.key_w, self.key_b)
-        v = conv2d(z, self.value_w, self.value_b)
-        q = permute(reshape(q, (n, self.inner, 1, positions)), (0, 2, 3, 1))
-        k = permute(reshape(k, (n, self.inner, 1, positions)), (0, 2, 1, 3))
-        v = permute(reshape(v, (n, self.inner, 1, positions)), (0, 2, 3, 1))
-        attn = softmax_rows(matmul(q, k))
-        return attn, v
+    def _query_key(self, z: Tensor) -> tuple[Tensor, Tensor]:
+        return (conv2d(z, self.query_w, self.query_b),
+                conv2d(z, self.key_w, self.key_b))
 
     def attention_map(self, z: Tensor) -> Tensor:
         """Row-stochastic affinity matrix, shape (N, 1, H*W, H*W)."""
-        attn, _ = self._attention(z)
-        return attn
+        return Tensor(attention_weights(*self._query_key(z)))
 
     def forward(self, z: Tensor) -> Tensor:
         if z.shape[1] != self.channels:
             raise DimensionError(
                 f"non-local block expects {self.channels} channels, got {z.shape[1]}")
-        n, c, h, w = z.shape
-        attn, v = self._attention(z)
-        mixed = matmul(attn, v)
-        mixed = reshape(permute(mixed, (0, 3, 1, 2)), (n, self.inner, h, w))
+        q, k = self._query_key(z)
+        mixed = attention(q, k, conv2d(z, self.value_w, self.value_b))
         return add(z, conv2d(mixed, self.out_w, self.out_b))
 
     def parameters(self) -> list[Parameter]:

@@ -52,13 +52,22 @@ class Adam:
                 m = self.m[p.name] = np.zeros_like(p.data)
                 self.v[p.name] = np.zeros_like(p.data)
             v = self.v[p.name]
+            # lr * m_hat / (sqrt(v_hat) + eps), evaluated in two scratch
+            # buffers with the same roundings as the plain expression
+            step = np.multiply(g, 1 - self.beta1)
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += step
+            np.square(g, out=step)
+            step *= 1 - self.beta2
             v *= self.beta2
-            v += (1 - self.beta2) * np.square(g)
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            v += step
+            np.divide(m, 1 - self.beta1 ** t, out=step)
+            step *= lr
+            denom = np.divide(v, 1 - self.beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
             p.grad = None
 
     def state_tensors(self) -> dict[str, np.ndarray]:

@@ -430,6 +430,93 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", out, (a, b), backward_fn)
 
 
+# Byte budget of the affinity-matrix row blocks alive at once; attention
+# memory grows with positions x block height instead of positions squared.
+_ATTENTION_BLOCK_BYTES = 8 * 2 ** 20
+
+
+def _attention_row_blocks(positions: int, itemsize: int, buffers: int = 1):
+    """Row slices whose ``buffers`` (rows, positions) arrays fit the budget."""
+    rows = max(1, _ATTENTION_BLOCK_BYTES // (buffers * positions * itemsize))
+    for start in range(0, positions, rows):
+        yield slice(start, min(start + rows, positions))
+
+
+def _attention_probs(q_t: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
+    """Row-softmaxed affinities of the query positions ``rows`` to every key.
+
+    ``q_t`` is (positions, C') and ``k`` is (C', positions); the result is
+    a fresh (rows, positions) array.
+    """
+    p = q_t[rows] @ k
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _attention_operands(*tensors: Tensor):
+    """(N, C', H*W) views of equally shaped attention operands."""
+    n, c, h, w = tensors[0].shape
+    if any(t.shape != (n, c, h, w) for t in tensors):
+        raise DimensionError(
+            f"attention operands must share one shape, got {[t.shape for t in tensors]}")
+    return [t.data.reshape(n, c, h * w) for t in tensors]
+
+
+def attention_weights(q: Tensor, k: Tensor) -> np.ndarray:
+    """The (N, 1, H*W, H*W) affinity matrix ``attention`` applies.
+
+    A diagnostic: it stacks the row blocks ``attention`` computes one at
+    a time, so it needs the full positions-squared memory.
+    """
+    qs, ks = _attention_operands(q, k)
+    positions = qs.shape[2]
+    out = np.empty((qs.shape[0], 1, positions, positions), dtype=qs.dtype)
+    for i in range(qs.shape[0]):
+        for rows in _attention_row_blocks(positions, qs.itemsize):
+            out[i, 0, rows] = _attention_probs(qs[i].T, ks[i], rows)
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Embedded-Gaussian self-attention over all spatial positions.
+
+    ``q``, ``k`` and ``v`` are (N, C', H, W). Output position i is the
+    sum over positions j of softmax_j(q_i . k_j) v_j, again (N, C', H, W).
+    Query positions are processed in row blocks, so the positions x
+    positions affinity matrix never exists whole; backward recomputes
+    each block's affinities from ``q`` and ``k``.
+    """
+    qs, ks, vs = _attention_operands(q, k, v)
+    n, c, positions = qs.shape
+    out = np.empty_like(qs)
+    for i in range(n):
+        q_t, v_t = qs[i].T, vs[i].T
+        for rows in _attention_row_blocks(positions, qs.itemsize):
+            out[i][:, rows] = (_attention_probs(q_t, ks[i], rows) @ v_t).T
+
+    def backward_fn(up):
+        ups = up.reshape(n, c, positions)
+        d_q, d_k, d_v = np.empty_like(qs), np.zeros_like(ks), np.zeros_like(vs)
+        # three block arrays alive at once: P, dS and their product
+        blocks = list(_attention_row_blocks(positions, qs.itemsize, buffers=3))
+        for i in range(n):
+            q_t, k_i, v_i = qs[i].T, ks[i], vs[i]
+            for rows in blocks:
+                p = _attention_probs(q_t, k_i, rows)
+                u = ups[i][:, rows].T
+                d_v[i] += (p.T @ u).T
+                d_s = u @ v_i
+                d_s -= (d_s * p).sum(axis=-1, keepdims=True)
+                d_s *= p
+                d_q[i][:, rows] = (d_s @ k_i.T).T
+                d_k[i] += q_t[rows].T @ d_s
+        return tuple(d.reshape(q.shape) for d in (d_q, d_k, d_v))
+
+    return _emit("attention", out.reshape(q.shape), (q, k, v), backward_fn)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of identically shaped tensors."""
     if a.shape != b.shape:

@@ -93,6 +93,9 @@ def op_cases(rng: np.random.Generator):
     xh = _t(rng, (1, 2, 3, 4))
     yield ("permute", lambda: tc.permute(xh, (0, 2, 3, 1)), [xh])
 
+    qa, ka, va = (_t(rng, (2, 2, 3, 5)) for _ in range(3))
+    yield ("attention", lambda: tc.attention(qa, ka, va), [qa, ka, va])
+
     pred_data = rng.uniform(-1, 1, (1, 2, 3, 3))
     target_data = pred_data + _away_from_zero(rng.uniform(-0.5, 0.5, pred_data.shape), 5e-2)
     pred = Tensor(pred_data, dtype=np.float64)

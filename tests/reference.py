@@ -62,6 +62,28 @@ def matmul_naive(a, b):
     return out
 
 
+def attention_naive(q, k, v):
+    """Reference non-local attention: the full affinity matrix, one row at a
+    time, with an explicit per-row max subtraction before the softmax."""
+    q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
+    n, c, h, w = q.shape
+    positions = h * w
+    qs, ks, vs = (x.reshape(n, c, positions) for x in (q, k, v))
+    out = np.zeros((n, c, positions))
+    for b in range(n):
+        for i in range(positions):
+            logits = np.zeros(positions)
+            for j in range(positions):
+                for ch in range(c):
+                    logits[j] += qs[b, ch, i] * ks[b, ch, j]
+            logits -= logits.max()
+            weights = np.exp(logits)
+            weights /= weights.sum()
+            for j in range(positions):
+                out[b, :, i] += weights[j] * vs[b, :, j]
+    return out.reshape(n, c, h, w)
+
+
 def ssim_reference(a, b, window=11, sigma=1.5, k1=0.01, k2=0.03):
     """Reference SSIM: explicit Gaussian-weighted window statistics."""
     a = np.asarray(a, dtype=np.float64)

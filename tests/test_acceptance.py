@@ -117,7 +117,7 @@ def test_criterion_4_architecture_shapes():
             structure = net.structure()
             assert structure["attention_blocks"] == (1 if gc else 0)
             assert structure["dense_blocks"] == ((2 * m + 1) if lc else 0)
-            assert counts.get("softmax_rows", 0) == (1 if gc else 0)
+            assert counts.get("attention", 0) == (1 if gc else 0)
             expected_concats = m + (2 * (2 * m + 1) if lc else 0)
             assert counts.get("concat_channels", 0) == expected_concats
     elapsed = time.time() - start

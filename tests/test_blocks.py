@@ -1,6 +1,7 @@
 """Block invariants and the network's structural contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,7 @@ from cenet.blocks import (
     NonLocalBlock,
     build_network,
 )
-from cenet.tensor import DimensionError, Tensor, op_census
+from cenet.tensor import DimensionError, Tape, Tensor, backward, op_census, tensor_sum
 
 from reference import conv2d_naive
 
@@ -142,6 +143,40 @@ class TestNonLocalBlock:
         assert NonLocalBlock("a", 8, seed=0).inner == 4
 
 
+def traced_peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNonLocalMemory:
+    # 64x64 input: 4096 positions, so a whole float32 affinity matrix is 64 MiB
+    BOUND = 16 * 2 ** 20
+
+    def block_and_input(self):
+        block = NonLocalBlock("a", 8, seed=0)
+        block.out_w.data = np.random.default_rng(1).uniform(
+            -0.5, 0.5, block.out_w.shape).astype(np.float32)
+        return block, rand4((1, 8, 64, 64), seed=2, lo=-1.0)
+
+    def test_forward_peak_stays_below_the_full_matrix(self):
+        block, z = self.block_and_input()
+        assert traced_peak_bytes(lambda: block.forward(z)) < self.BOUND
+
+    def test_forward_backward_peak_stays_below_the_full_matrix(self):
+        block, z = self.block_and_input()
+
+        def step():
+            with Tape():
+                backward(tensor_sum(block.forward(z)))
+
+        assert traced_peak_bytes(step) < self.BOUND
+        assert all(p.grad is not None for p in block.parameters())
+
+
 class TestStages:
     def test_encoder_stage_shapes_and_skip(self):
         stage = EncoderStage("e", 3, 6, local_context=False, seed=0)
@@ -195,9 +230,9 @@ class TestNetwork:
             with op_census() as counts:
                 net.forward(x)
             if gc:
-                assert counts.get("softmax_rows", 0) == 1
+                assert counts.get("attention", 0) == 1
             else:
-                assert counts.get("softmax_rows", 0) == 0
+                assert counts.get("attention", 0) == 0
                 assert counts.get("matmul", 0) == 0
             feature_blocks = 2 * m + 1
             expected_concats = m + (2 * feature_blocks if lc else 0)

@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cenet.blocks import NetworkConfig, build_network
 from cenet.optim import Adam, StepDecaySchedule
-from cenet.tensor import ContractError, Parameter
+from cenet.tensor import ContractError, Parameter, Tape, Tensor, backward, l1_loss
 
 
 def make_param(value, grad=None, name="p"):
@@ -102,6 +103,37 @@ class TestAdam:
         npt.assert_array_equal(clone.m["w"], opt.m["w"])
         npt.assert_array_equal(clone.v["w"], opt.v["w"])
         assert clone.step_count == opt.step_count
+
+
+    def test_in_place_update_matches_plain_formula(self):
+        net = build_network(NetworkConfig(num_stages=2, base_channels=8), seed=0)
+        params = net.parameters()
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
+        target = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-3
+        ref = {p.name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for p in params}
+        opt = Adam()
+        for t in range(1, 51):
+            with Tape():
+                backward(l1_loss(net.forward(x), target))
+            for p in params:
+                data, m, v = ref[p.name]
+                g = p.grad
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * np.square(g)
+                m_hat = m / (1 - b1 ** t)
+                v_hat = v / (1 - b2 ** t)
+                data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data.dtype)
+            opt.step(params, lr=lr)
+        for p in params:
+            data, m, v = ref[p.name]
+            npt.assert_array_equal(p.data, data, err_msg=p.name)
+            npt.assert_array_equal(opt.m[p.name], m, err_msg=p.name)
+            npt.assert_array_equal(opt.v[p.name], v, err_msg=p.name)
 
 
 class TestSchedule:

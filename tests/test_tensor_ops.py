@@ -3,16 +3,21 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cenet import tensor
 from cenet.tensor import (
     ContractError,
     DimensionError,
+    Tape,
     Tensor,
     add,
+    attention,
+    backward,
     concat_channels,
     conv2d,
+    gradcheck,
     l1_loss,
     matmul,
     maxpool2d,
@@ -23,9 +28,10 @@ from cenet.tensor import (
     softmax_rows,
     tensor_sum,
     upsample_nearest2x,
+    weighted_sum,
 )
 
-from reference import conv2d_naive, matmul_naive, maxpool2d_naive
+from reference import attention_naive, conv2d_naive, matmul_naive, maxpool2d_naive
 
 
 def t4(data, dtype=np.float32):
@@ -217,6 +223,70 @@ class TestMatmul:
     def test_inner_mismatch(self):
         with pytest.raises(DimensionError):
             matmul(t4(np.zeros((1, 1, 2, 3))), t4(np.zeros((1, 1, 4, 2))))
+
+
+def attention_chain(q, k, v):
+    """The reshape/permute/matmul/softmax_rows chain that ``attention`` fuses."""
+    n, c, h, w = q.shape
+    positions = h * w
+    q_t = permute(reshape(q, (n, c, 1, positions)), (0, 2, 3, 1))
+    k_m = permute(reshape(k, (n, c, 1, positions)), (0, 2, 1, 3))
+    v_t = permute(reshape(v, (n, c, 1, positions)), (0, 2, 3, 1))
+    mixed = matmul(softmax_rows(matmul(q_t, k_m)), v_t)
+    return reshape(permute(mixed, (0, 3, 1, 2)), (n, c, h, w))
+
+
+def input_gradients(op, inputs, probe):
+    for t in inputs:
+        t.grad = None
+    with Tape():
+        backward(weighted_sum(op(*inputs), probe))
+    return [t.grad for t in inputs]
+
+
+def use_block_rows(monkeypatch, rows, positions, buffers):
+    """Budget attention so that a pass holding ``buffers`` row blocks at
+    once (forward 1, backward 3) uses blocks of ``rows`` rows."""
+    monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", buffers * rows * positions * 8)
+
+
+class TestAttention:
+    @given(st.integers(1, 2), st.integers(1, 4), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 5), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_row_blocks_match_oracle_and_chain(self, monkeypatch, n, c, h, w, rows, seed):
+        rng = np.random.default_rng(seed)
+        q, k, v = (Tensor(rng.uniform(-2, 2, (n, c, h, w))) for _ in range(3))
+        use_block_rows(monkeypatch, rows, h * w, buffers=1)
+        out = attention(q, k, v)
+        npt.assert_allclose(out.data, attention_naive(q.data, k.data, v.data),
+                            rtol=1e-12, atol=1e-12)
+        probe = rng.standard_normal(out.shape)
+        use_block_rows(monkeypatch, rows, h * w, buffers=3)
+        fused = input_gradients(attention, [q, k, v], probe)
+        chain = input_gradients(attention_chain, [q, k, v], probe)
+        for a, b in zip(fused, chain):
+            npt.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    def test_gradcheck_with_ragged_blocks(self, monkeypatch):
+        # 14 positions in 3-row backward blocks: four full blocks, then 2 rows
+        use_block_rows(monkeypatch, 3, 14, buffers=3)
+        rng = np.random.default_rng(4)
+        q, k, v = (Tensor(rng.uniform(-1, 1, (2, 3, 2, 7))) for _ in range(3))
+        result = gradcheck(lambda: attention(q, k, v), [q, k, v], rng=rng, name="attention")
+        assert result.max_rel_error < 1e-6
+
+    def test_overflowing_affinity_is_an_error(self):
+        huge = t4(np.full((1, 2, 2, 3), 1e20))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ContractError, match="attention"):
+            attention(huge, huge, t4(np.ones((1, 2, 2, 3))))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            attention(t4(np.zeros((1, 2, 2, 2))), t4(np.zeros((1, 2, 2, 2))),
+                      t4(np.zeros((1, 3, 2, 2))))
 
 
 class TestElementwise:

@@ -253,7 +253,7 @@ class TestCli:
         # every op and block type appears exactly once in the report
         for name in ("conv2d", "maxpool2d", "upsample_nearest2x", "concat_channels",
                      "prelu", "softmax_rows", "matmul", "add", "scale", "reshape",
-                     "permute", "l1_loss", "basic_block", "dense_residual_block",
+                     "permute", "attention", "l1_loss", "basic_block", "dense_residual_block",
                      "nonlocal_block", "network"):
             assert sum(line.split()[0] == name for line in out.splitlines()) == 1, name
 
