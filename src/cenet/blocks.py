@@ -62,8 +62,8 @@ class BasicBlock:
         self.slope2 = _channel_param(f"{name}.act2.slope", c_out, 0.25, dtype)
 
     def forward(self, f: Tensor) -> Tensor:
-        y = prelu(conv2d(f, self.conv1_w, self.conv1_b, stride=1, padding=1), self.slope1)
-        return prelu(conv2d(y, self.conv2_w, self.conv2_b, stride=1, padding=1), self.slope2)
+        y = prelu(conv2d(f, self.conv1_w, self.conv1_b), self.slope1)
+        return prelu(conv2d(y, self.conv2_w, self.conv2_b), self.slope2)
 
     def parameters(self) -> list[Parameter]:
         return [self.conv1_w, self.conv1_b, self.slope1,
@@ -94,11 +94,9 @@ class DenseResidualBlock:
         if f.shape[1] != self.channels:
             raise DimensionError(
                 f"dense residual block expects {self.channels} channels, got {f.shape[1]}")
-        y1 = prelu(conv2d(f, self.layer1_w, self.layer1_b, stride=1, padding=1), self.slope1)
-        y2 = prelu(conv2d(concat_channels(f, y1), self.layer2_w, self.layer2_b,
-                          stride=1, padding=1), self.slope2)
-        y3 = conv2d(concat_channels(f, y1, y2), self.layer3_w, self.layer3_b,
-                    stride=1, padding=1)
+        y1 = prelu(conv2d(f, self.layer1_w, self.layer1_b), self.slope1)
+        y2 = prelu(conv2d(concat_channels(f, y1), self.layer2_w, self.layer2_b), self.slope2)
+        y3 = conv2d(concat_channels(f, y1, y2), self.layer3_w, self.layer3_b)
         return add(f, y3)
 
     def parameters(self) -> list[Parameter]:
@@ -291,7 +289,7 @@ class EnhancementNetwork:
             f = self.attention.forward(f)
         for stage, skip in zip(self.decoder, reversed(skips)):
             f = stage.forward(f, skip)
-        return conv2d(f, self.head_w, self.head_b, stride=1, padding=1)
+        return conv2d(f, self.head_w, self.head_b)
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []

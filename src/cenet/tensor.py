@@ -230,25 +230,31 @@ def backward(loss: Tensor):
 # Operators
 # ---------------------------------------------------------------------------
 
-def _conv_cols(padded: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """im2col: (N, Cin, Hp, Wp) -> (Cin*k*k, N*Ho*Wo) patch matrix.
+def _same_conv(x: np.ndarray, wmat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 "same" convolution of (N, Cin, H, W) by a (Cout, Cin*k*k) matrix.
 
-    The channel-major layout keeps conv outputs NCHW-contiguous for the
-    common batch-of-one case, avoiding a transpose on every call.
+    Pads by k // 2, builds the (Cin*k*k, N*H*W) im2col matrix and does one
+    GEMM. Returns the (N, Cout, H, W) output and the im2col matrix. The
+    channel-major layout makes the final transpose free for a batch of one.
     """
+    n, cin, h, w = x.shape
+    p = k // 2
+    padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]          # (N, Cin, Ho, Wo, k, k)
-    n, cin, ho, wo = windows.shape[:4]
-    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
-    return cols.reshape(cin * k * k, n * ho * wo)
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(cin * k * k, n * h * w)
+    out_mat = wmat @ cols
+    return out_mat.reshape(-1, n, h, w).transpose(1, 0, 2, 3), cols
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """2-D cross-correlation at stride 1 with "same" zero padding.
 
     ``weight`` is (Cout, Cin, k, k) with odd k; ``bias`` is (1, Cout, 1, 1).
-    Output extents follow floor((H + 2p - k) / stride) + 1. The backward
-    rule yields gradients for the input, the weight, and the bias.
+    The input is zero-padded by k // 2, so the output keeps the input's H
+    and W. The backward rule yields gradients for the input, the weight
+    and the bias; the input gradient is the same convolution of the
+    upstream gradient with the kernel flipped in space and its channel
+    axes swapped.
     """
     n, cin, h, w = x.shape
     cout, wcin, kh, kw = weight.shape
@@ -261,70 +267,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise DimensionError(f"conv2d input has {cin} channels but weight expects {wcin}")
     if bias.shape != (1, cout, 1, 1):
         raise DimensionError(f"conv2d bias must have shape (1, {cout}, 1, 1), got {bias.shape}")
-    if stride < 1:
-        raise DimensionError(f"conv2d stride must be positive, got {stride}")
-    if padding < 0:
-        raise DimensionError(f"conv2d padding must be non-negative, got {padding}")
-    if k > h + 2 * padding or k > w + 2 * padding:
-        raise DimensionError(
-            f"conv2d kernel {k} exceeds padded input extents "
-            f"({h + 2 * padding}x{w + 2 * padding})")
 
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (w + 2 * padding - k) // stride + 1
-    wmat = weight.data.reshape(cout, cin * k * k)
-
-    if k == 1 and stride == 1 and padding == 0:
-        # 1x1 convolutions are plain channel mixes; skip im2col entirely.
-        x_mat = (x.data.reshape(cin, h * w) if n == 1
-                 else np.ascontiguousarray(x.data.transpose(1, 0, 2, 3)).reshape(cin, n * h * w))
-
-        def backward_1x1(up):
-            up_mat = (up.reshape(cout, h * w) if n == 1
-                      else np.ascontiguousarray(up.transpose(1, 0, 2, 3)).reshape(cout, n * h * w))
-            d_bias = up_mat.sum(axis=1).reshape(1, cout, 1, 1)
-            d_weight = (up_mat @ x_mat.T).reshape(cout, cin, 1, 1)
-            d_x_mat = wmat.T @ up_mat
-            if n == 1:
-                d_x = d_x_mat.reshape(1, cin, h, w)
-            else:
-                d_x = d_x_mat.reshape(cin, n, h, w).transpose(1, 0, 2, 3)
-            return d_x, d_weight, d_bias
-
-        out_mat = wmat @ x_mat + bias.data.reshape(cout, 1)
-        out = (out_mat.reshape(1, cout, h, w) if n == 1
-               else out_mat.reshape(cout, n, h, w).transpose(1, 0, 2, 3))
-        return _emit("conv2d", out, (x, weight, bias), backward_1x1)
-
-    if padding:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        padded = x.data
-    cols = _conv_cols(padded, k, stride)
-    out_mat = wmat @ cols
-    out_mat += bias.data.reshape(cout, 1)
-    if n == 1:
-        out = out_mat.reshape(1, cout, ho, wo)
-    else:
-        out = out_mat.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+    out, cols = _same_conv(x.data, weight.data.reshape(cout, cin * k * k), k)
+    out += bias.data
 
     def backward_fn(up):
-        if n == 1:
-            up_mat = up.reshape(cout, ho * wo)
-        else:
-            up_mat = np.ascontiguousarray(up.transpose(1, 0, 2, 3)).reshape(cout, n * ho * wo)
+        up_mat = up.transpose(1, 0, 2, 3).reshape(cout, n * h * w)
         d_bias = up_mat.sum(axis=1).reshape(1, cout, 1, 1)
         d_weight = (up_mat @ cols.T).reshape(cout, cin, k, k)
-        d_cols = (wmat.T @ up_mat).reshape(cin, k, k, n, ho, wo)
-        d_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=up.dtype)
-        for i in range(k):
-            for j in range(k):
-                d_pad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                    d_cols[:, i, j].transpose(1, 0, 2, 3)
-        if padding:
-            d_x = d_pad[:, :, padding:padding + h, padding:padding + w]
-        else:
-            d_x = d_pad
+        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+        d_x, _ = _same_conv(up, flipped, k)
         return d_x, d_weight, d_bias
 
     return _emit("conv2d", out, (x, weight, bias), backward_fn)

@@ -258,7 +258,7 @@ class TestBackwardRules:
             x = t4(np.ones((1, 1, 4, 4)))
             w = t4(np.zeros((2, 1, 3, 3)))
             b = t4(np.zeros((1, 2, 1, 1)))
-            loss = tensor_sum(conv2d(x, w, b, padding=1))
+            loss = tensor_sum(conv2d(x, w, b))
             backward(loss)
         npt.assert_array_equal(b.grad.ravel(), [16.0, 16.0])
 

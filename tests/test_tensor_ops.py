@@ -44,7 +44,7 @@ class TestConv2d:
         x = t4(np.arange(1, 10).reshape(1, 1, 3, 3))
         w = t4(np.ones((1, 1, 3, 3)))
         b = t4(np.zeros((1, 1, 1, 1)))
-        out = conv2d(x, w, b, stride=1, padding=1)
+        out = conv2d(x, w, b)
         expected = conv2d_naive(x.data, w.data, b.data, 1, 1)
         npt.assert_allclose(out.data, expected, rtol=1e-6)
         assert out.data[0, 0, 1, 1] == 45.0
@@ -55,28 +55,41 @@ class TestConv2d:
         x = t4(rng.uniform(-1, 1, (2, 3, 5, 5)))
         w = t4(np.zeros((4, 3, 3, 3)))
         b = t4(np.full((1, 4, 1, 1), 0.7))
-        out = conv2d(x, w, b, stride=1, padding=1)
+        out = conv2d(x, w, b)
         npt.assert_allclose(out.data, 0.7, rtol=1e-6)
 
     def test_degenerate_1x1(self):
         out = conv2d(t4([[[[2.0]]]]), t4([[[[3.0]]]]), t4([[[[0.5]]]]))
         assert out.item() == pytest.approx(2.0 * 3.0 + 0.5)
 
-    @pytest.mark.parametrize("n,cin,cout,k,stride,padding,h,w", [
-        (1, 2, 3, 3, 1, 1, 5, 6),
-        (2, 3, 4, 3, 2, 0, 7, 5),
-        (2, 2, 2, 1, 1, 0, 4, 4),
-        (1, 1, 2, 3, 1, 2, 3, 4),
-        (1, 4, 1, 3, 3, 1, 8, 8),
+    @pytest.mark.parametrize("n,cin,cout,k,h,w", [
+        (1, 2, 3, 3, 5, 6),
+        (2, 3, 4, 3, 7, 5),
+        (2, 2, 2, 1, 4, 4),
+        (1, 1, 2, 3, 3, 4),
+        (1, 4, 1, 3, 8, 8),
+        (1, 2, 2, 5, 1, 2),
     ])
-    def test_against_naive_oracle(self, n, cin, cout, k, stride, padding, h, w):
+    def test_against_naive_oracle(self, n, cin, cout, k, h, w):
         rng = np.random.default_rng(hash((n, cin, cout, k)) % 2**32)
         x = t4(rng.uniform(-1, 1, (n, cin, h, w)))
         wt = t4(rng.uniform(-1, 1, (cout, cin, k, k)))
         b = t4(rng.uniform(-1, 1, (1, cout, 1, 1)))
-        out = conv2d(x, wt, b, stride=stride, padding=padding)
-        npt.assert_allclose(out.data, conv2d_naive(x.data, wt.data, b.data, stride, padding),
+        out = conv2d(x, wt, b)
+        npt.assert_allclose(out.data, conv2d_naive(x.data, wt.data, b.data, 1, k // 2),
                             rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("n,cin,cout,k,h,w", [
+        (2, 2, 3, 3, 4, 5),
+        (2, 3, 2, 1, 3, 4),
+        (1, 2, 2, 5, 1, 2),
+    ])
+    def test_gradcheck(self, n, cin, cout, k, h, w):
+        rng = np.random.default_rng(hash((n, cin, cout, k, h, w)) % 2**32)
+        x, wt, b = (Tensor(rng.uniform(-1, 1, shape), dtype=np.float64)
+                    for shape in ((n, cin, h, w), (cout, cin, k, k), (1, cout, 1, 1)))
+        result = gradcheck(lambda: conv2d(x, wt, b), [x, wt, b], rng=rng, name="conv2d")
+        assert result.max_rel_error < 1e-6
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(12)
@@ -84,20 +97,15 @@ class TestConv2d:
         zero_bias = t4(np.zeros((1, 3, 1, 1)))
         x = rng.uniform(-1, 1, (1, 2, 5, 5)).astype(np.float32)
         y = rng.uniform(-1, 1, (1, 2, 5, 5)).astype(np.float32)
-        combined = conv2d(t4(2.0 * x + 3.0 * y), w, zero_bias, padding=1).data
-        parts = (2.0 * conv2d(t4(x), w, zero_bias, padding=1).data
-                 + 3.0 * conv2d(t4(y), w, zero_bias, padding=1).data)
+        combined = conv2d(t4(2.0 * x + 3.0 * y), w, zero_bias).data
+        parts = (2.0 * conv2d(t4(x), w, zero_bias).data
+                 + 3.0 * conv2d(t4(y), w, zero_bias).data)
         npt.assert_allclose(combined, parts, rtol=1e-4, atol=1e-5)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             conv2d(t4(np.zeros((1, 2, 4, 4))), t4(np.zeros((1, 3, 3, 3))),
-                   t4(np.zeros((1, 1, 1, 1))), padding=1)
-
-    def test_kernel_exceeds_padded_extent(self):
-        with pytest.raises(DimensionError):
-            conv2d(t4(np.zeros((1, 1, 2, 2))), t4(np.zeros((1, 1, 3, 3))),
-                   t4(np.zeros((1, 1, 1, 1))), padding=0)
+                   t4(np.zeros((1, 1, 1, 1))))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(DimensionError):
