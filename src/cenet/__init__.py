@@ -6,7 +6,7 @@ reverse-mode autodiff tensor core, with the full training recipe, PSNR
 and SSIM metrics, lossless PNG/PPM codecs, and a CLI.
 """
 
-from .blocks import EnhancementNetwork, NetworkConfig, build_network
+from .blocks import EnhancementNetwork, NetworkConfig
 from .config import RunConfig, desk_preset, load_config, parse_config
 from .imageio import Image, decode_image, encode_image, load_image, save_image
 from .metrics import MetricReport, psnr, ssim
@@ -27,7 +27,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "backward",
-    "build_network",
     "decode_image",
     "desk_preset",
     "encode_image",

@@ -1,11 +1,12 @@
 """Building blocks of the context-aware enhancement network.
 
-The network is an encoder-decoder over NCHW tensors: each encoder stage
-computes features and halves the spatial extents, the bottleneck may apply
-a non-local attention block (global context), and each decoder stage
-upsamples, concatenates the matching encoder skip, and computes features.
-Feature computation is a basic block of two 3x3 convolutions, optionally
-augmented by a dense residual block (local context).
+The network is an encoder-decoder over NCHW tensors. Each encoder stage
+is a feature block whose output is kept as a skip and then max-pooled;
+the bottleneck is a feature block, optionally followed by a non-local
+attention block (global context); each decoder stage upsamples,
+concatenates the matching skip and runs a feature block; a 3x3 head maps
+back to RGB. A feature block is a basic block of two 3x3 convolutions,
+optionally followed by a dense residual block (local context).
 """
 
 import math
@@ -29,6 +30,8 @@ from .tensor import (
 # Unused here; perfbench's tracer looks these names up on this module.
 from .tensor import matmul, permute, reshape, softmax_rows  # noqa: F401
 
+RGB_CHANNELS = 3
+
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:
     # Keyed by name so adding or removing blocks never shifts the draws
@@ -50,7 +53,27 @@ def _channel_param(name: str, channels: int, value: float, dtype) -> Parameter:
     return Parameter(name, np.full((1, channels, 1, 1), value, dtype=dtype))
 
 
-class BasicBlock:
+class Block:
+    """A network part whose parameters are its attributes.
+
+    ``parameters()`` walks the attributes in assignment order: a
+    ``Parameter`` is listed, a sub-block (alone or in a list) contributes
+    its own parameters, anything else is skipped. That order is the record
+    order of checkpoints and of the optimizer state.
+    """
+
+    def parameters(self) -> list[Parameter]:
+        params: list[Parameter] = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Parameter):
+                    params.append(item)
+                elif isinstance(item, Block):
+                    params += item.parameters()
+        return params
+
+
+class BasicBlock(Block):
     """Two stacked 3x3 convolutions, each followed by a PReLU."""
 
     def __init__(self, name: str, c_in: int, c_out: int, seed: int, dtype=np.float32):
@@ -65,12 +88,8 @@ class BasicBlock:
         y = prelu(conv2d(f, self.conv1_w, self.conv1_b), self.slope1)
         return prelu(conv2d(y, self.conv2_w, self.conv2_b), self.slope2)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.conv1_w, self.conv1_b, self.slope1,
-                self.conv2_w, self.conv2_b, self.slope2]
 
-
-class DenseResidualBlock:
+class DenseResidualBlock(Block):
     """Three densely connected 3x3 convolutions closed by an input skip.
 
     Layer l consumes the channel concatenation of the block input and all
@@ -99,13 +118,8 @@ class DenseResidualBlock:
         y3 = conv2d(concat_channels(f, y1, y2), self.layer3_w, self.layer3_b)
         return add(f, y3)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.layer1_w, self.layer1_b, self.slope1,
-                self.layer2_w, self.layer2_b, self.slope2,
-                self.layer3_w, self.layer3_b]
 
-
-class NonLocalBlock:
+class NonLocalBlock(Block):
     """Residual self-attention over the full spatial extent.
 
     Query, key, and value are 1x1 projections into a bottleneck of
@@ -144,12 +158,8 @@ class NonLocalBlock:
         mixed = attention(q, k, conv2d(z, self.value_w, self.value_b))
         return add(z, conv2d(mixed, self.out_w, self.out_b))
 
-    def parameters(self) -> list[Parameter]:
-        return [self.query_w, self.query_b, self.key_w, self.key_b,
-                self.value_w, self.value_b, self.out_w, self.out_b]
 
-
-class FeatureBlock:
+class FeatureBlock(Block):
     """Per-stage feature computation: a basic block, densely augmented
     when local-context modeling is enabled.
 
@@ -169,46 +179,6 @@ class FeatureBlock:
             y = self.dense.forward(y)
         return y
 
-    def parameters(self) -> list[Parameter]:
-        params = self.basic.parameters()
-        if self.dense is not None:
-            params += self.dense.parameters()
-        return params
-
-
-class EncoderStage:
-    """Feature block followed by 2x2 max pooling; the pre-pool features
-    are returned as the skip for the matching decoder stage."""
-
-    def __init__(self, name: str, c_in: int, c_out: int, local_context: bool,
-                 seed: int, dtype=np.float32):
-        self.features = FeatureBlock(name, c_in, c_out, local_context, seed, dtype)
-
-    def forward(self, f: Tensor) -> tuple[Tensor, Tensor]:
-        skip = self.features.forward(f)
-        return maxpool2d(skip), skip
-
-    def parameters(self) -> list[Parameter]:
-        return self.features.parameters()
-
-
-class DecoderStage:
-    """Nearest 2x upsampling, skip concatenation, then a feature block."""
-
-    def __init__(self, name: str, c_in: int, c_out: int, local_context: bool,
-                 seed: int, dtype=np.float32):
-        self.features = FeatureBlock(name, c_in, c_out, local_context, seed, dtype)
-
-    def forward(self, z: Tensor, skip: Tensor) -> Tensor:
-        up = upsample_nearest2x(z)
-        if up.shape[2:] != skip.shape[2:]:
-            raise DimensionError(
-                f"upsampled extents {up.shape[2:]} do not match skip {skip.shape[2:]}")
-        return self.features.forward(concat_channels(up, skip))
-
-    def parameters(self) -> list[Parameter]:
-        return self.features.parameters()
-
 
 @dataclass
 class NetworkConfig:
@@ -218,23 +188,19 @@ class NetworkConfig:
     base_channels: int = 32
     use_global_context: bool = True
     use_local_context: bool = True
-    input_channels: int = 3
-    output_channels: int = 3
 
     def validate(self):
         if self.num_stages < 1:
             raise ValueError(f"num_stages must be positive, got {self.num_stages}")
         if self.base_channels < 1:
             raise ValueError(f"base_channels must be positive, got {self.base_channels}")
-        if self.input_channels < 1 or self.output_channels < 1:
-            raise ValueError("channel counts must be positive")
 
     @property
     def divisor(self) -> int:
         return 2 ** self.num_stages
 
 
-class EnhancementNetwork:
+class EnhancementNetwork(Block):
     """Encoder-decoder enhancement network with optional global and local
     context modules.
 
@@ -249,31 +215,30 @@ class EnhancementNetwork:
         self.seed = seed
         m = config.num_stages
         lc = config.use_local_context
-        self.encoder: list[EncoderStage] = []
-        c_in = config.input_channels
+        self.encoder: list[FeatureBlock] = []
+        c_in = RGB_CHANNELS
         for i in range(m):
             c_out = config.base_channels * 2 ** i
-            self.encoder.append(EncoderStage(f"enc{i}", c_in, c_out, lc, seed, dtype))
+            self.encoder.append(FeatureBlock(f"enc{i}", c_in, c_out, lc, seed, dtype))
             c_in = c_out
         mid_channels = config.base_channels * 2 ** m
         self.mid = FeatureBlock("mid", c_in, mid_channels, lc, seed, dtype)
         self.attention = (NonLocalBlock("mid.attn", mid_channels, seed, dtype)
                           if config.use_global_context else None)
-        self.decoder: list[DecoderStage] = []
+        self.decoder: list[FeatureBlock] = []
         for i in reversed(range(m)):
             c_src = config.base_channels * 2 ** (i + 1)
             c_skip = config.base_channels * 2 ** i
             self.decoder.append(
-                DecoderStage(f"dec{i}", c_src + c_skip, c_skip, lc, seed, dtype))
-        self.head_w = _conv_param("head.weight", config.output_channels,
+                FeatureBlock(f"dec{i}", c_src + c_skip, c_skip, lc, seed, dtype))
+        self.head_w = _conv_param("head.weight", RGB_CHANNELS,
                                   config.base_channels, 3, seed, dtype)
-        self.head_b = _channel_param("head.bias", config.output_channels, 0.0, dtype)
+        self.head_b = _channel_param("head.bias", RGB_CHANNELS, 0.0, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
-        if c != self.config.input_channels:
-            raise DimensionError(
-                f"network expects {self.config.input_channels} input channels, got {c}")
+        if c != RGB_CHANNELS:
+            raise DimensionError(f"network expects {RGB_CHANNELS} input channels, got {c}")
         div = self.config.divisor
         if h % div or w % div:
             raise DimensionError(
@@ -281,27 +246,16 @@ class EnhancementNetwork:
                 f"(2**num_stages with num_stages={self.config.num_stages})")
         skips = []
         f = x
-        for stage in self.encoder:
-            f, skip = stage.forward(f)
-            skips.append(skip)
+        for block in self.encoder:
+            f = block.forward(f)
+            skips.append(f)
+            f = maxpool2d(f)
         f = self.mid.forward(f)
         if self.attention is not None:
             f = self.attention.forward(f)
-        for stage, skip in zip(self.decoder, reversed(skips)):
-            f = stage.forward(f, skip)
+        for block, skip in zip(self.decoder, reversed(skips)):
+            f = block.forward(concat_channels(upsample_nearest2x(f), skip))
         return conv2d(f, self.head_w, self.head_b)
-
-    def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for stage in self.encoder:
-            params += stage.parameters()
-        params += self.mid.parameters()
-        if self.attention is not None:
-            params += self.attention.parameters()
-        for stage in self.decoder:
-            params += stage.parameters()
-        params += [self.head_w, self.head_b]
-        return params
 
     def named_parameters(self) -> dict[str, Parameter]:
         return {p.name: p for p in self.parameters()}
@@ -315,8 +269,3 @@ class EnhancementNetwork:
             "parameter_tensors": len(names),
             "parameter_scalars": sum(p.size for p in self.parameters()),
         }
-
-
-def build_network(config: NetworkConfig, seed: int = 0, dtype=np.float32) -> EnhancementNetwork:
-    """Construct a network with seed-determined parameters."""
-    return EnhancementNetwork(config, seed=seed, dtype=dtype)

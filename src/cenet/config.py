@@ -38,8 +38,15 @@ class RunConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.workers < 0:
             raise ConfigError(f"workers must be non-negative, got {self.workers}")
-        if self.schedule.total_iters < 1:
-            raise ConfigError(f"iterations must be positive, got {self.schedule.total_iters}")
+        schedule = self.schedule
+        if not schedule.initial_lr > 0:
+            raise ConfigError(f"lr must be positive, got {schedule.initial_lr}")
+        if not schedule.decay_factor > 0:
+            raise ConfigError(f"lr_decay_factor must be positive, got {schedule.decay_factor}")
+        if schedule.decay_every < 1:
+            raise ConfigError(f"lr_decay_every must be positive, got {schedule.decay_every}")
+        if schedule.total_iters < 1:
+            raise ConfigError(f"iterations must be positive, got {schedule.total_iters}")
         if self.checkpoint_every < 1 or self.log_every < 1:
             raise ConfigError("checkpoint_every and log_every must be positive")
         if self.augment.crop_size < self.network.divisor:

@@ -21,6 +21,8 @@ from .imageio import Image, load_image
 log = logging.getLogger(__name__)
 
 IMAGE_SUFFIXES = (".png", ".ppm")
+# Decoded pairs a sample stream keeps, least recently used evicted first.
+CACHE_PAIRS = 64
 
 
 class DatasetError(RuntimeError):
@@ -44,13 +46,6 @@ class ImagePair:
     input: Image
     target: Image
 
-    def __post_init__(self):
-        if self.input.pixels.shape != self.target.pixels.shape:
-            raise PairError(
-                f"pair {self.identifier!r}: input is "
-                f"{self.input.width}x{self.input.height} but target is "
-                f"{self.target.width}x{self.target.height}")
-
 
 @dataclass
 class AugmentSpec:
@@ -61,13 +56,11 @@ class AugmentSpec:
     enable_rotation: bool = True
 
 
-def scan_dataset(root, layout: str = "paired-dirs") -> list[PairRecord]:
+def scan_dataset(root) -> list[PairRecord]:
     """List pairs under ``root`` in deterministic lexicographic stem order.
 
     Unmatched files are reported and excluded, never silently dropped.
     """
-    if layout != "paired-dirs":
-        raise ValueError(f"unknown dataset layout {layout!r}")
     root = Path(root)
     input_dir = root / "input"
     target_dir = root / "target"
@@ -165,7 +158,7 @@ class SampleStream:
     """
 
     def __init__(self, records: list[PairRecord], spec: AugmentSpec, seed: int,
-                 batch_size: int = 1, workers: int = 0, cache_pairs: int = 64):
+                 batch_size: int = 1, workers: int = 0):
         if not records:
             raise DatasetError("sample stream needs at least one pair")
         self.records = records
@@ -174,7 +167,6 @@ class SampleStream:
         self.batch_size = batch_size
         self.workers = workers
         self._cache: OrderedDict[str, ImagePair] = OrderedDict()
-        self._cache_pairs = cache_pairs
         self._lock = threading.Lock()
 
     def _pair(self, index: int) -> ImagePair:
@@ -187,7 +179,7 @@ class SampleStream:
         pair = load_pair(record)
         with self._lock:
             self._cache[record.identifier] = pair
-            while len(self._cache) > self._cache_pairs:
+            while len(self._cache) > CACHE_PAIRS:
                 self._cache.popitem(last=False)
         return pair
 

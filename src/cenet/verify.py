@@ -36,11 +36,6 @@ def _pool_input(rng, shape) -> Tensor:
     return Tensor(data.reshape(shape), dtype=np.float64)
 
 
-def _check(name, forward_fn, inputs, rng, tol, max_coords=None) -> GradcheckResult:
-    return gradcheck(forward_fn, inputs, tol=tol, rng=rng, name=name,
-                     max_coords=max_coords)
-
-
 def op_cases(rng: np.random.Generator):
     """Yield (name, forward_fn, inputs) for one random instance per op."""
     n = int(rng.integers(1, 3))
@@ -113,7 +108,7 @@ def run_op_suite(trials: int = 20, seed: int = 0, tol: float = 1e-4) -> list[Gra
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         for name, forward_fn, inputs in op_cases(rng):
-            result = _check(name, forward_fn, inputs, rng, tol)
+            result = gradcheck(forward_fn, inputs, tol=tol, rng=rng, name=name)
             best = worst.get(name)
             if best is None or result.max_rel_error > best.max_rel_error:
                 worst[name] = result
@@ -132,21 +127,22 @@ def run_block_suite(seed: int = 0, tol: float = 1e-3,
 
     basic = BasicBlock("bb", 3, 4, seed=seed, dtype=np.float64)
     x = _t(rng, (1, 3, 6, 6))
-    results.append(_check("basic_block", lambda: basic.forward(x),
-                          [x] + basic.parameters(), rng, tol, max_coords))
+    results.append(gradcheck(lambda: basic.forward(x), [x] + basic.parameters(),
+                             tol=tol, rng=rng, max_coords=max_coords, name="basic_block"))
 
     drb = DenseResidualBlock("drb", 4, seed=seed, dtype=np.float64)
     xd = _t(rng, (1, 4, 6, 6))
-    results.append(_check("dense_residual_block", lambda: drb.forward(xd),
-                          [xd] + drb.parameters(), rng, tol, max_coords))
+    results.append(gradcheck(lambda: drb.forward(xd), [xd] + drb.parameters(),
+                             tol=tol, rng=rng, max_coords=max_coords,
+                             name="dense_residual_block"))
 
     attn = NonLocalBlock("attn", 4, seed=seed, dtype=np.float64)
     # The output projection is zero at init; give it values so its path
     # is exercised too.
     attn.out_w.data = rng.uniform(-0.5, 0.5, attn.out_w.shape)
     xn = _t(rng, (1, 4, 4, 4))
-    results.append(_check("nonlocal_block", lambda: attn.forward(xn),
-                          [xn] + attn.parameters(), rng, tol, max_coords))
+    results.append(gradcheck(lambda: attn.forward(xn), [xn] + attn.parameters(),
+                             tol=tol, rng=rng, max_coords=max_coords, name="nonlocal_block"))
     return results
 
 
@@ -157,8 +153,8 @@ def run_network_check(seed: int = 0, tol: float = 1e-3,
     config = NetworkConfig(num_stages=2, base_channels=4)
     network = EnhancementNetwork(config, seed=seed, dtype=np.float64)
     x = Tensor(rng.uniform(0.0, 1.0, (1, 3, 8, 8)), dtype=np.float64)
-    return _check("network", lambda: network.forward(x),
-                  [x] + network.parameters(), rng, tol, max_coords)
+    return gradcheck(lambda: network.forward(x), [x] + network.parameters(),
+                     tol=tol, rng=rng, max_coords=max_coords, name="network")
 
 
 def run_full_suite(trials: int = 5, seed: int = 0) -> list[GradcheckResult]:

@@ -10,14 +10,19 @@ import pytest
 from cenet.blocks import (
     BasicBlock,
     DenseResidualBlock,
-    EncoderStage,
-    DecoderStage,
     EnhancementNetwork,
     NetworkConfig,
     NonLocalBlock,
-    build_network,
 )
-from cenet.tensor import DimensionError, Tape, Tensor, backward, op_census, tensor_sum
+from cenet.tensor import (
+    DimensionError,
+    Tape,
+    Tensor,
+    backward,
+    maxpool2d,
+    op_census,
+    tensor_sum,
+)
 
 from reference import conv2d_naive
 
@@ -177,26 +182,6 @@ class TestNonLocalMemory:
         assert all(p.grad is not None for p in block.parameters())
 
 
-class TestStages:
-    def test_encoder_stage_shapes_and_skip(self):
-        stage = EncoderStage("e", 3, 6, local_context=False, seed=0)
-        pooled, skip = stage.forward(rand4((1, 3, 8, 8)))
-        assert skip.shape == (1, 6, 8, 8)
-        assert pooled.shape == (1, 6, 4, 4)
-        # the skip is the feature-block output itself, not a copy transform
-        npt.assert_array_equal(stage.features.forward(rand4((1, 3, 8, 8))).data, skip.data)
-
-    def test_decoder_stage_concat_width(self):
-        stage = DecoderStage("d", 6 + 4, 4, local_context=False, seed=0)
-        out = stage.forward(rand4((1, 6, 2, 2)), rand4((1, 4, 4, 4), seed=1))
-        assert out.shape == (1, 4, 4, 4)
-
-    def test_decoder_spatial_mismatch(self):
-        stage = DecoderStage("d", 10, 4, local_context=False, seed=0)
-        with pytest.raises(DimensionError):
-            stage.forward(rand4((1, 6, 2, 2)), rand4((1, 4, 6, 6)))
-
-
 VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
 
 
@@ -216,8 +201,8 @@ class TestNetwork:
             s = 3
             x = rand4((1, 3, 2 ** m * s, 2 ** m * s))
             f = x
-            for stage in net.encoder:
-                f, _ = stage.forward(f)
+            for block in net.encoder:
+                f = maxpool2d(block.forward(f))
             assert f.shape[2:] == (s, s)
 
     def test_variant_census(self):
@@ -241,6 +226,40 @@ class TestNetwork:
             assert structure["attention_blocks"] == (1 if gc else 0)
             assert structure["dense_blocks"] == (feature_blocks if lc else 0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_skips_are_the_pre_pool_features(self, m):
+        net = EnhancementNetwork(NetworkConfig(num_stages=m, base_channels=2), seed=0)
+        x = rand4((1, 3, 2 ** m * 2, 2 ** m * 2))
+        with op_census() as counts, Tape() as tape:
+            net.forward(x)
+            pooled = [n.inputs[0] for n in tape.nodes if n.op_name == "maxpool2d"]
+            upsampled = {id(n.output) for n in tape.nodes if n.op_name == "upsample_nearest2x"}
+            # a decoder stage concatenates (upsampled, skip), innermost first
+            skips = [n.inputs[1] for n in tape.nodes
+                     if n.op_name == "concat_channels" and id(n.inputs[0]) in upsampled]
+        assert counts["maxpool2d"] == counts["upsample_nearest2x"] == len(skips) == m
+        assert all(s is p for s, p in zip(skips, reversed(pooled)))
+        f = x
+        for block, skip in zip(net.encoder, pooled):
+            features = block.forward(f)
+            npt.assert_array_equal(skip.data, features.data)
+            f = maxpool2d(features)
+
+    def test_parameter_order(self):
+        # the record order of checkpoints and of the optimizer state
+        names = [p.name for p in EnhancementNetwork(NetworkConfig(1, 2)).parameters()]
+        basic = ["bb.conv1.weight", "bb.conv1.bias", "bb.act1.slope",
+                 "bb.conv2.weight", "bb.conv2.bias", "bb.act2.slope"]
+        dense = ["drb.layer1.weight", "drb.layer1.bias", "drb.act1.slope",
+                 "drb.layer2.weight", "drb.layer2.bias", "drb.act2.slope",
+                 "drb.layer3.weight", "drb.layer3.bias"]
+        attn = ["attn.query.weight", "attn.query.bias", "attn.key.weight", "attn.key.bias",
+                "attn.value.weight", "attn.value.bias", "attn.out.weight", "attn.out.bias"]
+        assert names == ([f"enc0.{n}" for n in basic + dense]
+                         + [f"mid.{n}" for n in basic + dense + attn]
+                         + [f"dec0.{n}" for n in basic + dense]
+                         + ["head.weight", "head.bias"])
+
     def test_full_has_more_parameters_than_baseline(self):
         base = EnhancementNetwork(NetworkConfig(2, 4, False, False), seed=0)
         full = EnhancementNetwork(NetworkConfig(2, 4, True, True), seed=0)
@@ -252,16 +271,16 @@ class TestNetwork:
         assert not any(".drb." in n or ".attn." in n for n in names)
 
     def test_init_deterministic(self):
-        a = build_network(NetworkConfig(2, 4), seed=7)
-        b = build_network(NetworkConfig(2, 4), seed=7)
+        a = EnhancementNetwork(NetworkConfig(2, 4), seed=7)
+        b = EnhancementNetwork(NetworkConfig(2, 4), seed=7)
         for pa, pb in zip(a.parameters(), b.parameters()):
             npt.assert_array_equal(pa.data, pb.data)
-        c = build_network(NetworkConfig(2, 4), seed=8)
+        c = EnhancementNetwork(NetworkConfig(2, 4), seed=8)
         assert any(not np.array_equal(pa.data, pc.data)
                    for pa, pc in zip(a.parameters(), c.parameters()))
 
     def test_init_respects_fan_in_bound(self):
-        net = build_network(NetworkConfig(2, 4), seed=0)
+        net = EnhancementNetwork(NetworkConfig(2, 4), seed=0)
         for p in net.parameters():
             if p.name.endswith(".weight") and p.data.ndim == 4 and p.data.any():
                 cout, cin, k, _ = p.data.shape
@@ -269,7 +288,7 @@ class TestNetwork:
                 assert np.abs(p.data).max() <= bound
 
     def test_attention_out_projection_zero_at_init(self):
-        net = build_network(NetworkConfig(2, 4, use_global_context=True), seed=0)
+        net = EnhancementNetwork(NetworkConfig(2, 4, use_global_context=True), seed=0)
         npt.assert_array_equal(net.attention.out_w.data, 0)
 
     def test_gc_removal_matches_fresh_init(self):
@@ -281,11 +300,11 @@ class TestNetwork:
         npt.assert_array_equal(with_gc.forward(x).data, without.forward(x).data)
 
     def test_divisibility_error_names_divisor(self):
-        net = build_network(NetworkConfig(num_stages=3, base_channels=4), seed=0)
+        net = EnhancementNetwork(NetworkConfig(num_stages=3, base_channels=4), seed=0)
         with pytest.raises(DimensionError, match="8"):
             net.forward(rand4((1, 3, 12, 12)))
 
     def test_input_channel_check(self):
-        net = build_network(NetworkConfig(2, 4), seed=0)
+        net = EnhancementNetwork(NetworkConfig(2, 4), seed=0)
         with pytest.raises(DimensionError):
             net.forward(rand4((1, 4, 8, 8)))

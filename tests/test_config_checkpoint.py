@@ -63,6 +63,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="divisible"):
             config.validate()
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", "0"), ("lr", "-1e-3"), ("lr", "nan"),
+        ("lr_decay_factor", "0"), ("lr_decay_factor", "-2"),
+        ("lr_decay_every", "0"), ("lr_decay_every", "-5"),
+    ])
+    def test_schedule_validation_names_key(self, key, value):
+        config = parse_config(f"{key} = {value}")
+        with pytest.raises(ConfigError, match=f"^{key} must be positive"):
+            config.validate()
+
 
 def trained_network(seed=0, steps=3):
     config = NetworkConfig(num_stages=1, base_channels=2)

@@ -59,10 +59,6 @@ class TestScan:
         with pytest.raises(DatasetError):
             scan_dataset(tmp_path)
 
-    def test_unknown_layout(self, tmp_path):
-        with pytest.raises(ValueError):
-            scan_dataset(tmp_path, layout="flat")
-
     def test_size_mismatch_names_pair(self, tmp_path):
         (tmp_path / "input").mkdir()
         (tmp_path / "target").mkdir()

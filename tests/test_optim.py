@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cenet.blocks import NetworkConfig, build_network
+from cenet.blocks import EnhancementNetwork, NetworkConfig
 from cenet.optim import Adam, StepDecaySchedule
 from cenet.tensor import ContractError, Parameter, Tape, Tensor, backward, l1_loss
 
@@ -106,7 +106,7 @@ class TestAdam:
 
 
     def test_in_place_update_matches_plain_formula(self):
-        net = build_network(NetworkConfig(num_stages=2, base_channels=8), seed=0)
+        net = EnhancementNetwork(NetworkConfig(num_stages=2, base_channels=8), seed=0)
         params = net.parameters()
         rng = np.random.default_rng(0)
         x = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))

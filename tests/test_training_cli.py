@@ -269,6 +269,21 @@ class TestCli:
         assert cli.main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", "0"), ("lr_decay_factor", "0"), ("lr_decay_factor", "-2"),
+        ("lr_decay_every", "0"),
+    ])
+    def test_bad_schedule_value_exits_before_training(self, dataset, tmp_path, capsys,
+                                                       key, value):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(format_config(tiny_config(dataset, tmp_path / "bad", iters=4))
+                               + f"{key} = {value}\n")
+        assert cli.main(["train", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be positive")
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
     def test_out_of_memory_exits_with_hint(self, monkeypatch, capsys):
         def exhausted(args):
             raise MemoryError("Unable to allocate 9.00 GiB for an array")
