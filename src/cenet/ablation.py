@@ -35,6 +35,7 @@ class VariantResult:
 
 
 def run_ablation(config: RunConfig, echo=None) -> list[VariantResult]:
+    config.validate()
     eval_root = Path(config.eval_data_root or config.data_root)
     eval_records = scan_dataset(eval_root)
     base_out = Path(config.output_dir)

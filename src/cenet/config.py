@@ -25,7 +25,6 @@ class RunConfig:
     augment: AugmentSpec = field(default_factory=AugmentSpec)
     batch_size: int = 1
     seed: int = 0
-    workers: int = 0
     data_root: str = ""
     eval_data_root: str = ""
     output_dir: str = "run"
@@ -33,22 +32,11 @@ class RunConfig:
     log_every: int = 100
 
     def validate(self):
-        self.network.validate()
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.workers < 0:
-            raise ConfigError(f"workers must be non-negative, got {self.workers}")
-        schedule = self.schedule
-        if not schedule.initial_lr > 0:
-            raise ConfigError(f"lr must be positive, got {schedule.initial_lr}")
-        if not schedule.decay_factor > 0:
-            raise ConfigError(f"lr_decay_factor must be positive, got {schedule.decay_factor}")
-        if schedule.decay_every < 1:
-            raise ConfigError(f"lr_decay_every must be positive, got {schedule.decay_every}")
-        if schedule.total_iters < 1:
-            raise ConfigError(f"iterations must be positive, got {schedule.total_iters}")
-        if self.checkpoint_every < 1 or self.log_every < 1:
-            raise ConfigError("checkpoint_every and log_every must be positive")
+        """Raise ``ConfigError`` naming the config key of the first bad value."""
+        for key in _POSITIVE_KEYS:
+            value = getattr(*_field(self, key))
+            if not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
         if self.augment.crop_size < self.network.divisor:
             raise ConfigError(
                 f"crop_size {self.augment.crop_size} is smaller than the "
@@ -57,6 +45,9 @@ class RunConfig:
             raise ConfigError(
                 f"crop_size {self.augment.crop_size} must be divisible by "
                 f"{self.network.divisor} (2**stages)")
+        if not self.data_root:
+            raise ConfigError("data_root is not set; it must name a directory "
+                              "with input/ and target/")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -83,13 +74,20 @@ _KEYS = {
     "rotation": ("augment", "enable_rotation", _parse_bool),
     "batch_size": (None, "batch_size", int),
     "seed": (None, "seed", int),
-    "workers": (None, "workers", int),
     "data_root": (None, "data_root", str),
     "eval_data_root": (None, "eval_data_root", str),
     "output_dir": (None, "output_dir", str),
     "checkpoint_every": (None, "checkpoint_every", int),
     "log_every": (None, "log_every", int),
 }
+_POSITIVE_KEYS = ("stages", "base_channels", "batch_size", "lr", "lr_decay_factor",
+                  "lr_decay_every", "iterations", "checkpoint_every", "log_every")
+
+
+def _field(config: RunConfig, key: str):
+    """The (object, attribute name) that holds ``key``'s value."""
+    section, attr, _ = _KEYS[key]
+    return (config if section is None else getattr(config, section)), attr
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -105,13 +103,12 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         raw_value = raw_value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        section, attr, parser = _KEYS[key]
+        parser = _KEYS[key][2]
         try:
             value = parser(raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-        target = config if section is None else getattr(config, section)
-        setattr(target, attr, value)
+        setattr(*_field(config, key), value)
     return config
 
 
@@ -121,9 +118,8 @@ def load_config(path) -> RunConfig:
 
 def format_config(config: RunConfig) -> str:
     lines = []
-    for key, (section, attr, parser) in _KEYS.items():
-        target = config if section is None else getattr(config, section)
-        value = getattr(target, attr)
+    for key, (_, _, parser) in _KEYS.items():
+        value = getattr(*_field(config, key))
         if parser is _parse_bool:
             value = "true" if value else "false"
         lines.append(f"{key} = {value}")

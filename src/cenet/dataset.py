@@ -1,16 +1,13 @@
-"""Paired-image datasets: directory scanning, augmentation, prefetching.
+"""Paired-image datasets: directory scanning, augmentation, sampling.
 
 A dataset is a directory with ``input/`` and ``target/`` subdirectories
 whose files pair up by filename stem. Patch sampling derives all of its
 randomness from (seed, iteration, sample), so a training run draws the
-same sequence no matter how many prefetch workers run or where a resumed
-run picks up.
+same sequence wherever a resumed run picks up.
 """
 
+import functools
 import logging
-import threading
-from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +56,8 @@ class AugmentSpec:
 def scan_dataset(root) -> list[PairRecord]:
     """List pairs under ``root`` in deterministic lexicographic stem order.
 
-    Unmatched files are reported and excluded, never silently dropped.
+    Unmatched files are reported and excluded, never silently dropped; two
+    files in one directory that share a stem are an error.
     """
     root = Path(root)
     input_dir = root / "input"
@@ -69,8 +67,11 @@ def scan_dataset(root) -> list[PairRecord]:
 
     def index(directory: Path) -> dict[str, Path]:
         files = {}
-        for path in directory.iterdir():
+        for path in sorted(directory.iterdir()):
             if path.suffix.lower() in IMAGE_SUFFIXES:
+                if path.stem in files:
+                    raise DatasetError(
+                        f"{files[path.stem]} and {path} share the stem {path.stem!r}")
                 files[path.stem] = path
         return files
 
@@ -150,38 +151,26 @@ def sample_rng(seed: int, iteration: int, sample: int) -> np.random.Generator:
 
 
 class SampleStream:
-    """Deterministic augmented-batch stream with optional prefetch workers.
+    """Deterministic augmented-batch stream over a list of pairs.
 
-    Batch i depends only on (seed, i), so worker count never changes the
-    sample sequence; workers only overlap the decode and crop work.
-    Batches are (B, 3, crop, crop) float32 NCHW arrays.
+    Batch i depends only on (seed, i). Decoded pairs are kept in an LRU
+    cache of ``CACHE_PAIRS`` entries. Batches are (B, 3, crop, crop)
+    float32 NCHW arrays.
     """
 
     def __init__(self, records: list[PairRecord], spec: AugmentSpec, seed: int,
-                 batch_size: int = 1, workers: int = 0):
+                 batch_size: int = 1):
         if not records:
             raise DatasetError("sample stream needs at least one pair")
         self.records = records
         self.spec = spec
         self.seed = seed
         self.batch_size = batch_size
-        self.workers = workers
-        self._cache: OrderedDict[str, ImagePair] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def _pair(self, index: int) -> ImagePair:
-        record = self.records[index]
-        with self._lock:
-            pair = self._cache.get(record.identifier)
-            if pair is not None:
-                self._cache.move_to_end(record.identifier)
-                return pair
-        pair = load_pair(record)
-        with self._lock:
-            self._cache[record.identifier] = pair
-            while len(self._cache) > CACHE_PAIRS:
-                self._cache.popitem(last=False)
-        return pair
+        # The cached function holds ``records``, not ``self``, so a finished
+        # stream frees its pairs without waiting for the cyclic GC, and it
+        # looks ``load_pair`` up at call time so the global can be wrapped.
+        self._pair = functools.lru_cache(maxsize=CACHE_PAIRS)(
+            lambda index: load_pair(records[index]))
 
     def batch(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
         inputs = []
@@ -193,23 +182,3 @@ class SampleStream:
             inputs.append(a.transpose(2, 0, 1))
             targets.append(b.transpose(2, 0, 1))
         return np.stack(inputs), np.stack(targets)
-
-    def batches(self, start: int, stop: int):
-        """Yield batches for iterations [start, stop) in order."""
-        if self.workers <= 1:
-            for i in range(start, stop):
-                yield self.batch(i)
-            return
-        depth = self.workers * 2
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            pending = deque()
-            submit = start
-            while submit < min(start + depth, stop):
-                pending.append(pool.submit(self.batch, submit))
-                submit += 1
-            while pending:
-                result = pending.popleft().result()
-                if submit < stop:
-                    pending.append(pool.submit(self.batch, submit))
-                    submit += 1
-                yield result

@@ -86,8 +86,7 @@ def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
             raise TrainingError(
                 f"checkpoint is already at iteration {start} of {config.schedule.total_iters}")
 
-    stream = SampleStream(records, config.augment, config.seed,
-                          batch_size=config.batch_size, workers=config.workers)
+    stream = SampleStream(records, config.augment, config.seed, config.batch_size)
     total = config.schedule.total_iters
     loss_path = out_dir / "loss_log.csv"
     _reset_loss_log(loss_path, start)
@@ -95,7 +94,8 @@ def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
 
     with open(loss_path, "a") as loss_file:
         params = network.parameters()
-        for i, (inputs, targets) in zip(range(start, total), stream.batches(start, total)):
+        for i in range(start, total):
+            inputs, targets = stream.batch(i)
             lr = config.schedule.lr_at(i)
             try:
                 with Tape():

@@ -26,7 +26,6 @@ class TestConfig:
     def test_round_trip(self):
         config = desk_preset()
         config.data_root = "some/where"
-        config.workers = 3
         again = parse_config(format_config(config))
         assert again == config
 
@@ -67,11 +66,24 @@ class TestConfig:
         ("lr", "0"), ("lr", "-1e-3"), ("lr", "nan"),
         ("lr_decay_factor", "0"), ("lr_decay_factor", "-2"),
         ("lr_decay_every", "0"), ("lr_decay_every", "-5"),
+        ("stages", "0"), ("base_channels", "0"), ("base_channels", "-4"),
     ])
     def test_schedule_validation_names_key(self, key, value):
         config = parse_config(f"{key} = {value}")
         with pytest.raises(ConfigError, match=f"^{key} must be positive"):
             config.validate()
+
+    def test_missing_data_root_names_key(self):
+        config = parse_config("stages = 2\ncrop_size = 16")
+        with pytest.raises(ConfigError, match="^data_root is not set"):
+            config.validate()
+        config.data_root = "data"
+        config.validate()
+
+    def test_network_still_rejects_bad_extents(self):
+        for config in (NetworkConfig(num_stages=0), NetworkConfig(base_channels=0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                EnhancementNetwork(config)
 
 
 def trained_network(seed=0, steps=3):

@@ -1,9 +1,13 @@
 """Dataset scanning, augmentation equivariance, and stream determinism."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cenet import dataset
 from cenet.dataset import (
     AugmentSpec,
     DatasetError,
@@ -53,6 +57,13 @@ class TestScan:
         (tmp_path / "input").mkdir()
         (tmp_path / "target").mkdir()
         with pytest.raises(DatasetError):
+            scan_dataset(tmp_path)
+
+    def test_shared_stem_is_an_error(self, tmp_path):
+        write_pair(tmp_path, "0001")
+        save_image(Image.from_u8(np.zeros((4, 4, 3), dtype=np.uint8)),
+                   tmp_path / "input" / "0001.ppm")
+        with pytest.raises(DatasetError, match=r"0001\.png and .*0001\.ppm share the stem"):
             scan_dataset(tmp_path)
 
     def test_missing_directories(self, tmp_path):
@@ -137,16 +148,55 @@ class TestSampleStream:
             npt.assert_array_equal(x1, x2)
             npt.assert_array_equal(y1, y2)
 
-    def test_worker_count_does_not_change_sequence(self, tmp_path):
-        write_pair(tmp_path, "a", size=(16, 16))
+    def test_pair_cache_is_a_bounded_lru(self, tmp_path, monkeypatch):
+        for k, stem in enumerate("abc"):
+            write_pair(tmp_path, stem, size=(16, 16), seed=k)
         records = scan_dataset(tmp_path)
         spec = AugmentSpec(crop_size=8)
-        serial = list(SampleStream(records, spec, seed=1, workers=0).batches(0, 12))
-        threaded = list(SampleStream(records, spec, seed=1, workers=4).batches(0, 12))
-        assert len(serial) == len(threaded) == 12
-        for (x1, y1), (x2, y2) in zip(serial, threaded):
-            npt.assert_array_equal(x1, x2)
-            npt.assert_array_equal(y1, y2)
+        monkeypatch.setattr(dataset, "CACHE_PAIRS", 2)
+        stream = SampleStream(records, spec, seed=3, batch_size=2)
+        loads = []
+
+        def counting_load(record):
+            loads.append(record.identifier)
+            return load_pair(record)
+
+        # patched after the stream is built: the cache must look it up per call
+        monkeypatch.setattr(dataset, "load_pair", counting_load)
+        drawn = [stream.batch(i) for i in range(30)]
+
+        cached, expected = [], []
+        for i in range(30):
+            for j in range(2):
+                index = int(sample_rng(3, i, j).integers(0, len(records)))
+                if index in cached:
+                    cached.remove(index)
+                else:
+                    expected.append(records[index].identifier)
+                    if len(cached) == 2:
+                        cached.pop(0)
+                cached.append(index)
+        assert loads == expected
+        assert len(expected) < 60, "no cache hits drawn"
+        assert len(set(expected)) < len(expected), "no evicted pair reloaded"
+
+        # batches drawn after evictions equal those of a fresh stream
+        for i, (x, y) in enumerate(drawn):
+            x_fresh, y_fresh = SampleStream(records, spec, seed=3, batch_size=2).batch(i)
+            npt.assert_array_equal(x, x_fresh)
+            npt.assert_array_equal(y, y_fresh)
+
+    def test_finished_stream_is_freed_without_cyclic_gc(self, tmp_path):
+        write_pair(tmp_path, "a", size=(16, 16))
+        stream = SampleStream(scan_dataset(tmp_path), AugmentSpec(crop_size=8), seed=0)
+        stream.batch(0)
+        freed = weakref.ref(stream)
+        gc.disable()
+        try:
+            del stream
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_batch_shape_is_nchw(self, tmp_path):
         write_pair(tmp_path, "a", size=(16, 16))

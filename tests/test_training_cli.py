@@ -67,13 +67,6 @@ class TestTraining:
         log2 = (tmp_path / "r2" / "loss_log.csv").read_bytes()
         assert log1 == log2
 
-    def test_worker_count_does_not_change_losses(self, dataset, tmp_path):
-        c1 = tiny_config(dataset, tmp_path / "w0", iters=20, workers=0)
-        c4 = tiny_config(dataset, tmp_path / "w4", iters=20, workers=4)
-        r1 = train(c1)
-        r4 = train(c4)
-        assert r1.loss_rows == r4.loss_rows
-
     def test_resume_matches_uninterrupted(self, dataset, tmp_path):
         full_cfg = tiny_config(dataset, tmp_path / "full", iters=40)
         full = train(full_cfg)
@@ -271,7 +264,7 @@ class TestCli:
 
     @pytest.mark.parametrize("key,value", [
         ("lr", "0"), ("lr_decay_factor", "0"), ("lr_decay_factor", "-2"),
-        ("lr_decay_every", "0"),
+        ("lr_decay_every", "0"), ("stages", "0"), ("base_channels", "0"),
     ])
     def test_bad_schedule_value_exits_before_training(self, dataset, tmp_path, capsys,
                                                        key, value):
@@ -282,6 +275,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be positive")
         assert "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_missing_data_root_exits_before_training(self, dataset, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # run from inside a usable dataset, which an unset data_root must not pick up
+        monkeypatch.chdir(dataset)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(format_config(tiny_config("", tmp_path / "bad", iters=4)))
+        assert cli.main([command, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data_root is not set")
         assert not (tmp_path / "bad").exists()
 
     def test_out_of_memory_exits_with_hint(self, monkeypatch, capsys):
