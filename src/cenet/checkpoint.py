@@ -141,8 +141,10 @@ def deserialize(data: bytes) -> Checkpoint:
 def write_atomic(path, data: bytes):
     """Replace ``path`` with ``data`` so that a crash leaves either the old
     file or the new one under that name: write a sibling temp file, fsync
-    it, then ``os.replace`` it over ``path``. On failure the temp file is
-    removed and the old file is untouched."""
+    it, ``os.replace`` it over ``path``, then fsync the directory so the
+    rename itself is durable. If the write fails, the temp file is removed
+    and the old file is untouched; if the directory fsync fails, the new
+    file is already in place and the error propagates."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -154,6 +156,11 @@ def write_atomic(path, data: bytes):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def save(ckpt: Checkpoint, path):

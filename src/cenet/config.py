@@ -37,6 +37,8 @@ class RunConfig:
             value = getattr(*_field(self, key))
             if not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.augment.crop_size < self.network.divisor:
             raise ConfigError(
                 f"crop_size {self.augment.crop_size} is smaller than the "

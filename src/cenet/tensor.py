@@ -196,9 +196,10 @@ def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray):
-    if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
+    if tensor.grad is None:  # a copy: backward rules may return one array twice
+        tensor.grad = np.array(grad, dtype=tensor.data.dtype, order="C")
+    else:
+        tensor.grad += grad
 
 
 def backward(loss: Tensor):
@@ -230,20 +231,37 @@ def backward(loss: Tensor):
 # Operators
 # ---------------------------------------------------------------------------
 
-def _same_conv(x: np.ndarray, wmat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1 "same" convolution of (N, Cin, H, W) by a (Cout, Cin*k*k) matrix.
+def _grid(a: np.ndarray, p: int) -> np.ndarray:
+    """Lay (N, C, H, W) out as (C, N*(H+2p)*(W+2p)): channel-major, zero-padded by p."""
+    n, c, h, w = a.shape
+    grid = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    grid[:, :, p:p + h, p:p + w] = a.transpose(1, 0, 2, 3)
+    return grid.reshape(c, -1)
 
-    Pads by k // 2, builds the (Cin*k*k, N*H*W) im2col matrix and does one
-    GEMM. Returns the (N, Cout, H, W) output and the im2col matrix. The
-    channel-major layout makes the final transpose free for a batch of one.
+
+def _taps(k: int, wp: int, length: int) -> list[slice]:
+    """The columns of a flattened grid (rows of ``wp``) each k x k tap reads,
+    in row-major tap order, for the output columns of the centre tap's slice."""
+    span = length - (k - 1) * (wp + 1)
+    return [slice(dy * wp + dx, dy * wp + dx + span) for dy in range(k) for dx in range(k)]
+
+
+def _same_conv(x: np.ndarray, taps: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 "same" convolution of (N, Cin, H, W) by (k*k, Cout, Cin) tap matrices.
+
+    On the input's ``_grid`` (padding k // 2) each tap is one GEMM with a
+    shifted slice, summed on a grid of the same layout whose padding is
+    computed and dropped. Returns the output (a view) and the input's grid.
     """
-    n, cin, h, w = x.shape
+    n, _, h, w = x.shape
     p = k // 2
-    padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(cin * k * k, n * h * w)
-    out_mat = wmat @ cols
-    return out_mat.reshape(-1, n, h, w).transpose(1, 0, 2, 3), cols
+    grid = _grid(x, p)
+    cols = _taps(k, w + 2 * p, grid.shape[1])
+    acc = np.zeros((taps.shape[1], grid.shape[1]), dtype=x.dtype)
+    for tap, src in zip(taps, cols):
+        acc[:, cols[k * k // 2]] += tap @ grid[:, src]
+    out = acc.reshape(-1, n, h + 2 * p, w + 2 * p)[:, :, p:p + h, p:p + w]
+    return out.transpose(1, 0, 2, 3), grid
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -251,10 +269,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     ``weight`` is (Cout, Cin, k, k) with odd k; ``bias`` is (1, Cout, 1, 1).
     The input is zero-padded by k // 2, so the output keeps the input's H
-    and W. The backward rule yields gradients for the input, the weight
-    and the bias; the input gradient is the same convolution of the
-    upstream gradient with the kernel flipped in space and its channel
-    axes swapped.
+    and W; the tape keeps that padded input. The backward rule yields
+    gradients for the input, the weight and the bias; the input gradient
+    is the same convolution of the upstream gradient with the kernel
+    flipped in space and its channel axes swapped.
     """
     n, cin, h, w = x.shape
     cout, wcin, kh, kw = weight.shape
@@ -268,15 +286,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (1, cout, 1, 1):
         raise DimensionError(f"conv2d bias must have shape (1, {cout}, 1, 1), got {bias.shape}")
 
-    out, cols = _same_conv(x.data, weight.data.reshape(cout, cin * k * k), k)
+    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
+    out, grid = _same_conv(x.data, taps, k)
     out += bias.data
 
     def backward_fn(up):
-        up_mat = up.transpose(1, 0, 2, 3).reshape(cout, n * h * w)
-        d_bias = up_mat.sum(axis=1).reshape(1, cout, 1, 1)
-        d_weight = (up_mat @ cols.T).reshape(cout, cin, k, k)
-        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-        d_x, _ = _same_conv(up, flipped, k)
+        # a spatial flip reverses the tap order; up_grid has the output's layout
+        d_x, up_grid = _same_conv(up, taps[::-1].transpose(0, 2, 1), k)
+        cols = _taps(k, w + k - 1, grid.shape[1])
+        d_taps = np.stack([up_grid[:, cols[k * k // 2]] @ grid[:, src].T for src in cols])
+        d_weight = d_taps.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
+        d_bias = up.sum(axis=(0, 2, 3), keepdims=True)
         return d_x, d_weight, d_bias
 
     return _emit("conv2d", out, (x, weight, bias), backward_fn)

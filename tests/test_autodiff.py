@@ -71,6 +71,28 @@ class TestBackward:
             backward(loss2)
         npt.assert_allclose(y.grad, z.grad, rtol=1e-6)
 
+    def test_first_gradients_do_not_share_the_upstream_array(self):
+        # add's backward hands one upstream array to both inputs; tensor_sum(a)
+        # is recorded first, so it adds into a's gradient after both were set
+        with Tape():
+            a, b = t4(np.ones((1, 1, 2, 2))), t4(np.ones((1, 1, 2, 2)))
+            first = tensor_sum(a)
+            c = add(a, b)
+            backward(add(tensor_sum(c), first))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, c.grad)
+        npt.assert_array_equal(a.grad, np.full((1, 1, 2, 2), 2.0))
+        npt.assert_array_equal(b.grad, np.ones((1, 1, 2, 2)))
+        npt.assert_array_equal(c.grad, np.ones((1, 1, 2, 2)))
+
+    def test_first_gradients_are_c_contiguous(self):
+        # conv2d's input and weight gradients are transposed views
+        rng = np.random.default_rng(4)
+        x, w = t4(rng.uniform(-1, 1, (2, 3, 5, 4))), t4(rng.uniform(-1, 1, (2, 3, 3, 3)))
+        with Tape():
+            backward(tensor_sum(conv2d(x, w, t4(np.zeros((1, 2, 1, 1))))))
+        assert x.grad.flags.c_contiguous and w.grad.flags.c_contiguous
+
     def test_non_scalar_loss_rejected(self):
         with Tape():
             x = t4(np.ones((1, 1, 2, 2)))

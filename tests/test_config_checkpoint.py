@@ -16,6 +16,7 @@ from cenet.checkpoint import (
     load,
     save,
     serialize,
+    write_atomic,
 )
 from cenet.config import ConfigError, desk_preset, format_config, parse_config
 from cenet.optim import Adam
@@ -79,6 +80,15 @@ class TestConfig:
             config.validate()
         config.data_root = "data"
         config.validate()
+
+    @pytest.mark.parametrize("seed", [-1, -2**40])
+    def test_negative_seed_names_key(self, seed):
+        config = parse_config(f"data_root = data\nseed = {seed}")
+        with pytest.raises(ConfigError, match=f"^seed must be non-negative, got {seed}$"):
+            config.validate()
+
+    def test_zero_seed_is_valid(self):
+        parse_config("data_root = data\nseed = 0").validate()
 
     def test_network_still_rejects_bad_extents(self):
         for config in (NetworkConfig(num_stages=0), NetworkConfig(base_channels=0)):
@@ -202,16 +212,39 @@ class TestCheckpoint:
         real_fsync = os.fsync
         calls = []
 
-        def fail_second(fd):  # the checkpoint lands, then the sidecar write fails
+        # fsyncs in order: checkpoint file, its directory, then the sidecar file
+        def fail_sidecar(fd):  # the checkpoint lands, then the sidecar write fails
             calls.append(fd)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 raise OSError("injected failure")
             real_fsync(fd)
 
-        monkeypatch.setattr(checkpoint.os, "fsync", fail_second)
+        monkeypatch.setattr(checkpoint.os, "fsync", fail_sidecar)
         with pytest.raises(OSError, match="injected"):
             training._save_checkpoint(path, net, opt, 2, second)
         assert sorted(os.listdir(tmp_path)) == sorted(before)
         assert (tmp_path / "checkpoint_final.ckpt.cfg").read_bytes() == before[
             "checkpoint_final.ckpt.cfg"]
         assert load(path).iteration == 2
+
+    def test_directory_is_fsynced_after_the_replace(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        real_fsync, real_replace = os.fsync, os.replace
+        events = []
+
+        def record_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def record_replace(src, dst):
+            events.append(("replace", str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint.os, "fsync", record_fsync)
+        monkeypatch.setattr(checkpoint.os, "replace", record_replace)
+        write_atomic(path, b"payload")
+        # the temp file's inode is the new file's after the rename
+        assert events == [("fsync", path.stat().st_ino),
+                          ("replace", str(path)),
+                          ("fsync", tmp_path.stat().st_ino)]
+        assert path.read_bytes() == b"payload"

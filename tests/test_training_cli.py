@@ -277,6 +277,16 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "bad").exists()
 
+    def test_negative_seed_exits_before_training(self, dataset, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(format_config(tiny_config(dataset, tmp_path / "bad", iters=4))
+                               + "seed = -1\n")
+        assert cli.main(["train", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be non-negative, got -1")
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_missing_data_root_exits_before_training(self, dataset, tmp_path, capsys,
                                                      monkeypatch, command):
