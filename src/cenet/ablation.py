@@ -9,12 +9,10 @@ import copy
 from dataclasses import dataclass
 from pathlib import Path
 
-from .blocks import EnhancementNetwork
-from .checkpoint import load
 from .config import RunConfig
 from .dataset import scan_dataset
 from .inference import evaluate_network
-from .training import restore, train
+from .training import load_network, train
 
 VARIANTS = (
     ("baseline", False, False),
@@ -48,8 +46,7 @@ def run_ablation(config: RunConfig, echo=None) -> list[VariantResult]:
         if echo is not None:
             echo(f"[{name}] training {variant.schedule.total_iters} iterations")
         outcome = train(variant)
-        network = EnhancementNetwork(variant.network, seed=variant.seed)
-        restore(load(outcome.final_checkpoint), network)
+        network = load_network(outcome.final_checkpoint)
         report = evaluate_network(network, eval_records)
         results.append(VariantResult(name, gc, lc, network.structure(),
                                      report.mean_psnr, report.mean_ssim))

@@ -11,9 +11,11 @@ Layout, little-endian throughout:
 
 Round-trips are bit-exact; a CRC mismatch or truncation is a corruption
 error, and loading into a model with a different parameter census is an
-explicit incompatibility error.
+explicit incompatibility error. Saving writes the arrays' own buffers;
+a loaded checkpoint's arrays are read-only views of the file's bytes.
 """
 
+import math
 import os
 import struct
 import zlib
@@ -42,25 +44,39 @@ class Checkpoint:
         return self.optimizer_step is not None
 
 
-def _pack_records(tensors: dict[str, np.ndarray]) -> bytes:
-    out = bytearray()
+def _records(tensors: dict[str, np.ndarray]):
+    """Each record as its packed header followed by the array itself."""
     for name, arr in tensors.items():
         encoded = name.encode("utf-8")
         arr = np.ascontiguousarray(arr, dtype="<f4")
-        out += struct.pack("<I", len(encoded))
-        out += encoded
-        out += struct.pack("<B", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        out += arr.tobytes()
-    return bytes(out)
+        yield struct.pack(f"<I{len(encoded)}sB{arr.ndim}Q",
+                          len(encoded), encoded, arr.ndim, *arr.shape)
+        yield arr
+
+
+def _chunks(ckpt: Checkpoint) -> list:
+    """The file as a list of buffers, ending with the CRC of all the others.
+    Float32 arrays go in as they are, so building the list copies nothing."""
+    chunks = [MAGIC, struct.pack("<IQI", VERSION, ckpt.iteration, len(ckpt.tensors))]
+    chunks += _records(ckpt.tensors)
+    if ckpt.has_optimizer_state:
+        chunks.append(struct.pack("<BQI", 1, ckpt.optimizer_step, len(ckpt.optimizer_tensors)))
+        chunks += _records(ckpt.optimizer_tensors)
+    else:
+        chunks.append(struct.pack("<B", 0))
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    chunks.append(struct.pack("<I", crc))
+    return chunks
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointError(
                 f"truncated checkpoint: needed {n} bytes for {what} at offset {self.pos}")
@@ -68,50 +84,29 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
+    def read(self, fmt: str, what: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def _unpack_records(reader: _Reader, count: int) -> dict[str, np.ndarray]:
     tensors = {}
     for _ in range(count):
-        name_len = reader.u32("record name length")
-        name = reader.take(name_len, "record name").decode("utf-8")
-        ndim = reader.u8("record ndim")
-        dims = tuple(reader.u64("record dim") for _ in range(ndim))
-        n_values = 1
-        for d in dims:
-            n_values *= d
-        raw = reader.take(4 * n_values, f"values of {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        name_len = reader.read("<I", "record name length")
+        name = str(reader.take(name_len, "record name"), "utf-8")
+        ndim = reader.read("<B", "record ndim")
+        dims = tuple(reader.read("<Q", "record dim") for _ in range(ndim))
+        raw = reader.take(4 * math.prod(dims), f"values of {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
     return tensors
 
 
 def serialize(ckpt: Checkpoint) -> bytes:
-    body = bytearray()
-    body += MAGIC
-    body += struct.pack("<I", VERSION)
-    body += struct.pack("<Q", ckpt.iteration)
-    body += struct.pack("<I", len(ckpt.tensors))
-    body += _pack_records(ckpt.tensors)
-    if ckpt.has_optimizer_state:
-        body += struct.pack("<B", 1)
-        body += struct.pack("<Q", ckpt.optimizer_step)
-        body += struct.pack("<I", len(ckpt.optimizer_tensors))
-        body += _pack_records(ckpt.optimizer_tensors)
-    else:
-        body += struct.pack("<B", 0)
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
-    return bytes(body)
+    return b"".join(_chunks(ckpt))
 
 
-def deserialize(data: bytes) -> Checkpoint:
+def deserialize(data) -> Checkpoint:
+    """Parse a checkpoint. Its arrays are read-only views of ``data``."""
+    data = memoryview(data).toreadonly()
     if len(data) < 4 + 4 + 8 + 4 + 1 + 4:
         raise CheckpointError(f"checkpoint too short ({len(data)} bytes)")
     stored_crc = struct.unpack("<I", data[-4:])[0]
@@ -120,17 +115,17 @@ def deserialize(data: bytes) -> Checkpoint:
     reader = _Reader(data[:-4])
     if reader.take(4, "magic") != MAGIC:
         raise CheckpointError("bad checkpoint magic; not a checkpoint file")
-    version = reader.u32("version")
+    version = reader.read("<I", "version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    iteration = reader.u64("iteration")
-    count = reader.u32("tensor count")
+    iteration = reader.read("<Q", "iteration")
+    count = reader.read("<I", "tensor count")
     tensors = _unpack_records(reader, count)
     opt_step = None
     opt_tensors: dict[str, np.ndarray] = {}
-    if reader.u8("optimizer flag"):
-        opt_step = reader.u64("optimizer step count")
-        opt_count = reader.u32("optimizer record count")
+    if reader.read("<B", "optimizer flag"):
+        opt_step = reader.read("<Q", "optimizer step count")
+        opt_count = reader.read("<I", "optimizer record count")
         opt_tensors = _unpack_records(reader, opt_count)
     if reader.pos != len(reader.data):
         raise CheckpointError(
@@ -138,18 +133,19 @@ def deserialize(data: bytes) -> Checkpoint:
     return Checkpoint(iteration, tensors, opt_step, opt_tensors)
 
 
-def write_atomic(path, data: bytes):
-    """Replace ``path`` with ``data`` so that a crash leaves either the old
-    file or the new one under that name: write a sibling temp file, fsync
-    it, ``os.replace`` it over ``path``, then fsync the directory so the
-    rename itself is durable. If the write fails, the temp file is removed
-    and the old file is untouched; if the directory fsync fails, the new
-    file is already in place and the error propagates."""
+def write_atomic(path, *chunks):
+    """Replace ``path`` with the concatenation of ``chunks`` (any buffers)
+    so that a crash leaves either the old file or the new one under that
+    name: write a sibling temp file, fsync it, ``os.replace`` it over
+    ``path``, then fsync the directory so the rename itself is durable. If
+    the write fails, the temp file is removed and the old file is
+    untouched; if the directory fsync fails, the new file is already in
+    place and the error propagates."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -164,7 +160,7 @@ def write_atomic(path, data: bytes):
 
 
 def save(ckpt: Checkpoint, path):
-    write_atomic(path, serialize(ckpt))
+    write_atomic(path, *_chunks(ckpt))
 
 
 def load(path) -> Checkpoint:

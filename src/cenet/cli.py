@@ -5,32 +5,19 @@ import sys
 from pathlib import Path
 
 from .ablation import format_ablation_table, run_ablation
-from .blocks import EnhancementNetwork
-from .checkpoint import CheckpointError, load
+from .checkpoint import CheckpointError
 from .config import ConfigError, desk_preset, load_config, parse_config
 from .dataset import DatasetError, PairError, scan_dataset
-from .imageio import ImageParseError, UnsupportedImageError, load_image, save_image
+from .imageio import (ImageParseError, UnsupportedImageError, encoder_for, load_image,
+                      save_image)
 from .inference import enhance, evaluate_network
 from .tensor import ContractError, DimensionError, set_backward_fault
-from .training import TrainingError, restore, train
+from .training import TrainingError, load_network, train
 from .verify import format_report, run_full_suite
 
 _EXPECTED_ERRORS = (ConfigError, CheckpointError, DatasetError, PairError,
                     ImageParseError, UnsupportedImageError, TrainingError,
                     ContractError, DimensionError, ValueError, OSError, MemoryError)
-
-
-def _network_for_checkpoint(ckpt_path: str, config_path: str | None) -> EnhancementNetwork:
-    if config_path is None:
-        sidecar = Path(f"{ckpt_path}.cfg")
-        if not sidecar.exists():
-            raise ConfigError(
-                f"no config given and no sidecar {sidecar} next to the checkpoint")
-        config_path = sidecar
-    config = load_config(config_path)
-    network = EnhancementNetwork(config.network, seed=config.seed)
-    restore(load(ckpt_path), network)
-    return network
 
 
 def _cmd_train(args) -> int:
@@ -42,7 +29,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    network = _network_for_checkpoint(args.checkpoint, args.config)
+    encoder_for(Path(args.output).suffix)  # reject the format before the network runs
+    network = load_network(args.checkpoint, args.config)
     image = load_image(args.input)
     out = enhance(network, image, tile=args.tile)
     save_image(out, args.output)
@@ -51,7 +39,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    network = _network_for_checkpoint(args.checkpoint, args.config)
+    network = load_network(args.checkpoint, args.config)
     records = scan_dataset(args.data)
     report = evaluate_network(network, records, tile=args.tile)
     print(report.to_table())

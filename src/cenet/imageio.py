@@ -289,13 +289,19 @@ def decode_image(data: bytes) -> Image:
     raise UnsupportedImageError("unrecognized image format (expected PNG or P6 PPM)")
 
 
-def encode_image(image: Image, fmt: str) -> bytes:
+_ENCODERS = {"png": encode_png, "ppm": encode_ppm}
+
+
+def encoder_for(fmt: str):
+    """The encoder for a format name or file suffix such as ``".png"``."""
     fmt = fmt.lower().lstrip(".")
-    if fmt == "png":
-        return encode_png(image)
-    if fmt == "ppm":
-        return encode_ppm(image)
-    raise UnsupportedImageError(f"unknown image format {fmt!r}")
+    if fmt not in _ENCODERS:
+        raise UnsupportedImageError(f"unknown image format {fmt!r}")
+    return _ENCODERS[fmt]
+
+
+def encode_image(image: Image, fmt: str) -> bytes:
+    return encoder_for(fmt)(image)
 
 
 def load_image(path) -> Image:

@@ -11,7 +11,7 @@ import numpy as np
 from .blocks import EnhancementNetwork
 from .dataset import load_pair
 from .imageio import Image
-from .metrics import MetricReport, evaluate_pairs
+from .metrics import MetricReport, MetricRow, psnr, ssim
 from .tensor import Tensor
 
 
@@ -95,16 +95,17 @@ def enhance(network: EnhancementNetwork, image: Image,
     return Image(np.clip(out, 0.0, 1.0))
 
 
+def _score(network: EnhancementNetwork, record, tile: int | None) -> MetricRow:
+    pair = load_pair(record)
+    out = enhance(network, pair.input, tile=tile).pixels
+    return MetricRow(pair.identifier, psnr(out, pair.target.pixels), ssim(out, pair.target.pixels))
+
+
 def evaluate_network(network: EnhancementNetwork, records,
                      tile: int | None = None) -> MetricReport:
-    """Enhance every pair's input and score it against the target."""
-    outputs = []
-    targets = []
-    identifiers = []
-    for record in records:
-        pair = load_pair(record)
-        enhanced = enhance(network, pair.input, tile=tile)
-        outputs.append(enhanced.pixels)
-        targets.append(pair.target.pixels)
-        identifiers.append(pair.identifier)
-    return evaluate_pairs(outputs, targets, identifiers)
+    """Enhance every pair's input and score it against the target. Only
+    the scores are kept, so one pair's images are in memory at a time."""
+    rows = [_score(network, record, tile) for record in records]
+    if not rows:
+        raise ValueError("nothing to evaluate")
+    return MetricReport(rows)

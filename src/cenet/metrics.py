@@ -106,14 +106,3 @@ class MetricReport:
         lines.append(f"{'mean':<{width}}  {self.mean_psnr:>10.4f}  {self.mean_ssim:>8.4f}")
         return "\n".join(lines)
 
-
-def evaluate_pairs(outputs: list[np.ndarray], targets: list[np.ndarray],
-                   identifiers: list[str]) -> MetricReport:
-    """Score aligned output/target images; reduction order is fixed."""
-    if not (len(outputs) == len(targets) == len(identifiers)):
-        raise ValueError("outputs, targets, and identifiers must align")
-    if not outputs:
-        raise ValueError("nothing to evaluate")
-    rows = [MetricRow(i, psnr(o, t), ssim(o, t))
-            for o, t, i in zip(outputs, targets, identifiers)]
-    return MetricReport(rows)

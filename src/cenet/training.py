@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .blocks import EnhancementNetwork
 from .checkpoint import Checkpoint, apply_to_network, load, save, write_atomic
-from .config import RunConfig, format_config
+from .config import ConfigError, RunConfig, format_config, load_config
 from .dataset import SampleStream, scan_dataset
 from .optim import Adam
 from .tensor import ContractError, Tape, Tensor, backward, l1_loss
@@ -53,6 +53,21 @@ def _save_checkpoint(path: Path, network, optimizer, iteration, config):
     write_atomic(f"{path}.cfg", format_config(config).encode())
 
 
+def load_network(checkpoint, config=None) -> EnhancementNetwork:
+    """Build the network saved in ``checkpoint`` and load its weights. The
+    architecture comes from the run config file ``config``, by default the
+    ``<checkpoint>.cfg`` sidecar that ``_save_checkpoint`` writes."""
+    if config is None:
+        config = Path(f"{checkpoint}.cfg")
+        if not config.exists():
+            raise ConfigError(
+                f"no config given and no sidecar {config} next to the checkpoint")
+    run = load_config(config)
+    network = EnhancementNetwork(run.network, seed=run.seed)
+    restore(load(checkpoint), network)
+    return network
+
+
 def _reset_loss_log(path: Path, iteration: int):
     """Rewrite the loss log as its header plus the rows logged at or before
     ``iteration``, so a resumed run appends exactly what an uninterrupted
@@ -82,6 +97,7 @@ def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
         ckpt = load(resume)
         restore(ckpt, network, optimizer)
         start = ckpt.iteration
+        del ckpt  # its arrays are views of the whole file
         if start >= config.schedule.total_iters:
             raise TrainingError(
                 f"checkpoint is already at iteration {start} of {config.schedule.total_iters}")

@@ -1,6 +1,8 @@
 """Config parsing and checkpoint persistence."""
 
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -248,3 +250,79 @@ class TestCheckpoint:
                           ("replace", str(path)),
                           ("fsync", tmp_path.stat().st_ino)]
         assert path.read_bytes() == b"payload"
+
+
+def fixed_checkpoint(with_optimizer: bool) -> Checkpoint:
+    tensors = {"enc0.conv.weight": np.arange(24, dtype=np.float32).reshape(2, 3, 1, 4) / 7,
+               "enc0.conv.bias": np.array([-1.5, 0.25], dtype=np.float32),
+               "mid.é": np.array([3.0], dtype=np.float32)}
+    if not with_optimizer:
+        return Checkpoint(3, tensors)
+    return Checkpoint(3, tensors, optimizer_step=12, optimizer_tensors={
+        "m.enc0.conv.bias": np.array([0.5, -0.125], dtype=np.float32),
+        "v.enc0.conv.bias": np.array([1e-8, 2.0], dtype=np.float32)})
+
+
+def traced_peak(fn):
+    """Peak traced bytes allocated while ``fn`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestCodec:
+    # SHA-256 of the CEN1 bytes of fixed_checkpoint(); pins the format
+    @pytest.mark.parametrize("with_optimizer,digest", [
+        (False, "24b884c8f38fa7144ddd6761d2f949797b7218a2901a08267c71e3fc9d068e21"),
+        (True, "86f26eb1e40e2faeb39d1275d33536f496a7a6f9d63722986dfdba22d21ca19b"),
+    ])
+    def test_format_is_pinned(self, with_optimizer, digest):
+        assert hashlib.sha256(serialize(fixed_checkpoint(with_optimizer))).hexdigest() == digest
+
+    def test_saved_file_is_the_serialized_bytes(self, tmp_path):
+        ckpt = fixed_checkpoint(True)
+        save(ckpt, tmp_path / "model.ckpt")
+        assert (tmp_path / "model.ckpt").read_bytes() == serialize(ckpt)
+
+    def test_zero_size_record_round_trips(self):
+        ckpt = Checkpoint(1, {"a": np.ones(2, dtype=np.float32),
+                              "empty": np.zeros((0, 3), dtype=np.float32),
+                              "b": np.full(1, 2.0, dtype=np.float32)})
+        again = deserialize(serialize(ckpt))
+        assert again.tensors["empty"].shape == (0, 3)
+        npt.assert_array_equal(again.tensors["a"], 1.0)
+        npt.assert_array_equal(again.tensors["b"], 2.0)
+
+    def test_write_atomic_concatenates_chunks(self, tmp_path):
+        write_atomic(tmp_path / "f", b"a", b"b")
+        assert (tmp_path / "f").read_bytes() == b"ab"
+
+    def test_save_and_load_do_not_copy_the_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(0)
+        tensors = {f"t{i}": rng.standard_normal((512, 4096), dtype=np.float32)
+                   for i in range(4)}
+        ckpt = Checkpoint(1, tensors)
+        size = sum(arr.nbytes for arr in tensors.values())  # 32 MiB
+        path = tmp_path / "big.ckpt"
+        save_peak, _ = traced_peak(lambda: save(ckpt, path))
+        assert save_peak < size / 8
+        load_peak, loaded = traced_peak(lambda: load(path))
+        assert load_peak < 1.25 * path.stat().st_size
+        npt.assert_array_equal(loaded.tensors["t3"], tensors["t3"])
+
+    def test_loaded_arrays_are_read_only_and_restored_ones_writable(self, tmp_path):
+        _, net, opt = trained_network()
+        save(training.snapshot(net, opt, 3), tmp_path / "model.ckpt")
+        ckpt = load(tmp_path / "model.ckpt")
+        arrays = list(ckpt.tensors.values()) + list(ckpt.optimizer_tensors.values())
+        assert not any(arr.flags.writeable for arr in arrays)
+        _, fresh, fresh_opt = trained_network(seed=1, steps=0)
+        training.restore(ckpt, fresh, fresh_opt)
+        restored = ([p.data for p in fresh.parameters()]
+                    + list(fresh_opt.m.values()) + list(fresh_opt.v.values()))
+        assert len(restored) == len(arrays)
+        assert all(arr.flags.writeable for arr in restored)

@@ -1,11 +1,17 @@
 """PSNR closed forms and SSIM against the independent loop oracle."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from cenet.metrics import MetricReport, MetricRow, evaluate_pairs, psnr, ssim
+from cenet import inference
+from cenet.blocks import EnhancementNetwork, NetworkConfig
+from cenet.dataset import scan_dataset
+from cenet.imageio import Image, save_image
+from cenet.inference import evaluate_network
+from cenet.metrics import MetricReport, MetricRow, psnr, ssim
 
 from reference import ssim_reference
 
@@ -85,23 +91,8 @@ class TestReport:
         assert report.mean_psnr == 15.0
         assert report.mean_ssim == pytest.approx(0.6)
 
-    def test_target_vs_target_rows(self):
-        imgs = [rand_img(16, 16, s) for s in range(3)]
-        report = evaluate_pairs(imgs, imgs, ["a", "b", "c"])
-        for row in report.rows:
-            assert row.psnr_db == math.inf
-            assert row.ssim == 1.0
-
-    def test_dark_input_scores_poorly(self):
-        # direct metric computation on dark/bright pairs
-        bright = [rand_img(16, 16, s) * 0.8 + 0.2 for s in range(3)]
-        dark = [b * 0.15 for b in bright]
-        report = evaluate_pairs(dark, bright, ["a", "b", "c"])
-        assert report.mean_psnr < 15.0
-
     def test_csv_row_count_and_header(self):
-        imgs = [rand_img(16, 16, s) for s in range(3)]
-        report = evaluate_pairs(imgs, imgs, ["a", "b", "c"])
+        report = MetricReport([MetricRow(i, 30.0, 0.9) for i in ("a", "b", "c")])
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "id,psnr,ssim"
         assert len(lines) == 1 + 3
@@ -109,3 +100,58 @@ class TestReport:
     def test_table_contains_mean(self):
         report = MetricReport([MetricRow("x", 12.0, 0.9)])
         assert "mean" in report.to_table()
+
+
+def write_pairs(root, inputs, targets):
+    for sub, images in (("input", inputs), ("target", targets)):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+        for idx, pixels in enumerate(images):
+            save_image(Image(pixels), root / sub / f"p{idx}.png")
+    return scan_dataset(root)
+
+
+class TestEvaluateNetwork:
+    @pytest.fixture
+    def network(self):
+        return EnhancementNetwork(NetworkConfig(num_stages=1, base_channels=2), seed=0)
+
+    @pytest.fixture
+    def identity(self, monkeypatch):
+        """Replace the network pass by a copy of the input image."""
+        monkeypatch.setattr(inference, "enhance",
+                            lambda network, image, tile=None: Image(image.pixels.copy()))
+
+    def test_target_vs_target_rows(self, tmp_path, network, identity):
+        imgs = [rand_img(16, 16, s) for s in range(3)]
+        report = evaluate_network(network, write_pairs(tmp_path, imgs, imgs))
+        assert [row.identifier for row in report.rows] == ["p0", "p1", "p2"]
+        for row in report.rows:
+            assert row.psnr_db == math.inf
+            assert row.ssim == 1.0
+
+    def test_dark_input_scores_poorly(self, tmp_path, network, identity):
+        bright = [rand_img(16, 16, s) * 0.8 + 0.2 for s in range(3)]
+        dark = [b * 0.15 for b in bright]
+        report = evaluate_network(network, write_pairs(tmp_path, dark, bright))
+        assert report.mean_psnr < 15.0
+
+    def test_no_records(self, network):
+        with pytest.raises(ValueError, match="nothing to evaluate"):
+            evaluate_network(network, [])
+
+    def test_each_output_is_freed_before_the_next_pair(self, tmp_path, network,
+                                                      monkeypatch):
+        imgs = [rand_img(16, 16, s) for s in range(3)]
+        records = write_pairs(tmp_path, imgs, imgs)
+        real_enhance = inference.enhance
+        outputs = []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in outputs), "an earlier output is still held"
+            out = real_enhance(*args, **kwargs)
+            outputs.append(weakref.ref(out.pixels))
+            return out
+
+        monkeypatch.setattr(inference, "enhance", tracked)
+        report = evaluate_network(network, records)
+        assert len(outputs) == len(report.rows) == 3

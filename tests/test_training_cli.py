@@ -1,5 +1,7 @@
 """End-to-end training, persistence, inference, and CLI behavior."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -102,6 +104,28 @@ class TestTraining:
         resumed = load(tmp_path / "run" / "checkpoint_final.ckpt")
         for name, arr in final.tensors.items():
             npt.assert_array_equal(arr, resumed.tensors[name])
+
+    def test_resumed_run_does_not_hold_the_checkpoint(self, dataset, tmp_path):
+        def traced_at_each_log(config, resume=None):
+            seen = []
+            tracemalloc.start()
+            try:
+                train(config, resume=resume,
+                      echo=lambda msg: seen.append(tracemalloc.get_traced_memory()[0]))
+            finally:
+                tracemalloc.stop()
+            return seen
+
+        network = NetworkConfig(num_stages=2, base_channels=8)
+        fresh = traced_at_each_log(
+            tiny_config(dataset, tmp_path / "fresh", iters=8, log_every=2, network=network))
+        train(tiny_config(dataset, tmp_path / "resumed", iters=4, network=network))
+        ckpt = tmp_path / "resumed" / "checkpoint_final.ckpt"
+        resumed = traced_at_each_log(
+            tiny_config(dataset, tmp_path / "resumed", iters=8, log_every=2, network=network),
+            resume=ckpt)
+        # both runs log iterations 6 and 8 with the same model and optimizer
+        assert max(resumed) - max(fresh[-2:]) < ckpt.stat().st_size / 4
 
     def test_divergence_aborts_with_iteration(self, dataset, tmp_path):
         config = tiny_config(dataset, tmp_path / "boom", iters=50)
@@ -224,6 +248,14 @@ class TestCli:
                          "--output", str(tmp_path / "x.png")])
         assert code == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output,fmt", [("out.jpg", "'jpg'"), ("out", "''")])
+    def test_infer_rejects_output_format_before_loading(self, tmp_path, capsys, output, fmt):
+        code = cli.main(["infer", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                         "--input", str(tmp_path / "missing.png"),
+                         "--output", str(tmp_path / output)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown image format {fmt}\n"
 
     def test_checkpoint_config_mismatch_fails(self, dataset, tmp_path, capsys):
         config = tiny_config(dataset, tmp_path / "m1", iters=4)
