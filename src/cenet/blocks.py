@@ -20,7 +20,6 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    attention_weights,
     concat_channels,
     conv2d,
     maxpool2d,
@@ -142,20 +141,13 @@ class NonLocalBlock(Block):
                                  zero=True)
         self.out_b = _channel_param(f"{name}.out.bias", channels, 0.0, dtype)
 
-    def _query_key(self, z: Tensor) -> tuple[Tensor, Tensor]:
-        return (conv2d(z, self.query_w, self.query_b),
-                conv2d(z, self.key_w, self.key_b))
-
-    def attention_map(self, z: Tensor) -> Tensor:
-        """Row-stochastic affinity matrix, shape (N, 1, H*W, H*W)."""
-        return Tensor(attention_weights(*self._query_key(z)))
-
     def forward(self, z: Tensor) -> Tensor:
         if z.shape[1] != self.channels:
             raise DimensionError(
                 f"non-local block expects {self.channels} channels, got {z.shape[1]}")
-        q, k = self._query_key(z)
-        mixed = attention(q, k, conv2d(z, self.value_w, self.value_b))
+        mixed = attention(conv2d(z, self.query_w, self.query_b),
+                          conv2d(z, self.key_w, self.key_b),
+                          conv2d(z, self.value_w, self.value_b))
         return add(z, conv2d(mixed, self.out_w, self.out_b))
 
 

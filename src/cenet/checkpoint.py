@@ -48,7 +48,7 @@ def _records(tensors: dict[str, np.ndarray]):
     """Each record as its packed header followed by the array itself."""
     for name, arr in tensors.items():
         encoded = name.encode("utf-8")
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.asarray(arr, dtype="<f4", order="C")
         yield struct.pack(f"<I{len(encoded)}sB{arr.ndim}Q",
                           len(encoded), encoded, arr.ndim, *arr.shape)
         yield arr

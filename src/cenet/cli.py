@@ -13,7 +13,7 @@ from .imageio import (ImageParseError, UnsupportedImageError, encoder_for, load_
 from .inference import enhance, evaluate_network
 from .tensor import ContractError, DimensionError, set_backward_fault
 from .training import TrainingError, load_network, train
-from .verify import format_report, run_full_suite
+from .verify import format_report, op_names, run_full_suite
 
 _EXPECTED_ERRORS = (ConfigError, CheckpointError, DatasetError, PairError,
                     ImageParseError, UnsupportedImageError, TrainingError,
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of all ops and blocks")
     p.add_argument("--trials", type=int, default=5, help="random instances per op")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", metavar="OP",
+    p.add_argument("--inject-fault", metavar="OP", choices=op_names(),
                    help="corrupt OP's backward rule (negative control)")
     p.set_defaults(func=_cmd_gradcheck)
 

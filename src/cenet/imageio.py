@@ -190,12 +190,21 @@ def decode_png(data: bytes) -> Image:
         raise ImageParseError(f"missing IEND chunk at byte offset {pos}")
     if not idat:
         raise ImageParseError("no IDAT chunks found")
-    try:
-        raw = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise ImageParseError(f"corrupt compressed pixel data: {exc}") from exc
     width, height, color = header
     bpp = 3 if color == 2 else 4
+    expected = (1 + width * bpp) * height
+    # Inflate at most one byte past the expected length: a stream that would
+    # inflate far beyond it is rejected without ever being held in memory.
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(idat, expected + 1)
+    except zlib.error as exc:
+        raise ImageParseError(f"corrupt compressed pixel data: {exc}") from exc
+    if not inflater.eof:
+        if len(raw) > expected:
+            raise ImageParseError(
+                f"decompressed pixel stream is longer than the expected {expected} bytes")
+        raise ImageParseError("corrupt compressed pixel data: incomplete or truncated stream")
     arr = _defilter(raw, width, height, bpp)
     if bpp == 4:
         log.warning("dropping alpha channel from RGBA PNG")

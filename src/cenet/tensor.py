@@ -67,12 +67,6 @@ class Tensor:
             raise ContractError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
@@ -159,16 +153,6 @@ def op_census():
         _state().census_stack.pop()
 
 
-# Name of an op whose backward rule is deliberately corrupted; lets the
-# gradient checker prove it actually detects wrong analytic gradients.
-_FAULT_TARGET: str | None = None
-
-
-def set_backward_fault(op_name: str | None):
-    global _FAULT_TARGET
-    _FAULT_TARGET = op_name
-
-
 def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
     """Wrap an op result in a Tensor and record it on the active tape."""
     if not np.isfinite(out_data).all():
@@ -178,17 +162,6 @@ def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
         counts[op_name] = counts.get(op_name, 0) + 1
     tape = _active_tape()
     if tape is not None:
-        if _FAULT_TARGET == op_name:
-            inner = backward_fn
-
-            def backward_fn(up):
-                grads = list(inner(up))
-                for i, g in enumerate(grads):
-                    if g is not None:
-                        grads[i] = g * 1.02
-                        break
-                return tuple(grads)
-
         node = _TapeNode(tape, op_name, inputs, out, backward_fn)
         tape.nodes.append(node)
         out.tape_node = node
@@ -436,21 +409,6 @@ def _attention_operands(*tensors: Tensor):
     return [t.data.reshape(n, c, h * w) for t in tensors]
 
 
-def attention_weights(q: Tensor, k: Tensor) -> np.ndarray:
-    """The (N, 1, H*W, H*W) affinity matrix ``attention`` applies.
-
-    A diagnostic: it stacks the row blocks ``attention`` computes one at
-    a time, so it needs the full positions-squared memory.
-    """
-    qs, ks = _attention_operands(q, k)
-    positions = qs.shape[2]
-    out = np.empty((qs.shape[0], 1, positions, positions), dtype=qs.dtype)
-    for i in range(qs.shape[0]):
-        for rows in _attention_row_blocks(positions, qs.itemsize):
-            out[i, 0, rows] = _attention_probs(qs[i].T, ks[i], rows)
-    return out
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Embedded-Gaussian self-attention over all spatial positions.
 
@@ -501,17 +459,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit("add", out, (a, b), backward_fn)
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply every element by a constant."""
-    f = x.dtype.type(factor)
-    out = x.data * f
-
-    def backward_fn(up):
-        return (up * f,)
-
-    return _emit("scale", out, (x,), backward_fn)
-
-
 def reshape(x: Tensor, shape: tuple[int, int, int, int]) -> Tensor:
     """View the same elements under a new 4-D shape."""
     if len(shape) != 4:
@@ -556,16 +503,6 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     return _emit("l1_loss", out, (pred, target), backward_fn)
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a (1, 1, 1, 1) tensor."""
-    out = x.data.sum().reshape(1, 1, 1, 1)
-
-    def backward_fn(up):
-        return (np.full_like(x.data, up.reshape(())),)
-
-    return _emit("tensor_sum", out, (x,), backward_fn)
-
-
 def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
     """Dot product with a constant weight array, as a scalar tensor."""
     w = np.asarray(weights, dtype=x.dtype)
@@ -582,6 +519,29 @@ def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # Gradient checking
 # ---------------------------------------------------------------------------
+
+# Name of an op whose backward rule ``gradcheck`` deliberately corrupts;
+# lets the checker prove it actually detects wrong analytic gradients.
+_FAULT_TARGET: str | None = None
+
+
+def set_backward_fault(op_name: str | None):
+    global _FAULT_TARGET
+    _FAULT_TARGET = op_name
+
+
+def _corrupted(backward_fn):
+    """``backward_fn`` with its first non-None gradient scaled by 1.02."""
+    def faulty(up):
+        grads = list(backward_fn(up))
+        for i, g in enumerate(grads):
+            if g is not None:
+                grads[i] = g * 1.02
+                break
+        return tuple(grads)
+
+    return faulty
+
 
 @dataclass
 class GradcheckResult:
@@ -610,7 +570,9 @@ def gradcheck(forward_fn, inputs, h: float = 1e-5, tol: float = 1e-4,
     random weighting so the full Jacobian is exercised. With
     ``max_coords`` set, only a deterministic random subset of each
     input's coordinates is probed (needed to keep whole-network checks
-    fast). Failure is a report outcome, not an exception.
+    fast). Failure is a report outcome, not an exception. While
+    ``set_backward_fault`` names an op, that op's backward rules on this
+    check's tape are corrupted, so the check must fail (a negative control).
     """
     if h <= 0:
         raise ContractError("gradcheck step h must be positive")
@@ -620,10 +582,13 @@ def gradcheck(forward_fn, inputs, h: float = 1e-5, tol: float = 1e-4,
             raise ContractError("gradcheck inputs must be float64 tensors")
         t.grad = None
 
-    with Tape():
+    with Tape() as tape:
         out = forward_fn()
         probe = rng.standard_normal(out.shape)
         loss = weighted_sum(out, probe)
+        for node in tape.nodes:
+            if node.op_name == _FAULT_TARGET:
+                node.backward_fn = _corrupted(node.backward_fn)
         backward(loss)
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
 

@@ -84,6 +84,33 @@ def attention_naive(q, k, v):
     return out.reshape(n, c, h, w)
 
 
+def attention_grads_naive(q, k, v, up):
+    """Reference gradients of ``attention_naive`` with respect to q, k and v,
+    given the upstream gradient ``up``, one query position i at a time.
+
+    With p the softmaxed affinities of row i and u its upstream vector:
+    dV[:, j] += p[j] u, dP[j] = u . V[:, j], dS = p (dP - sum(dP p)),
+    dQ[:, i] = sum_j dS[j] K[:, j] and dK[:, j] += dS[j] Q[:, i].
+    """
+    q, k, v, up = (np.asarray(x, dtype=np.float64) for x in (q, k, v, up))
+    n, c, h, w = q.shape
+    positions = h * w
+    qs, ks, vs, us = (x.reshape(n, c, positions) for x in (q, k, v, up))
+    dq, dk, dv = (np.zeros((n, c, positions)) for _ in range(3))
+    for b in range(n):
+        for i in range(positions):
+            logits = ks[b].T @ qs[b, :, i]
+            p = np.exp(logits - logits.max())
+            p /= p.sum()
+            u = us[b, :, i]
+            dp = vs[b].T @ u
+            ds = p * (dp - (dp * p).sum())
+            dv[b] += np.outer(u, p)
+            dq[b, :, i] = ks[b] @ ds
+            dk[b] += np.outer(qs[b, :, i], ds)
+    return tuple(x.reshape(n, c, h, w) for x in (dq, dk, dv))
+
+
 def ssim_reference(a, b, window=11, sigma=1.5, k1=0.01, k2=0.03):
     """Reference SSIM: explicit Gaussian-weighted window statistics."""
     a = np.asarray(a, dtype=np.float64)

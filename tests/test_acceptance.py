@@ -30,6 +30,7 @@ from cenet.training import train
 from cenet.verify import run_network_check, run_op_suite
 
 from reference import ssim_reference, synthetic_pair
+from test_blocks import attention_probs
 from test_training_cli import tiny_config, write_dataset
 
 
@@ -58,7 +59,7 @@ def test_criterion_2_nonlocal_invariants():
     block = NonLocalBlock("a", 8, seed=1)
 
     z = Tensor(rng.uniform(-1, 1, (2, 8, 5, 7)).astype(np.float32))
-    attn = block.attention_map(z).data
+    attn = attention_probs(block, z)
     npt.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
 
     out = block.forward(z)  # output projection is zero at init

@@ -1,12 +1,15 @@
 """Tape semantics, backward rules, and the finite-difference harness."""
 
+import ast
 import gc
+import inspect
 from contextlib import contextmanager
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cenet import tensor
 from cenet.blocks import EnhancementNetwork
 from cenet.config import desk_preset
 from cenet.tensor import (
@@ -23,38 +26,41 @@ from cenet.tensor import (
     maxpool2d,
     op_census,
     prelu,
-    scale,
     set_backward_fault,
-    tensor_sum,
     upsample_nearest2x,
     weighted_sum,
 )
-from cenet.verify import run_op_suite
+from cenet.verify import op_names, run_op_suite
 
 
 def t4(data, dtype=np.float32):
     return Tensor(np.asarray(data, dtype=dtype))
 
 
+def total(x):
+    """Sum of all elements, as a scalar tensor on the tape."""
+    return weighted_sum(x, np.ones(x.shape))
+
+
 class TestBackward:
     def test_identity_chain(self):
         with Tape():
             x = t4(np.ones((1, 1, 1, 1)))
-            loss = tensor_sum(x)
+            loss = total(x)
             backward(loss)
         assert x.grad.ravel()[0] == 1.0
 
     def test_sum_of_scaled(self):
         with Tape():
             x = t4(np.ones((1, 1, 2, 2)))
-            loss = tensor_sum(scale(x, 2.0))
+            loss = weighted_sum(x, np.full(x.shape, 2.0))
             backward(loss)
         npt.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 2.0))
 
     def test_accumulation_over_two_consumers(self):
         with Tape():
             y = t4(np.ones((1, 1, 2, 2)))
-            loss = add(tensor_sum(y), tensor_sum(y))
+            loss = add(total(y), total(y))
             backward(loss)
         npt.assert_array_equal(y.grad, np.full((1, 1, 2, 2), 2.0))
 
@@ -63,22 +69,22 @@ class TestBackward:
         data = rng.uniform(-1, 1, (1, 2, 3, 3)).astype(np.float32)
         with Tape():
             y = Tensor(data.copy())
-            loss = add(tensor_sum(y), tensor_sum(y))
+            loss = add(total(y), total(y))
             backward(loss)
         with Tape():
             z = Tensor(data.copy())
-            loss2 = tensor_sum(scale(z, 2.0))
+            loss2 = weighted_sum(z, np.full(z.shape, 2.0))
             backward(loss2)
         npt.assert_allclose(y.grad, z.grad, rtol=1e-6)
 
     def test_first_gradients_do_not_share_the_upstream_array(self):
-        # add's backward hands one upstream array to both inputs; tensor_sum(a)
+        # add's backward hands one upstream array to both inputs; total(a)
         # is recorded first, so it adds into a's gradient after both were set
         with Tape():
             a, b = t4(np.ones((1, 1, 2, 2))), t4(np.ones((1, 1, 2, 2)))
-            first = tensor_sum(a)
+            first = total(a)
             c = add(a, b)
-            backward(add(tensor_sum(c), first))
+            backward(add(total(c), first))
         assert not np.shares_memory(a.grad, b.grad)
         assert not np.shares_memory(a.grad, c.grad)
         npt.assert_array_equal(a.grad, np.full((1, 1, 2, 2), 2.0))
@@ -90,31 +96,32 @@ class TestBackward:
         rng = np.random.default_rng(4)
         x, w = t4(rng.uniform(-1, 1, (2, 3, 5, 4))), t4(rng.uniform(-1, 1, (2, 3, 3, 3)))
         with Tape():
-            backward(tensor_sum(conv2d(x, w, t4(np.zeros((1, 2, 1, 1))))))
+            backward(total(conv2d(x, w, t4(np.zeros((1, 2, 1, 1))))))
         assert x.grad.flags.c_contiguous and w.grad.flags.c_contiguous
 
     def test_non_scalar_loss_rejected(self):
         with Tape():
             x = t4(np.ones((1, 1, 2, 2)))
-            y = scale(x, 1.0)
+            y = add(x, x)
             with pytest.raises(ContractError):
                 backward(y)
 
     def test_double_backward_rejected(self):
         with Tape():
             x = t4(np.ones((1, 1, 1, 1)))
-            loss = tensor_sum(x)
+            loss = total(x)
             backward(loss)
             with pytest.raises(ContractError):
                 backward(loss)
 
     def test_loss_without_tape_rejected(self):
-        loss = tensor_sum(t4(np.ones((1, 1, 1, 1))))
+        loss = total(t4(np.ones((1, 1, 1, 1))))
         with pytest.raises(ContractError):
             backward(loss)
 
     def test_ops_outside_tape_do_not_record(self):
-        y = scale(t4(np.ones((1, 1, 1, 1))), 2.0)
+        x = t4(np.ones((1, 1, 1, 1)))
+        y = add(x, x)
         assert y.tape_node is None
 
 
@@ -171,7 +178,7 @@ class TestTapeRelease:
         def failing_step():
             with Tape():
                 loss = l1_loss(network.forward(x), target)
-                scale(loss, float("inf"))
+                add(loss, t4(np.full(loss.shape, np.inf)))
 
         with cyclic_garbage() as garbage:
             with pytest.raises(ContractError, match="non-finite"):
@@ -218,7 +225,7 @@ class TestBackwardRules:
         with Tape():
             x = t4(np.full((1, 1, 1, 1), -4.0))
             slope = t4(np.full((1, 1, 1, 1), 0.25))
-            loss = tensor_sum(prelu(x, slope))
+            loss = total(prelu(x, slope))
             backward(loss)
         assert slope.grad.ravel()[0] == pytest.approx(-4.0)
         assert x.grad.ravel()[0] == pytest.approx(0.25)
@@ -227,7 +234,7 @@ class TestBackwardRules:
         # constant windows: ties resolve to the first position, mass lands once
         with Tape():
             x = t4(np.zeros((1, 1, 4, 4)))
-            loss = tensor_sum(maxpool2d(x))
+            loss = total(maxpool2d(x))
             backward(loss)
         windows = x.grad.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
         npt.assert_array_equal(windows.sum(axis=1), [1, 1, 1, 1])
@@ -238,14 +245,14 @@ class TestBackwardRules:
         with Tape():
             x = t4(rng.uniform(-1, 1, (2, 3, 6, 6)))
             out = maxpool2d(x)
-            loss = tensor_sum(out)
+            loss = total(out)
             backward(loss)
         assert x.grad.sum() == pytest.approx(out.size)
 
     def test_upsample_backward_sums_blocks(self):
         with Tape():
             x = t4(np.ones((1, 1, 2, 2)))
-            loss = tensor_sum(upsample_nearest2x(x))
+            loss = total(upsample_nearest2x(x))
             backward(loss)
         npt.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 4.0))
 
@@ -280,7 +287,7 @@ class TestBackwardRules:
             x = t4(np.ones((1, 1, 4, 4)))
             w = t4(np.zeros((2, 1, 3, 3)))
             b = t4(np.zeros((1, 2, 1, 1)))
-            loss = tensor_sum(conv2d(x, w, b))
+            loss = total(conv2d(x, w, b))
             backward(loss)
         npt.assert_array_equal(b.grad.ravel(), [16.0, 16.0])
 
@@ -300,10 +307,32 @@ class TestGradcheckHarness:
         failed = {r.name for r in results if not r.passed}
         assert failed == {"conv2d"}
 
+    def test_fault_target_leaves_plain_backward_alone(self):
+        # only gradcheck applies the fault; a training step never sees it
+        rng = np.random.default_rng(5)
+        x, w, b = (t4(rng.uniform(-1, 1, shape))
+                   for shape in ((1, 2, 4, 4), (3, 2, 3, 3), (1, 3, 1, 1)))
+
+        def grads():
+            for t in (x, w, b):
+                t.grad = None
+            with Tape():
+                backward(total(conv2d(x, w, b)))
+            return [t.grad for t in (x, w, b)]
+
+        clean = grads()
+        set_backward_fault("conv2d")
+        try:
+            faulty = grads()
+        finally:
+            set_backward_fault(None)
+        for before, after in zip(clean, faulty):
+            npt.assert_array_equal(before, after)
+
     def test_rejects_float32_inputs(self):
         x = t4(np.ones((1, 1, 1, 1)))
         with pytest.raises(ContractError):
-            gradcheck(lambda: scale(x, 2.0), [x])
+            gradcheck(lambda: add(x, x), [x])
 
     def test_reports_every_input(self):
         x = Tensor(np.ones((1, 1, 2, 2)), dtype=np.float64)
@@ -317,9 +346,25 @@ class TestCensus:
     def test_counts_ops(self):
         with op_census() as counts:
             x = t4(np.ones((1, 1, 2, 2)))
-            scale(x, 2.0)
-            scale(x, 3.0)
-            tensor_sum(x)
-        assert counts["scale"] == 2
-        assert counts["tensor_sum"] == 1
+            add(x, x)
+            add(x, x)
+            total(x)
+        assert counts["add"] == 2
+        assert counts["weighted_sum"] == 1
         assert "conv2d" not in counts
+
+
+def emitted_op_names() -> list[str]:
+    """The op names ``tensor.py`` records through ``_emit``, read from its source."""
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(tensor)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"]
+    assert all(isinstance(call.args[0], ast.Constant) for call in calls)
+    return [call.args[0].value for call in calls]
+
+
+class TestOpCoverage:
+    def test_every_recorded_op_has_one_gradcheck_case(self):
+        emitted, checked = emitted_op_names(), op_names()
+        assert len(set(emitted)) == len(emitted)
+        assert len(set(checked)) == len(checked)
+        assert set(emitted) == set(checked)

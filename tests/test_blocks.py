@@ -18,13 +18,15 @@ from cenet.tensor import (
     DimensionError,
     Tape,
     Tensor,
+    attention,
     backward,
+    conv2d,
     maxpool2d,
     op_census,
-    tensor_sum,
+    weighted_sum,
 )
 
-from reference import conv2d_naive
+from reference import attention_naive, conv2d_naive
 
 
 def rand4(shape, seed=0, lo=0.0, hi=1.0):
@@ -33,6 +35,27 @@ def rand4(shape, seed=0, lo=0.0, hi=1.0):
 
 def prelu_ref(x, slope):
     return np.where(x < 0, slope.reshape(1, -1, 1, 1) * x, x)
+
+
+def attention_probs(block: NonLocalBlock, z: Tensor) -> np.ndarray:
+    """The block's (N, H*W, H*W) attention probabilities, read off ``attention``.
+
+    Query and key are zero-padded to H*W channels, which leaves their dot
+    products unchanged, so that value channel j can be the indicator of
+    position j: output channel j at position i is then the weight of j in
+    row i. ``attention_naive`` must agree on the same operands.
+    """
+    q = conv2d(z, block.query_w, block.query_b).data
+    k = conv2d(z, block.key_w, block.key_b).data
+    n, c, h, w = q.shape
+    positions = h * w
+    pad = np.zeros((n, positions - c, h, w), dtype=q.dtype)
+    indicators = np.broadcast_to(np.eye(positions, dtype=q.dtype).reshape(positions, h, w),
+                                 (n, positions, h, w))
+    operands = (np.concatenate([q, pad], axis=1), np.concatenate([k, pad], axis=1), indicators)
+    out = attention(*(Tensor(x) for x in operands)).data
+    npt.assert_allclose(out, attention_naive(*operands), atol=1e-6)
+    return out.reshape(n, positions, positions).transpose(0, 2, 1)
 
 
 class TestBasicBlock:
@@ -114,14 +137,14 @@ class TestNonLocalBlock:
 
     def test_attention_rows_stochastic(self):
         block = NonLocalBlock("a", 6, seed=1)
-        attn = block.attention_map(rand4((2, 6, 4, 4), seed=2)).data
+        attn = attention_probs(block, rand4((2, 6, 4, 4), seed=2))
         npt.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
         assert (attn >= 0).all()
 
     def test_constant_input_uniform_attention(self):
         block = NonLocalBlock("a", 4, seed=3)
         z = Tensor(np.full((1, 4, 3, 3), 0.2, dtype=np.float32))
-        attn = block.attention_map(z).data
+        attn = attention_probs(block, z)
         npt.assert_allclose(attn, 1.0 / 9.0, atol=1e-6)
         block.out_w.data = np.random.default_rng(0).uniform(
             -0.5, 0.5, block.out_w.shape).astype(np.float32)
@@ -176,7 +199,7 @@ class TestNonLocalMemory:
 
         def step():
             with Tape():
-                backward(tensor_sum(block.forward(z)))
+                backward(weighted_sum(block.forward(z), np.ones(z.shape)))
 
         assert traced_peak_bytes(step) < self.BOUND
         assert all(p.grad is not None for p in block.parameters())

@@ -297,6 +297,12 @@ class TestCodec:
         npt.assert_array_equal(again.tensors["a"], 1.0)
         npt.assert_array_equal(again.tensors["b"], 2.0)
 
+    def test_zero_dim_record_round_trips(self):
+        ckpt = Checkpoint(1, {"s": np.array(2.0, dtype=np.float32)})
+        again = deserialize(serialize(ckpt))
+        assert again.tensors["s"].shape == ()
+        assert again.tensors["s"] == 2.0
+
     def test_write_atomic_concatenates_chunks(self, tmp_path):
         write_atomic(tmp_path / "f", b"a", b"b")
         assert (tmp_path / "f").read_bytes() == b"ab"

@@ -1,6 +1,7 @@
 """Codec round-trips, filter handling, and malformed-input rejection."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -206,6 +207,33 @@ class TestPng:
         blob = build_png(arr)
         with pytest.raises(ImageParseError):
             decode_png(blob[:-12])
+
+    def test_decompression_bomb_rejected_without_inflating(self):
+        # a 2x2 image (14 stream bytes) whose IDAT inflates to 64 MiB
+        deflate = zlib.compressobj()
+        block = bytes(2 ** 20)
+        idat = b"".join(deflate.compress(block) for _ in range(64)) + deflate.flush()
+        ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
+        blob = (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr) + png_chunk(b"IDAT", idat)
+                + png_chunk(b"IEND", b""))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageParseError, match="longer than the expected 14 bytes"):
+                decode_png(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_truncated_zlib_stream(self):
+        blob = encode_png(Image.from_u8(rand_u8(8, 8, seed=9)))
+        (length,) = struct.unpack(">I", blob[33:37])
+        idat = blob[41:41 + length]
+        ihdr = struct.pack(">IIBBBBB", 8, 8, 8, 2, 0, 0, 0)
+        cut = (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr) + png_chunk(b"IDAT", idat[:-10])
+               + png_chunk(b"IEND", b""))
+        with pytest.raises(ImageParseError, match="truncated stream"):
+            decode_png(cut)
 
     def test_corrupt_zlib_stream(self):
         ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)

@@ -26,14 +26,13 @@ from cenet.tensor import (
     permute,
     prelu,
     reshape,
-    scale,
     softmax_rows,
-    tensor_sum,
     upsample_nearest2x,
     weighted_sum,
 )
 
-from reference import attention_naive, conv2d_naive, matmul_naive, maxpool2d_naive
+from reference import (attention_grads_naive, attention_naive, conv2d_naive, matmul_naive,
+                       maxpool2d_naive)
 
 
 def t4(data, dtype=np.float32):
@@ -256,17 +255,6 @@ class TestMatmul:
             matmul(t4(np.zeros((1, 1, 2, 3))), t4(np.zeros((1, 1, 4, 2))))
 
 
-def attention_chain(q, k, v):
-    """The reshape/permute/matmul/softmax_rows chain that ``attention`` fuses."""
-    n, c, h, w = q.shape
-    positions = h * w
-    q_t = permute(reshape(q, (n, c, 1, positions)), (0, 2, 3, 1))
-    k_m = permute(reshape(k, (n, c, 1, positions)), (0, 2, 1, 3))
-    v_t = permute(reshape(v, (n, c, 1, positions)), (0, 2, 3, 1))
-    mixed = matmul(softmax_rows(matmul(q_t, k_m)), v_t)
-    return reshape(permute(mixed, (0, 3, 1, 2)), (n, c, h, w))
-
-
 def input_gradients(op, inputs, probe):
     for t in inputs:
         t.grad = None
@@ -286,7 +274,7 @@ class TestAttention:
            st.integers(1, 5), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_row_blocks_match_oracle_and_chain(self, monkeypatch, n, c, h, w, rows, seed):
+    def test_row_blocks_match_oracles(self, monkeypatch, n, c, h, w, rows, seed):
         rng = np.random.default_rng(seed)
         q, k, v = (Tensor(rng.uniform(-2, 2, (n, c, h, w))) for _ in range(3))
         use_block_rows(monkeypatch, rows, h * w, buffers=1)
@@ -296,8 +284,8 @@ class TestAttention:
         probe = rng.standard_normal(out.shape)
         use_block_rows(monkeypatch, rows, h * w, buffers=3)
         fused = input_gradients(attention, [q, k, v], probe)
-        chain = input_gradients(attention_chain, [q, k, v], probe)
-        for a, b in zip(fused, chain):
+        oracle = attention_grads_naive(q.data, k.data, v.data, probe)
+        for a, b in zip(fused, oracle):
             npt.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_gradcheck_with_ragged_blocks(self, monkeypatch):
@@ -328,10 +316,6 @@ class TestElementwise:
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
             add(t4(np.zeros((1, 1, 2, 2))), t4(np.zeros((1, 2, 2, 2))))
-
-    def test_scale(self):
-        out = scale(t4(np.full((1, 1, 1, 2), 3.0)), -2.0)
-        npt.assert_allclose(out.data.ravel(), [-6.0, -6.0])
 
     def test_reshape_round_trip(self):
         x = t4(np.random.default_rng(0).uniform(size=(1, 2, 2, 1)))
@@ -369,9 +353,6 @@ class TestL1Loss:
 
 class TestFiniteGuard:
     def test_overflow_is_an_error(self):
-        x = t4(np.full((1, 1, 1, 1), 1e38))
+        x = t4(np.full((1, 1, 1, 1), 3e38))
         with np.errstate(over="ignore"), pytest.raises(ContractError):
-            scale(scale(x, 1e5), 1e5)
-
-    def test_sum(self):
-        assert tensor_sum(t4(np.ones((1, 2, 2, 2)))).item() == 8.0
+            add(x, x)

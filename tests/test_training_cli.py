@@ -279,9 +279,9 @@ class TestCli:
         out = capsys.readouterr().out
         # every op and block type appears exactly once in the report
         for name in ("conv2d", "maxpool2d", "upsample_nearest2x", "concat_channels",
-                     "prelu", "softmax_rows", "matmul", "add", "scale", "reshape",
-                     "permute", "attention", "l1_loss", "basic_block", "dense_residual_block",
-                     "nonlocal_block", "network"):
+                     "prelu", "softmax_rows", "matmul", "add", "reshape", "permute",
+                     "attention", "l1_loss", "weighted_sum", "basic_block",
+                     "dense_residual_block", "nonlocal_block", "network"):
             assert sum(line.split()[0] == name for line in out.splitlines()) == 1, name
 
     def test_gradcheck_fault_injection(self, capsys):
@@ -289,6 +289,16 @@ class TestCli:
                          "--inject-fault", "conv2d"]) == 1
         captured = capsys.readouterr()
         assert "conv2d" in captured.err
+
+    def test_gradcheck_unknown_fault_target_rejected(self, monkeypatch, capsys):
+        def must_not_run(**kwargs):
+            raise AssertionError("checks ran for an unknown fault target")
+
+        monkeypatch.setattr(cli, "run_full_suite", must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["gradcheck", "--trials", "1", "--inject-fault", "conv"])
+        assert exit_info.value.code != 0
+        assert "invalid choice: 'conv'" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
