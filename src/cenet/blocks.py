@@ -3,10 +3,11 @@
 The network is an encoder-decoder over NCHW tensors. Each encoder stage
 is a feature block whose output is kept as a skip and then max-pooled;
 the bottleneck is a feature block, optionally followed by a non-local
-attention block (global context); each decoder stage upsamples,
-concatenates the matching skip and runs a feature block; a 3x3 head maps
-back to RGB. A feature block is a basic block of two 3x3 convolutions,
-optionally followed by a dense residual block (local context).
+attention block (global context); each decoder stage upsamples and runs
+a feature block on the upsampled features and the matching skip; a 3x3
+head maps back to RGB. A feature block is a basic block of two 3x3
+convolutions, optionally followed by a dense residual block (local
+context).
 """
 
 import math
@@ -20,14 +21,13 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    concat_channels,
     conv2d,
     maxpool2d,
     prelu,
     upsample_nearest2x,
 )
 # Unused here; perfbench's tracer looks these names up on this module.
-from .tensor import matmul, permute, reshape, softmax_rows  # noqa: F401
+from .tensor import concat_channels, matmul, permute, reshape, softmax_rows  # noqa: F401
 
 RGB_CHANNELS = 3
 
@@ -83,7 +83,8 @@ class BasicBlock(Block):
         self.conv2_b = _channel_param(f"{name}.conv2.bias", c_out, 0.0, dtype)
         self.slope2 = _channel_param(f"{name}.act2.slope", c_out, 0.25, dtype)
 
-    def forward(self, f: Tensor) -> Tensor:
+    def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
+        """A tuple ``f`` is read as its channel concatenation."""
         y = prelu(conv2d(f, self.conv1_w, self.conv1_b), self.slope1)
         return prelu(conv2d(y, self.conv2_w, self.conv2_b), self.slope2)
 
@@ -93,8 +94,9 @@ class DenseResidualBlock(Block):
 
     Layer l consumes the channel concatenation of the block input and all
     previous layer outputs, so its input width is l times the block width.
-    The last layer is linear and the skip makes the zero-weight block an
-    exact identity.
+    Each layer's convolution reads those tensors in place, so the
+    concatenation is never built. The last layer is linear and the skip
+    makes the zero-weight block an exact identity.
     """
 
     def __init__(self, name: str, channels: int, seed: int, dtype=np.float32):
@@ -113,8 +115,8 @@ class DenseResidualBlock(Block):
             raise DimensionError(
                 f"dense residual block expects {self.channels} channels, got {f.shape[1]}")
         y1 = prelu(conv2d(f, self.layer1_w, self.layer1_b), self.slope1)
-        y2 = prelu(conv2d(concat_channels(f, y1), self.layer2_w, self.layer2_b), self.slope2)
-        y3 = conv2d(concat_channels(f, y1, y2), self.layer3_w, self.layer3_b)
+        y2 = prelu(conv2d((f, y1), self.layer2_w, self.layer2_b), self.slope2)
+        y3 = conv2d((f, y1, y2), self.layer3_w, self.layer3_b)
         return add(f, y3)
 
 
@@ -165,7 +167,7 @@ class FeatureBlock(Block):
         self.dense = (DenseResidualBlock(f"{name}.drb", c_out, seed, dtype)
                       if local_context else None)
 
-    def forward(self, f: Tensor) -> Tensor:
+    def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
         y = self.basic.forward(f)
         if self.dense is not None:
             y = self.dense.forward(y)
@@ -246,7 +248,7 @@ class EnhancementNetwork(Block):
         if self.attention is not None:
             f = self.attention.forward(f)
         for block, skip in zip(self.decoder, reversed(skips)):
-            f = block.forward(concat_channels(upsample_nearest2x(f), skip))
+            f = block.forward((upsample_nearest2x(f), skip))
         return conv2d(f, self.head_w, self.head_b)
 
     def named_parameters(self) -> dict[str, Parameter]:

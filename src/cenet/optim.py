@@ -6,6 +6,11 @@ import numpy as np
 
 from .tensor import ContractError, Parameter
 
+# Adam walks each parameter in slices of this many elements, so a slice's
+# parameters, gradient, moments and two scratch buffers stay in cache
+# across its elementwise passes.
+_SLICE_ELEMENTS = 2 ** 16
+
 
 @dataclass
 class StepDecaySchedule:
@@ -38,7 +43,7 @@ class Adam:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def step(self, params: list[Parameter], lr: float):
-        if lr <= 0:
+        if not lr > 0:  # NaN included
             raise ContractError(f"learning rate must be positive, got {lr}")
         for p in params:
             if p.grad is None:
@@ -46,28 +51,28 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         for p in params:
-            g = p.grad
-            m = self.m.get(p.name)
-            if m is None:
-                m = self.m[p.name] = np.zeros_like(p.data)
+            if p.name not in self.m:
+                self.m[p.name] = np.zeros_like(p.data)
                 self.v[p.name] = np.zeros_like(p.data)
-            v = self.v[p.name]
-            # lr * m_hat / (sqrt(v_hat) + eps), evaluated in two scratch
-            # buffers with the same roundings as the plain expression
-            step = np.multiply(g, 1 - self.beta1)
-            m *= self.beta1
-            m += step
-            np.square(g, out=step)
-            step *= 1 - self.beta2
-            v *= self.beta2
-            v += step
-            np.divide(m, 1 - self.beta1 ** t, out=step)
-            step *= lr
-            denom = np.divide(v, 1 - self.beta2 ** t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step /= denom
-            p.data -= step
+            flat = [a.reshape(-1) for a in (p.data, p.grad, self.m[p.name], self.v[p.name])]
+            for start in range(0, p.data.size, _SLICE_ELEMENTS):
+                data, g, m, v = (a[start:start + _SLICE_ELEMENTS] for a in flat)
+                # lr * m_hat / (sqrt(v_hat) + eps), evaluated in two scratch
+                # buffers with the same roundings as the plain expression
+                step = np.multiply(g, 1 - self.beta1)
+                m *= self.beta1
+                m += step
+                np.square(g, out=step)
+                step *= 1 - self.beta2
+                v *= self.beta2
+                v += step
+                np.divide(m, 1 - self.beta1 ** t, out=step)
+                step *= lr
+                denom = np.divide(v, 1 - self.beta2 ** t)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                step /= denom
+                data -= step
             p.grad = None
 
     def state_tensors(self) -> dict[str, np.ndarray]:

@@ -204,50 +204,101 @@ def backward(loss: Tensor):
 # Operators
 # ---------------------------------------------------------------------------
 
-def _grid(a: np.ndarray, p: int) -> np.ndarray:
-    """Lay (N, C, H, W) out as (C, N*(H+2p)*(W+2p)): channel-major, zero-padded by p."""
-    n, c, h, w = a.shape
-    grid = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=a.dtype)
-    grid[:, :, p:p + h, p:p + w] = a.transpose(1, 0, 2, 3)
-    return grid.reshape(c, -1)
+# Byte budget of one band of convolution output rows: the padded input rows
+# and the output rows it covers, so a band's k² GEMMs run from cache.
+_CONV_BAND_BYTES = 256 * 2 ** 10
 
 
-def _taps(k: int, wp: int, length: int) -> list[slice]:
-    """The columns of a flattened grid (rows of ``wp``) each k x k tap reads,
-    in row-major tap order, for the output columns of the centre tap's slice."""
-    span = length - (k - 1) * (wp + 1)
-    return [slice(dy * wp + dx, dy * wp + dx + span) for dy in range(k) for dx in range(k)]
+def _bands(xs: list[np.ndarray], cout: int, k: int):
+    """Walk the output of a stride-1 "same" convolution of ``xs`` band by band.
 
-
-def _same_conv(x: np.ndarray, taps: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1 "same" convolution of (N, Cin, H, W) by (k*k, Cout, Cin) tap matrices.
-
-    On the input's ``_grid`` (padding k // 2) each tap is one GEMM with a
-    shifted slice, summed on a grid of the same layout whose padding is
-    computed and dropped. Returns the output (a view) and the input's grid.
+    Yields (image, first row, end row, slabs) per band of output rows.
+    ``slabs`` gives, one input at a time, the input rows the band reads
+    (first - p up to end + p, p = k // 2) zero-padded by p columns on each
+    side, plus one zero row that keeps the last tap's slice in bounds, as
+    a flat (Cin_j, (rows + 2p + 1) * (W + 2p)) array. A band holds
+    ``_CONV_BAND_BYTES`` of input and output rows, or as many rows as the
+    taps' bytes when those are larger, so that deep layers stream their
+    taps once per band of about their own size, not once per few rows.
     """
-    n, _, h, w = x.shape
+    n, _, h, w = xs[0].shape
     p = k // 2
-    grid = _grid(x, p)
-    cols = _taps(k, w + 2 * p, grid.shape[1])
-    acc = np.zeros((taps.shape[1], grid.shape[1]), dtype=x.dtype)
-    for tap, src in zip(taps, cols):
-        acc[:, cols[k * k // 2]] += tap @ grid[:, src]
-    out = acc.reshape(-1, n, h + 2 * p, w + 2 * p)[:, :, p:p + h, p:p + w]
-    return out.transpose(1, 0, 2, 3), grid
+    cin = sum(x.shape[1] for x in xs)
+    row_bytes = (cin + cout) * (w + 2 * p) * xs[0].itemsize
+    weight_bytes = k * k * cout * cin * xs[0].itemsize
+    rows = max(1, _CONV_BAND_BYTES // row_bytes, -(-weight_bytes // row_bytes))
+    for i in range(n):
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            yield i, r0, r1, (_slab(x[i], r0 - p, r1 + p, p) for x in xs)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def _slab(x: np.ndarray, top: int, bottom: int, p: int) -> np.ndarray:
+    """Rows top up to bottom of one (C, H, W) image, zero outside it, padded
+    by p columns on each side and one zero row below, flattened per channel."""
+    c, h, w = x.shape
+    slab = np.zeros((c, bottom - top + 1, w + 2 * p), dtype=x.dtype)
+    lo, hi = max(top, 0), min(bottom, h)
+    slab[:, lo - top:hi - top, p:p + w] = x[:, lo:hi]
+    return slab.reshape(c, -1)
+
+
+def _tap_offsets(k: int, wp: int) -> list[int]:
+    """Where each tap's slice starts on a slab with rows of ``wp``, in
+    row-major tap order."""
+    return [dy * wp + dx for dy in range(k) for dx in range(k)]
+
+
+def _same_conv(xs: list[np.ndarray], taps: list[np.ndarray], k: int) -> np.ndarray:
+    """Stride-1 "same" convolution of the channel concatenation of ``xs``.
+
+    ``xs`` are (N, Cin_j, H, W) arrays and ``taps[j]`` is input j's (k*k,
+    Cout, Cin_j) tap matrices. Per band of output rows, each tap is one
+    GEMM with a shifted slice of each input's slab, summed into the band's
+    accumulator, whose columns over the padding are computed and dropped.
+    """
+    n, _, h, w = xs[0].shape
+    cout = taps[0].shape[1]
+    wp = w + k - 1
+    offsets = _tap_offsets(k, wp)
+    out = np.empty((n, cout, h, w), dtype=xs[0].dtype)
+    for i, r0, r1, slabs in _bands(xs, cout, k):
+        span = (r1 - r0) * wp
+        acc = np.zeros((cout, span), dtype=out.dtype)
+        part = np.empty_like(acc)
+        for slab, tj in zip(slabs, taps):
+            for tap, off in zip(tj, offsets):
+                acc += np.matmul(tap, slab[:, off:off + span], out=part)
+        out[i, :, r0:r1] = acc.reshape(cout, r1 - r0, wp)[:, :, :w]
+    return out
+
+
+def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor) -> Tensor:
     """2-D cross-correlation at stride 1 with "same" zero padding.
 
-    ``weight`` is (Cout, Cin, k, k) with odd k; ``bias`` is (1, Cout, 1, 1).
-    The input is zero-padded by k // 2, so the output keeps the input's H
-    and W; the tape keeps that padded input. The backward rule yields
-    gradients for the input, the weight and the bias; the input gradient
-    is the same convolution of the upstream gradient with the kernel
-    flipped in space and its channel axes swapped.
+    ``x`` is one (N, Cin, H, W) tensor or a tuple of tensors with equal N,
+    H and W, read as their channel concatenation in order, so
+    ``conv2d((a, b), w, bias)`` equals ``conv2d(concat_channels(a, b), w,
+    bias)`` without building the concatenation. ``weight`` is (Cout, Cin,
+    k, k) with odd k and Cin the inputs' total width; ``bias`` is (1, Cout,
+    1, 1). The output keeps the inputs' H and W. The work runs in bands of
+    output rows, each padding only its own input rows, so no padded copy
+    of an input exists whole and the tape keeps only the inputs
+    themselves. The backward rule yields a gradient for each input, the
+    weight and the bias; the input gradient is the same convolution of the
+    upstream gradient with the kernel flipped in space and its channel
+    axes swapped.
     """
-    n, cin, h, w = x.shape
+    xs = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not xs:
+        raise DimensionError("conv2d needs at least one input")
+    n, _, h, w = xs[0].shape
+    for t in xs[1:]:
+        if (t.shape[0], t.shape[2], t.shape[3]) != (n, h, w):
+            raise DimensionError(
+                f"conv2d inputs disagree on batch/spatial extents: {xs[0].shape} vs {t.shape}")
+    widths = [t.shape[1] for t in xs]
+    cin = sum(widths)
     cout, wcin, kh, kw = weight.shape
     if kh != kw:
         raise DimensionError(f"conv2d kernels are square, got {kh}x{kw}")
@@ -259,20 +310,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (1, cout, 1, 1):
         raise DimensionError(f"conv2d bias must have shape (1, {cout}, 1, 1), got {bias.shape}")
 
+    splits = np.cumsum(widths)[:-1]
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
-    out, grid = _same_conv(x.data, taps, k)
+    data = [t.data for t in xs]
+    out = _same_conv(data, np.split(taps, splits, axis=2), k)
     out += bias.data
 
     def backward_fn(up):
-        # a spatial flip reverses the tap order; up_grid has the output's layout
-        d_x, up_grid = _same_conv(up, taps[::-1].transpose(0, 2, 1), k)
-        cols = _taps(k, w + k - 1, grid.shape[1])
-        d_taps = np.stack([up_grid[:, cols[k * k // 2]] @ grid[:, src].T for src in cols])
+        # a spatial flip reverses the tap order
+        d_x = _same_conv([up], [taps[::-1].transpose(0, 2, 1)], k)
+        wp = w + k - 1
+        offsets = _tap_offsets(k, wp)
+        d_taps = [np.zeros((k * k, cout, c), dtype=taps.dtype) for c in widths]
+        for i, r0, r1, slabs in _bands(data, cout, k):
+            span = (r1 - r0) * wp
+            up_band = np.zeros((cout, r1 - r0, wp), dtype=up.dtype)
+            up_band[:, :, :w] = up[i, :, r0:r1]
+            up_band = up_band.reshape(cout, span)
+            for slab, dj in zip(slabs, d_taps):
+                for d, off in zip(dj, offsets):
+                    d += up_band @ slab[:, off:off + span].T
+        d_taps = np.concatenate(d_taps, axis=2)
         d_weight = d_taps.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         d_bias = up.sum(axis=(0, 2, 3), keepdims=True)
-        return d_x, d_weight, d_bias
+        return (*np.split(d_x, splits, axis=1), d_weight, d_bias)
 
-    return _emit("conv2d", out, (x, weight, bias), backward_fn)
+    return _emit("conv2d", out, (*xs, weight, bias), backward_fn)
 
 
 def maxpool2d(x: Tensor) -> Tensor:

@@ -39,15 +39,15 @@ def _pool_input(rng, shape) -> Tensor:
 def op_cases(rng: np.random.Generator):
     """Yield (name, forward_fn, inputs) for one random instance per op."""
     n = int(rng.integers(1, 3))
-    cin = int(rng.integers(1, 4))
+    widths = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
     cout = int(rng.integers(1, 5))
     k = int(rng.choice([1, 3, 5]))
     h = int(rng.integers(1, 7))
     w = int(rng.integers(1, 7))
-    x = _t(rng, (n, cin, h, w))
-    wt = _t(rng, (cout, cin, k, k))
+    xs = [_t(rng, (n, c, h, w)) for c in widths]
+    wt = _t(rng, (cout, sum(widths), k, k))
     b = _t(rng, (1, cout, 1, 1))
-    yield ("conv2d", lambda: tc.conv2d(x, wt, b), [x, wt, b])
+    yield ("conv2d", lambda: tc.conv2d(tuple(xs), wt, b), [*xs, wt, b])
 
     xp = _pool_input(rng, (1, 2, 4, 6))
     yield ("maxpool2d", lambda: tc.maxpool2d(xp), [xp])

@@ -30,7 +30,7 @@ from cenet.training import train
 from cenet.verify import run_network_check, run_op_suite
 
 from reference import ssim_reference, synthetic_pair
-from test_blocks import attention_probs
+from test_blocks import attention_probs, multi_input_convs
 from test_training_cli import tiny_config, write_dataset
 
 
@@ -112,15 +112,19 @@ def test_criterion_4_architecture_shapes():
         for lc in (False, True):
             net = EnhancementNetwork(
                 NetworkConfig(m, 4, use_global_context=gc, use_local_context=lc), seed=0)
-            with op_census() as counts:
+            with op_census() as counts, Tape() as tape:
                 out = net.forward(x)
+                joins = multi_input_convs(tape)
             assert out.shape == x.shape
             structure = net.structure()
             assert structure["attention_blocks"] == (1 if gc else 0)
             assert structure["dense_blocks"] == ((2 * m + 1) if lc else 0)
             assert counts.get("attention", 0) == (1 if gc else 0)
-            expected_concats = m + (2 * (2 * m + 1) if lc else 0)
-            assert counts.get("concat_channels", 0) == expected_concats
+            # multi-input convolutions: the decoder's (upsampled, skip)
+            # joins, then each dense block's layers 2 and 3
+            expected = [2] * m + ([2, 3] * (2 * m + 1) if lc else [])
+            assert sorted(joins) == sorted(expected)
+            assert counts.get("concat_channels", 0) == 0
     elapsed = time.time() - start
     assert elapsed < 10.0
     report(f"4 architecture shape contract: PASS (4 variants map {extent}x{extent} "

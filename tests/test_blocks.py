@@ -33,6 +33,13 @@ def rand4(shape, seed=0, lo=0.0, hi=1.0):
     return Tensor(np.random.default_rng(seed).uniform(lo, hi, shape).astype(np.float32))
 
 
+def multi_input_convs(tape: Tape) -> list[int]:
+    """The input-tensor count of each conv2d on ``tape`` that reads more than
+    one tensor (a node's inputs are the tensors, then the weight and bias)."""
+    return [len(n.inputs) - 2 for n in tape.nodes
+            if n.op_name == "conv2d" and len(n.inputs) > 3]
+
+
 def prelu_ref(x, slope):
     return np.where(x < 0, slope.reshape(1, -1, 1, 1) * x, x)
 
@@ -112,6 +119,22 @@ class TestDenseResidualBlock:
         y3_in = np.concatenate([x.data, y1, y2], axis=1)
         y3 = conv2d_naive(y3_in, block.layer3_w.data, block.layer3_b.data, 1, 1)
         npt.assert_allclose(out.data, x.data + y3, rtol=1e-4, atol=1e-5)
+
+    def test_tape_holds_no_concatenation(self):
+        # The tape keeps six 8-channel outputs and two PReLU masks of a
+        # quarter of that each: 6.5x the input. A 16- or 24-channel
+        # concatenation would add 2x or 3x.
+        block = DenseResidualBlock("d", 8, seed=0)
+        x = rand4((1, 8, 128, 128), lo=-1)
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                block.forward(x)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 7 * x.data.nbytes
 
     def test_channel_mismatch(self):
         block = DenseResidualBlock("d", 4, seed=0)
@@ -235,16 +258,20 @@ class TestNetwork:
             config = NetworkConfig(num_stages=m, base_channels=4,
                                    use_global_context=gc, use_local_context=lc)
             net = EnhancementNetwork(config, seed=0)
-            with op_census() as counts:
+            with op_census() as counts, Tape() as tape:
                 net.forward(x)
+                joins = multi_input_convs(tape)
             if gc:
                 assert counts.get("attention", 0) == 1
             else:
                 assert counts.get("attention", 0) == 0
                 assert counts.get("matmul", 0) == 0
             feature_blocks = 2 * m + 1
-            expected_concats = m + (2 * feature_blocks if lc else 0)
-            assert counts.get("concat_channels", 0) == expected_concats
+            # the decoder's (upsampled, skip) joins, then each dense block's
+            # layers 2 and 3
+            expected = [2] * m + ([2, 3] * feature_blocks if lc else [])
+            assert sorted(joins) == sorted(expected)
+            assert counts.get("concat_channels", 0) == 0
             structure = net.structure()
             assert structure["attention_blocks"] == (1 if gc else 0)
             assert structure["dense_blocks"] == (feature_blocks if lc else 0)
@@ -257,9 +284,9 @@ class TestNetwork:
             net.forward(x)
             pooled = [n.inputs[0] for n in tape.nodes if n.op_name == "maxpool2d"]
             upsampled = {id(n.output) for n in tape.nodes if n.op_name == "upsample_nearest2x"}
-            # a decoder stage concatenates (upsampled, skip), innermost first
+            # a decoder stage convolves (upsampled, skip), innermost first
             skips = [n.inputs[1] for n in tape.nodes
-                     if n.op_name == "concat_channels" and id(n.inputs[0]) in upsampled]
+                     if n.op_name == "conv2d" and id(n.inputs[0]) in upsampled]
         assert counts["maxpool2d"] == counts["upsample_nearest2x"] == len(skips) == m
         assert all(s is p for s, p in zip(skips, reversed(pooled)))
         f = x

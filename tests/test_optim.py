@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cenet import optim
 from cenet.blocks import EnhancementNetwork, NetworkConfig
 from cenet.optim import Adam, StepDecaySchedule
 from cenet.tensor import ContractError, Parameter, Tape, Tensor, backward, l1_loss
@@ -14,6 +15,25 @@ def make_param(value, grad=None, name="p"):
     if grad is not None:
         p.grad = np.full((1, 1, 1, 1), grad, dtype=np.float32)
     return p
+
+
+def plain_adam_update(data, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam's step t written out as in the paper, updating the arrays in place."""
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * np.square(g)
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data.dtype)
+
+
+def assert_matches_plain_update(params, opt, ref):
+    for p in params:
+        data, m, v = ref[p.name]
+        npt.assert_array_equal(p.data, data, err_msg=p.name)
+        npt.assert_array_equal(opt.m[p.name], m, err_msg=p.name)
+        npt.assert_array_equal(opt.v[p.name], v, err_msg=p.name)
 
 
 class TestAdam:
@@ -111,7 +131,7 @@ class TestAdam:
         rng = np.random.default_rng(0)
         x = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
         target = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
-        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-3
+        lr = 1e-3
         ref = {p.name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
                for p in params}
         opt = Adam()
@@ -119,21 +139,32 @@ class TestAdam:
             with Tape():
                 backward(l1_loss(net.forward(x), target))
             for p in params:
-                data, m, v = ref[p.name]
-                g = p.grad
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * np.square(g)
-                m_hat = m / (1 - b1 ** t)
-                v_hat = v / (1 - b2 ** t)
-                data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data.dtype)
+                plain_adam_update(*ref[p.name], p.grad, t, lr)
             opt.step(params, lr=lr)
-        for p in params:
-            data, m, v = ref[p.name]
-            npt.assert_array_equal(p.data, data, err_msg=p.name)
-            npt.assert_array_equal(opt.m[p.name], m, err_msg=p.name)
-            npt.assert_array_equal(opt.v[p.name], v, err_msg=p.name)
+        assert_matches_plain_update(params, opt, ref)
+
+    def test_sliced_update_matches_plain_formula(self, monkeypatch):
+        # 16-element slices: every parameter spans several, the last ragged
+        monkeypatch.setattr(optim, "_SLICE_ELEMENTS", 16)
+        rng = np.random.default_rng(7)
+        params = [Parameter(f"p{i}", rng.standard_normal(shape).astype(np.float32))
+                  for i, shape in enumerate([(3, 5, 3, 3), (1, 7, 1, 1), (2, 3, 1, 1)])]
+        ref = {p.name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for p in params}
+        opt = Adam()
+        for t in range(1, 6):
+            for p in params:
+                p.grad = rng.standard_normal(p.shape).astype(np.float32)
+                plain_adam_update(*ref[p.name], p.grad, t, 1e-2)
+            opt.step(params, lr=1e-2)
+        assert_matches_plain_update(params, opt, ref)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-4, float("nan")])
+    def test_non_positive_lr_rejected(self, lr):
+        p = make_param(0.5, grad=1.0)
+        with pytest.raises(ContractError, match="learning rate"):
+            Adam().step([p], lr=lr)
+        assert float(p.data.ravel()[0]) == 0.5
 
 
 class TestSchedule:

@@ -1,5 +1,6 @@
 """Forward semantics of every tensor operator, checked against oracles."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,9 +97,62 @@ class TestConv2d:
         result = gradcheck(lambda: conv2d(x, wt, b), [x, wt, b], rng=rng, name="conv2d")
         assert result.max_rel_error < 1e-6
 
-    def test_tape_holds_one_padded_copy_of_the_input(self):
-        # 24 -> 8 channels at 128x128: a 1.5 MiB input, 1.6 MiB padded; an
-        # im2col matrix alone would be 9x the input
+    @pytest.mark.parametrize("n,k,widths,cout,rows", [
+        (1, 1, (2,), 3, 1),
+        (2, 3, (1, 2), 2, 2),
+        (2, 5, (2, 1, 2), 1, 3),
+        (1, 5, (1,), 2, 2),
+        (2, 1, (3, 1, 1), 2, 3),
+        (1, 3, (2, 2, 1), 1, 3),
+    ])
+    def test_row_bands_of_several_inputs(self, monkeypatch, n, k, widths, cout, rows):
+        # 7 rows in bands of ``rows``: the last band is ragged unless rows is 1
+        h, w = 7, 9
+        cin = sum(widths)
+        monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", rows * (cin + cout) * (w + k - 1) * 8)
+        heights = []
+        slab = tensor._slab
+
+        def recorded_slab(x, top, bottom, p):
+            heights.append(bottom - top - 2 * p)
+            return slab(x, top, bottom, p)
+
+        monkeypatch.setattr(tensor, "_slab", recorded_slab)
+        rng = np.random.default_rng(len(widths) * 10 + k)
+        xs = [Tensor(rng.uniform(-1, 1, (n, c, h, w)), dtype=np.float64) for c in widths]
+        wt, b = (Tensor(rng.uniform(-1, 1, shape), dtype=np.float64)
+                 for shape in ((cout, cin, k, k), (1, cout, 1, 1)))
+        out = conv2d(tuple(xs), wt, b)
+        bands = [rows] * (h // rows) + ([h % rows] if h % rows else [])
+        assert heights == [r for r in bands for _ in widths] * n
+        whole = np.concatenate([x.data for x in xs], axis=1)
+        npt.assert_allclose(out.data, conv2d_naive(whole, wt.data, b.data, 1, k // 2),
+                            rtol=1e-12, atol=1e-12)
+        result = gradcheck(lambda: conv2d(tuple(xs), wt, b), [*xs, wt, b], rng=rng,
+                           name="conv2d")
+        assert len(result.per_input) == len(widths) + 2
+        assert result.max_rel_error < 1e-6
+
+    def test_one_input_tuple_is_the_tensor(self):
+        rng = np.random.default_rng(5)
+        x, wt, b = (t4(rng.uniform(-1, 1, shape))
+                    for shape in ((2, 3, 5, 4), (2, 3, 3, 3), (1, 2, 1, 1)))
+        npt.assert_array_equal(conv2d((x,), wt, b).data, conv2d(x, wt, b).data)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 4, 4), (1, 1, 3, 4), (1, 1, 4, 5)])
+    def test_inputs_must_share_batch_and_extents(self, shape):
+        a = t4(np.zeros((1, 2, 4, 4)))
+        with pytest.raises(DimensionError, match=re.escape(f"{a.shape} vs {shape}")):
+            conv2d((a, t4(np.zeros(shape))), t4(np.zeros((1, 3, 3, 3))),
+                   t4(np.zeros((1, 1, 1, 1))))
+
+    def test_empty_input_tuple_rejected(self):
+        with pytest.raises(DimensionError):
+            conv2d((), t4(np.zeros((1, 1, 3, 3))), t4(np.zeros((1, 1, 1, 1))))
+
+    def test_tape_holds_no_padded_copy_of_the_input(self):
+        # 24 -> 8 channels at 128x128: a 1.5 MiB input, 1.6 MiB padded; the
+        # tape keeps the input itself, so only the output is new
         rng = np.random.default_rng(3)
         x = t4(rng.uniform(-1, 1, (1, 24, 128, 128)))
         w = t4(rng.uniform(-1, 1, (8, 24, 3, 3)))
@@ -111,7 +165,22 @@ class TestConv2d:
                 held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert out.data.nbytes < held < 3 * x.data.nbytes
+        assert out.data.nbytes < held < out.data.nbytes + x.data.nbytes / 10
+
+    def test_forward_peak_is_the_output_and_one_band(self):
+        # 24 -> 8 channels at 256x256: a 6 MiB input; a whole padded copy
+        # of it would not fit under the bound
+        rng = np.random.default_rng(4)
+        x = t4(rng.uniform(-1, 1, (1, 24, 256, 256)))
+        w = t4(rng.uniform(-1, 1, (8, 24, 3, 3)))
+        b = t4(np.zeros((1, 8, 1, 1)))
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + x.data.nbytes / 4
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(12)
