@@ -11,7 +11,7 @@ from .dataset import DatasetError, PairError, scan_dataset
 from .imageio import (ImageParseError, UnsupportedImageError, encoder_for, load_image,
                       save_image)
 from .inference import enhance, evaluate_network
-from .tensor import ContractError, DimensionError, set_backward_fault
+from .tensor import ContractError, DimensionError
 from .training import TrainingError, load_network, train
 from .verify import format_report, op_names, run_full_suite
 
@@ -50,11 +50,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    set_backward_fault(args.inject_fault)
-    try:
-        results = run_full_suite(trials=args.trials, seed=args.seed)
-    finally:
-        set_backward_fault(None)
+    results = run_full_suite(trials=args.trials, seed=args.seed, fault=args.inject_fault)
     print(format_report(results))
     failed = [r.name for r in results if not r.passed]
     if failed:
@@ -71,6 +67,13 @@ def _cmd_ablate(args) -> int:
     print()
     print(format_ablation_table(results))
     return 0
+
+
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all ops and blocks")
-    p.add_argument("--trials", type=int, default=5, help="random instances per op")
+    p.add_argument("--trials", type=positive_int, default=5,
+                   help="random instances per op (at least 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", metavar="OP", choices=op_names(),
                    help="corrupt OP's backward rule (negative control)")

@@ -50,6 +50,9 @@ class RunConfig:
         if not self.data_root:
             raise ConfigError("data_root is not set; it must name a directory "
                               "with input/ and target/")
+        if not self.output_dir:
+            raise ConfigError("output_dir is not set; it must name the directory "
+                              "for checkpoints and the loss log")
 
 
 def _parse_bool(raw: str) -> bool:

@@ -22,13 +22,14 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray):
         raise ValueError(f"image dimensions disagree: {a.shape} vs {b.shape}")
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_value: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB over all channels; inf when equal."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB over all channels, for a peak value
+    of 1; inf when equal."""
     _check_same_shape(a, b)
     mse = float(np.mean(np.square(a.astype(np.float64) - b.astype(np.float64))))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(max_value * max_value / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def _gaussian_kernel1d(size: int, sigma: float) -> np.ndarray:

@@ -11,6 +11,11 @@ from .tensor import ContractError, Parameter
 # across its elementwise passes.
 _SLICE_ELEMENTS = 2 ** 16
 
+# Adam's moment decay rates and the denominator's epsilon.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 @dataclass
 class StepDecaySchedule:
@@ -35,9 +40,6 @@ class Adam:
     parameter's gradient buffer is cleared.
     """
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -59,18 +61,18 @@ class Adam:
                 data, g, m, v = (a[start:start + _SLICE_ELEMENTS] for a in flat)
                 # lr * m_hat / (sqrt(v_hat) + eps), evaluated in two scratch
                 # buffers with the same roundings as the plain expression
-                step = np.multiply(g, 1 - self.beta1)
-                m *= self.beta1
+                step = np.multiply(g, 1 - _BETA1)
+                m *= _BETA1
                 m += step
                 np.square(g, out=step)
-                step *= 1 - self.beta2
-                v *= self.beta2
+                step *= 1 - _BETA2
+                v *= _BETA2
                 v += step
-                np.divide(m, 1 - self.beta1 ** t, out=step)
+                np.divide(m, 1 - _BETA1 ** t, out=step)
                 step *= lr
-                denom = np.divide(v, 1 - self.beta2 ** t)
+                denom = np.divide(v, 1 - _BETA2 ** t)
                 np.sqrt(denom, out=denom)
-                denom += self.eps
+                denom += _EPS
                 step /= denom
                 data -= step
             p.grad = None

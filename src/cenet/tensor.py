@@ -212,64 +212,55 @@ _CONV_BAND_BYTES = 256 * 2 ** 10
 def _bands(xs: list[np.ndarray], cout: int, k: int):
     """Walk the output of a stride-1 "same" convolution of ``xs`` band by band.
 
-    Yields (image, first row, end row, slabs) per band of output rows.
-    ``slabs`` gives, one input at a time, the input rows the band reads
-    (first - p up to end + p, p = k // 2) zero-padded by p columns on each
-    side, plus one zero row that keeps the last tap's slice in bounds, as
-    a flat (Cin_j, (rows + 2p + 1) * (W + 2p)) array. A band holds
+    Yields (image, first row, end row, windows) per band of output rows.
+    The band reads one slab: the input rows first - p up to end + p
+    (p = k // 2) of every input, stacked along channels in order, zero
+    outside the image, padded by p columns on each side and by one zero
+    row below, flattened to (Cin, (rows + 2p + 1) * (W + 2p)). ``windows``
+    are the k² shifted slices of that slab, in row-major tap order, each
+    (Cin, rows * (W + 2p)): the band's output rows at the slab's pitch,
+    whose last 2p columns per row fall over the padding. A band holds
     ``_CONV_BAND_BYTES`` of input and output rows, or as many rows as the
     taps' bytes when those are larger, so that deep layers stream their
     taps once per band of about their own size, not once per few rows.
     """
     n, _, h, w = xs[0].shape
     p = k // 2
+    wp = w + 2 * p
     cin = sum(x.shape[1] for x in xs)
-    row_bytes = (cin + cout) * (w + 2 * p) * xs[0].itemsize
+    row_bytes = (cin + cout) * wp * xs[0].itemsize
     weight_bytes = k * k * cout * cin * xs[0].itemsize
     rows = max(1, _CONV_BAND_BYTES // row_bytes, -(-weight_bytes // row_bytes))
     for i in range(n):
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
-            yield i, r0, r1, (_slab(x[i], r0 - p, r1 + p, p) for x in xs)
+            lo, hi = max(r0 - p, 0), min(r1 + p, h)
+            slab = np.zeros((cin, r1 - r0 + 2 * p + 1, wp), dtype=xs[0].dtype)
+            np.concatenate([x[i, :, lo:hi] for x in xs],
+                           out=slab[:, lo - r0 + p:hi - r0 + p, p:p + w])
+            slab = slab.reshape(cin, -1)
+            span = (r1 - r0) * wp
+            yield i, r0, r1, [slab[:, dy * wp + dx:dy * wp + dx + span]
+                              for dy in range(k) for dx in range(k)]
 
 
-def _slab(x: np.ndarray, top: int, bottom: int, p: int) -> np.ndarray:
-    """Rows top up to bottom of one (C, H, W) image, zero outside it, padded
-    by p columns on each side and one zero row below, flattened per channel."""
-    c, h, w = x.shape
-    slab = np.zeros((c, bottom - top + 1, w + 2 * p), dtype=x.dtype)
-    lo, hi = max(top, 0), min(bottom, h)
-    slab[:, lo - top:hi - top, p:p + w] = x[:, lo:hi]
-    return slab.reshape(c, -1)
-
-
-def _tap_offsets(k: int, wp: int) -> list[int]:
-    """Where each tap's slice starts on a slab with rows of ``wp``, in
-    row-major tap order."""
-    return [dy * wp + dx for dy in range(k) for dx in range(k)]
-
-
-def _same_conv(xs: list[np.ndarray], taps: list[np.ndarray], k: int) -> np.ndarray:
+def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int) -> np.ndarray:
     """Stride-1 "same" convolution of the channel concatenation of ``xs``.
 
-    ``xs`` are (N, Cin_j, H, W) arrays and ``taps[j]`` is input j's (k*k,
-    Cout, Cin_j) tap matrices. Per band of output rows, each tap is one
-    GEMM with a shifted slice of each input's slab, summed into the band's
-    accumulator, whose columns over the padding are computed and dropped.
+    ``xs`` are (N, Cin_j, H, W) arrays and ``taps`` the (k*k, Cout, Cin)
+    tap matrices. Per band of output rows, each tap is one GEMM with its
+    window of the band's slab, summed into the band's accumulator, whose
+    columns over the padding are computed and dropped.
     """
     n, _, h, w = xs[0].shape
-    cout = taps[0].shape[1]
-    wp = w + k - 1
-    offsets = _tap_offsets(k, wp)
+    cout = taps.shape[1]
     out = np.empty((n, cout, h, w), dtype=xs[0].dtype)
-    for i, r0, r1, slabs in _bands(xs, cout, k):
-        span = (r1 - r0) * wp
-        acc = np.zeros((cout, span), dtype=out.dtype)
+    for i, r0, r1, windows in _bands(xs, cout, k):
+        acc = np.zeros((cout, windows[0].shape[1]), dtype=out.dtype)
         part = np.empty_like(acc)
-        for slab, tj in zip(slabs, taps):
-            for tap, off in zip(tj, offsets):
-                acc += np.matmul(tap, slab[:, off:off + span], out=part)
-        out[i, :, r0:r1] = acc.reshape(cout, r1 - r0, wp)[:, :, :w]
+        for tap, window in zip(taps, windows):
+            acc += np.matmul(tap, window, out=part)
+        out[i, :, r0:r1] = acc.reshape(cout, r1 - r0, -1)[:, :, :w]
     return out
 
 
@@ -282,12 +273,12 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor) -> Tens
     bias)`` without building the concatenation. ``weight`` is (Cout, Cin,
     k, k) with odd k and Cin the inputs' total width; ``bias`` is (1, Cout,
     1, 1). The output keeps the inputs' H and W. The work runs in bands of
-    output rows, each padding only its own input rows, so no padded copy
-    of an input exists whole and the tape keeps only the inputs
-    themselves. The backward rule yields a gradient for each input, the
-    weight and the bias; the input gradient is the same convolution of the
-    upstream gradient with the kernel flipped in space and its channel
-    axes swapped.
+    output rows, each stacking and padding only its own input rows, so no
+    padded copy or concatenation of the inputs exists whole and the tape
+    keeps only the inputs themselves. The backward rule yields a gradient
+    for each input, the weight and the bias; the input gradient is the
+    same convolution of the upstream gradient with the kernel flipped in
+    space and its channel axes swapped.
     """
     xs = (x,) if isinstance(x, Tensor) else tuple(x)
     if not xs:
@@ -313,24 +304,18 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor) -> Tens
     splits = np.cumsum(widths)[:-1]
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
     data = [t.data for t in xs]
-    out = _same_conv(data, np.split(taps, splits, axis=2), k)
+    out = _same_conv(data, taps, k)
     out += bias.data
 
     def backward_fn(up):
         # a spatial flip reverses the tap order
-        d_x = _same_conv([up], [taps[::-1].transpose(0, 2, 1)], k)
-        wp = w + k - 1
-        offsets = _tap_offsets(k, wp)
-        d_taps = [np.zeros((k * k, cout, c), dtype=taps.dtype) for c in widths]
-        for i, r0, r1, slabs in _bands(data, cout, k):
-            span = (r1 - r0) * wp
-            up_band = np.zeros((cout, r1 - r0, wp), dtype=up.dtype)
-            up_band[:, :, :w] = up[i, :, r0:r1]
-            up_band = up_band.reshape(cout, span)
-            for slab, dj in zip(slabs, d_taps):
-                for d, off in zip(dj, offsets):
-                    d += up_band @ slab[:, off:off + span].T
-        d_taps = np.concatenate(d_taps, axis=2)
+        d_x = _same_conv([up], taps[::-1].transpose(0, 2, 1), k)
+        d_taps = np.zeros_like(taps)
+        for i, r0, r1, windows in _bands(data, cout, k):
+            up_band = np.zeros((cout, windows[0].shape[1]), dtype=up.dtype)
+            up_band.reshape(cout, r1 - r0, -1)[:, :, :w] = up[i, :, r0:r1]
+            for d, window in zip(d_taps, windows):
+                d += up_band @ window.T
         d_weight = d_taps.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         d_bias = up.sum(axis=(0, 2, 3), keepdims=True)
         return (*np.split(d_x, splits, axis=1), d_weight, d_bias)
@@ -583,14 +568,8 @@ def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-# Name of an op whose backward rule ``gradcheck`` deliberately corrupts;
-# lets the checker prove it actually detects wrong analytic gradients.
-_FAULT_TARGET: str | None = None
-
-
-def set_backward_fault(op_name: str | None):
-    global _FAULT_TARGET
-    _FAULT_TARGET = op_name
+# Central-difference step of ``gradcheck``, in 64-bit arithmetic.
+_GRADCHECK_STEP = 1e-5
 
 
 def _corrupted(backward_fn):
@@ -623,22 +602,20 @@ class GradcheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def gradcheck(forward_fn, inputs, h: float = 1e-5, tol: float = 1e-4,
-              rng=None, max_coords: int | None = None, name: str = "op") -> GradcheckResult:
+def gradcheck(forward_fn, inputs, tol: float = 1e-4, rng=None, max_coords: int | None = None,
+              name: str = "op", fault: str | None = None) -> GradcheckResult:
     """Compare analytic gradients against central finite differences.
 
     ``forward_fn()`` recomputes the output from the current contents of
     ``inputs``, which must be float64 tensors; differences are taken in
-    64-bit arithmetic with step ``h``. The output is scalarized by a fixed
-    random weighting so the full Jacobian is exercised. With
-    ``max_coords`` set, only a deterministic random subset of each
-    input's coordinates is probed (needed to keep whole-network checks
-    fast). Failure is a report outcome, not an exception. While
-    ``set_backward_fault`` names an op, that op's backward rules on this
-    check's tape are corrupted, so the check must fail (a negative control).
+    64-bit arithmetic with step ``_GRADCHECK_STEP``. The output is
+    scalarized by a fixed random weighting so the full Jacobian is
+    exercised. With ``max_coords`` set, only a deterministic random subset
+    of each input's coordinates is probed (needed to keep whole-network
+    checks fast). Failure is a report outcome, not an exception. With
+    ``fault`` naming an op, that op's backward rules on this check's tape
+    are corrupted, so the check must fail (a negative control).
     """
-    if h <= 0:
-        raise ContractError("gradcheck step h must be positive")
     rng = rng if rng is not None else np.random.default_rng(0)
     for t in inputs:
         if t.dtype != np.float64:
@@ -650,7 +627,7 @@ def gradcheck(forward_fn, inputs, h: float = 1e-5, tol: float = 1e-4,
         probe = rng.standard_normal(out.shape)
         loss = weighted_sum(out, probe)
         for node in tape.nodes:
-            if node.op_name == _FAULT_TARGET:
+            if node.op_name == fault:
                 node.backward_fn = _corrupted(node.backward_fn)
         backward(loss)
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
@@ -668,12 +645,12 @@ def gradcheck(forward_fn, inputs, h: float = 1e-5, tol: float = 1e-4,
         worst = 0.0
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
+            flat[c] = orig + _GRADCHECK_STEP
             f_plus = scalar_eval()
-            flat[c] = orig - h
+            flat[c] = orig - _GRADCHECK_STEP
             f_minus = scalar_eval()
             flat[c] = orig
-            numeric = (f_plus - f_minus) / (2 * h)
+            numeric = (f_plus - f_minus) / (2 * _GRADCHECK_STEP)
             ana = a.reshape(-1)[c]
             denom = max(abs(ana), abs(numeric), 1e-3 * scale_floor, 1e-12)
             worst = max(worst, abs(ana - numeric) / denom)

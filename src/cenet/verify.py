@@ -12,6 +12,13 @@ from . import tensor as tc
 from .blocks import BasicBlock, DenseResidualBlock, EnhancementNetwork, NetworkConfig, NonLocalBlock
 from .tensor import GradcheckResult, Tensor, gradcheck
 
+# Relative-error bounds of the op checks and of the block and network checks.
+_OP_TOL = 1e-4
+_BLOCK_TOL = 1e-3
+# Coordinates probed per parameter tensor in the block and network checks.
+_BLOCK_COORDS = 25
+_NETWORK_COORDS = 6
+
 
 def _t(rng, shape) -> Tensor:
     return Tensor(rng.uniform(-1.0, 1.0, shape), dtype=np.float64)
@@ -100,39 +107,41 @@ def op_names() -> list[str]:
     return [name for name, _, _ in op_cases(np.random.default_rng(0))]
 
 
-def run_op_suite(trials: int = 20, seed: int = 0, tol: float = 1e-4) -> list[GradcheckResult]:
-    """Gradcheck every operator over ``trials`` random instances."""
+def run_op_suite(trials: int = 20, seed: int = 0,
+                 fault: str | None = None) -> list[GradcheckResult]:
+    """Gradcheck every operator over ``trials`` random instances, with
+    ``fault``'s backward rule corrupted when it names an op."""
     worst: dict[str, GradcheckResult] = {}
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         for name, forward_fn, inputs in op_cases(rng):
-            result = gradcheck(forward_fn, inputs, tol=tol, rng=rng, name=name)
+            result = gradcheck(forward_fn, inputs, tol=_OP_TOL, rng=rng, name=name,
+                               fault=fault)
             best = worst.get(name)
             if best is None or result.max_rel_error > best.max_rel_error:
                 worst[name] = result
     return list(worst.values())
 
 
-def run_block_suite(seed: int = 0, tol: float = 1e-3,
-                    max_coords: int = 25) -> list[GradcheckResult]:
-    """Gradcheck the three block types plus the full tiny network.
+def run_block_suite(seed: int = 0, fault: str | None = None) -> list[GradcheckResult]:
+    """Gradcheck the three block types.
 
     Parameter sets are large, so a seeded subset of coordinates is probed
     per tensor.
     """
     results = []
     rng = np.random.default_rng((seed, 1000))
+    opts = dict(tol=_BLOCK_TOL, rng=rng, max_coords=_BLOCK_COORDS, fault=fault)
 
     basic = BasicBlock("bb", 3, 4, seed=seed, dtype=np.float64)
     x = _t(rng, (1, 3, 6, 6))
     results.append(gradcheck(lambda: basic.forward(x), [x] + basic.parameters(),
-                             tol=tol, rng=rng, max_coords=max_coords, name="basic_block"))
+                             name="basic_block", **opts))
 
     drb = DenseResidualBlock("drb", 4, seed=seed, dtype=np.float64)
     xd = _t(rng, (1, 4, 6, 6))
     results.append(gradcheck(lambda: drb.forward(xd), [xd] + drb.parameters(),
-                             tol=tol, rng=rng, max_coords=max_coords,
-                             name="dense_residual_block"))
+                             name="dense_residual_block", **opts))
 
     attn = NonLocalBlock("attn", 4, seed=seed, dtype=np.float64)
     # The output projection is zero at init; give it values so its path
@@ -140,26 +149,26 @@ def run_block_suite(seed: int = 0, tol: float = 1e-3,
     attn.out_w.data = rng.uniform(-0.5, 0.5, attn.out_w.shape)
     xn = _t(rng, (1, 4, 4, 4))
     results.append(gradcheck(lambda: attn.forward(xn), [xn] + attn.parameters(),
-                             tol=tol, rng=rng, max_coords=max_coords, name="nonlocal_block"))
+                             name="nonlocal_block", **opts))
     return results
 
 
-def run_network_check(seed: int = 0, tol: float = 1e-3,
-                      max_coords: int = 6) -> GradcheckResult:
+def run_network_check(seed: int = 0, fault: str | None = None) -> GradcheckResult:
     """End-to-end gradcheck of the full variant at tiny scale."""
     rng = np.random.default_rng((seed, 2000))
     config = NetworkConfig(num_stages=2, base_channels=4)
     network = EnhancementNetwork(config, seed=seed, dtype=np.float64)
     x = Tensor(rng.uniform(0.0, 1.0, (1, 3, 8, 8)), dtype=np.float64)
-    return gradcheck(lambda: network.forward(x), [x] + network.parameters(),
-                     tol=tol, rng=rng, max_coords=max_coords, name="network")
+    return gradcheck(lambda: network.forward(x), [x] + network.parameters(), tol=_BLOCK_TOL,
+                     rng=rng, max_coords=_NETWORK_COORDS, name="network", fault=fault)
 
 
-def run_full_suite(trials: int = 5, seed: int = 0) -> list[GradcheckResult]:
+def run_full_suite(trials: int = 5, seed: int = 0,
+                   fault: str | None = None) -> list[GradcheckResult]:
     """The gradcheck command's work list: ops, blocks, then the network."""
-    results = run_op_suite(trials=trials, seed=seed)
-    results += run_block_suite(seed=seed)
-    results.append(run_network_check(seed=seed))
+    results = run_op_suite(trials=trials, seed=seed, fault=fault)
+    results += run_block_suite(seed=seed, fault=fault)
+    results.append(run_network_check(seed=seed, fault=fault))
     return results
 
 

@@ -26,7 +26,6 @@ from cenet.tensor import (
     maxpool2d,
     op_census,
     prelu,
-    set_backward_fault,
     upsample_nearest2x,
     weighted_sum,
 )
@@ -299,35 +298,9 @@ class TestGradcheckHarness:
             assert r.passed, f"{r.name}: {r.max_rel_error}"
 
     def test_negative_control_fails(self):
-        set_backward_fault("conv2d")
-        try:
-            results = run_op_suite(trials=1)
-        finally:
-            set_backward_fault(None)
+        results = run_op_suite(trials=1, fault="conv2d")
         failed = {r.name for r in results if not r.passed}
         assert failed == {"conv2d"}
-
-    def test_fault_target_leaves_plain_backward_alone(self):
-        # only gradcheck applies the fault; a training step never sees it
-        rng = np.random.default_rng(5)
-        x, w, b = (t4(rng.uniform(-1, 1, shape))
-                   for shape in ((1, 2, 4, 4), (3, 2, 3, 3), (1, 3, 1, 1)))
-
-        def grads():
-            for t in (x, w, b):
-                t.grad = None
-            with Tape():
-                backward(total(conv2d(x, w, b)))
-            return [t.grad for t in (x, w, b)]
-
-        clean = grads()
-        set_backward_fault("conv2d")
-        try:
-            faulty = grads()
-        finally:
-            set_backward_fault(None)
-        for before, after in zip(clean, faulty):
-            npt.assert_array_equal(before, after)
 
     def test_rejects_float32_inputs(self):
         x = t4(np.ones((1, 1, 1, 1)))

@@ -111,20 +111,21 @@ class TestConv2d:
         cin = sum(widths)
         monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", rows * (cin + cout) * (w + k - 1) * 8)
         heights = []
-        slab = tensor._slab
+        bands = tensor._bands
 
-        def recorded_slab(x, top, bottom, p):
-            heights.append(bottom - top - 2 * p)
-            return slab(x, top, bottom, p)
+        def recorded_bands(xs, cout, k):
+            for band in bands(xs, cout, k):
+                heights.append(band[2] - band[1])
+                yield band
 
-        monkeypatch.setattr(tensor, "_slab", recorded_slab)
+        monkeypatch.setattr(tensor, "_bands", recorded_bands)
         rng = np.random.default_rng(len(widths) * 10 + k)
         xs = [Tensor(rng.uniform(-1, 1, (n, c, h, w)), dtype=np.float64) for c in widths]
         wt, b = (Tensor(rng.uniform(-1, 1, shape), dtype=np.float64)
                  for shape in ((cout, cin, k, k), (1, cout, 1, 1)))
         out = conv2d(tuple(xs), wt, b)
-        bands = [rows] * (h // rows) + ([h % rows] if h % rows else [])
-        assert heights == [r for r in bands for _ in widths] * n
+        # one slab per band, holding every input's rows
+        assert heights == ([rows] * (h // rows) + ([h % rows] if h % rows else [])) * n
         whole = np.concatenate([x.data for x in xs], axis=1)
         npt.assert_allclose(out.data, conv2d_naive(whole, wt.data, b.data, 1, k // 2),
                             rtol=1e-12, atol=1e-12)
@@ -132,6 +133,28 @@ class TestConv2d:
                            name="conv2d")
         assert len(result.per_input) == len(widths) + 2
         assert result.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("k,widths", [(3, (3, 5)), (1, (2, 1, 4)), (5, (1, 6))])
+    def test_tuple_is_bitwise_its_concatenation(self, monkeypatch, k, widths):
+        # float32 and ragged bands: the tuple and the concatenation run the
+        # same GEMMs on the same slabs, so nothing may differ even in rounding
+        monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", 4 * (sum(widths) + 4) * (9 + k) * 4)
+        rng = np.random.default_rng(k)
+        xs = [t4(rng.uniform(-1, 1, (2, c, 9, 10))) for c in widths]
+        wt, b = (t4(rng.uniform(-1, 1, shape)) for shape in ((4, sum(widths), k, k), (1, 4, 1, 1)))
+        probe = rng.standard_normal((2, 4, 9, 10))
+
+        def run(op):
+            for t in (*xs, wt, b):
+                t.grad = None
+            with Tape():
+                out = op()
+                backward(weighted_sum(out, probe))
+            return [out.data] + [t.grad for t in (*xs, wt, b)]
+
+        for got, want in zip(run(lambda: conv2d(tuple(xs), wt, b)),
+                             run(lambda: conv2d(concat_channels(*xs), wt, b))):
+            npt.assert_array_equal(got, want)
 
     def test_one_input_tuple_is_the_tensor(self):
         rng = np.random.default_rng(5)

@@ -300,6 +300,18 @@ class TestCli:
         assert exit_info.value.code != 0
         assert "invalid choice: 'conv'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_gradcheck_needs_a_trial(self, monkeypatch, capsys, trials):
+        # zero trials would check no op, even with a fault injected
+        def must_not_run(**kwargs):
+            raise AssertionError("checks ran with no trials")
+
+        monkeypatch.setattr(cli, "run_full_suite", must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["gradcheck", "--trials", trials, "--inject-fault", "matmul"])
+        assert exit_info.value.code == 2
+        assert f"must be at least 1, got {trials}" in capsys.readouterr().err
+
     def test_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
         assert "error" in capsys.readouterr().err
@@ -340,6 +352,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: data_root is not set")
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_empty_output_dir_exits_before_training(self, dataset, tmp_path, capsys,
+                                                    monkeypatch, command):
+        # an empty output_dir would write checkpoints and the log into cwd
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(format_config(tiny_config(dataset, "", iters=4)))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli.main([command, "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: output_dir is not set")
+        assert not any(cwd.iterdir())
 
     def test_out_of_memory_exits_with_hint(self, monkeypatch, capsys):
         def exhausted(args):
