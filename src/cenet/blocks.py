@@ -193,6 +193,16 @@ class NetworkConfig:
     def divisor(self) -> int:
         return 2 ** self.num_stages
 
+    @classmethod
+    def of_parameters(cls, shapes: dict[str, tuple[int, ...]]) -> "NetworkConfig":
+        """The config of the network whose parameters, by name, have ``shapes``."""
+        stages = 1
+        while f"enc{stages}.bb.conv1.weight" in shapes:
+            stages += 1
+        width = shapes.get("enc0.bb.conv1.weight") or (1,)  # if bad, restore names it
+        return cls(stages, max(width[0], 1),
+                   "mid.attn.query.weight" in shapes, "mid.drb.layer1.weight" in shapes)
+
 
 class EnhancementNetwork(Block):
     """Encoder-decoder enhancement network with optional global and local

@@ -9,10 +9,11 @@ Layout, little-endian throughout:
         optimizer step count u64 | record count u32 | records as above
     crc32 u32 of all preceding bytes
 
-Round-trips are bit-exact; a CRC mismatch or truncation is a corruption
-error, and loading into a model with a different parameter census is an
-explicit incompatibility error. Saving writes the arrays' own buffers;
-a loaded checkpoint's arrays are read-only views of the file's bytes.
+Round-trips are bit-exact, and a CRC mismatch or truncation is a
+corruption error. This module knows only the file format: checking the
+records against a network's parameter census is ``training.restore``'s
+job. Saving writes the arrays' own buffers; a loaded checkpoint's arrays
+are read-only views of the file's bytes.
 """
 
 import math
@@ -93,6 +94,8 @@ def _unpack_records(reader: _Reader, count: int) -> dict[str, np.ndarray]:
     for _ in range(count):
         name_len = reader.read("<I", "record name length")
         name = str(reader.take(name_len, "record name"), "utf-8")
+        if name in tensors:
+            raise CheckpointError(f"duplicate record {name!r}")
         ndim = reader.read("<B", "record ndim")
         dims = tuple(reader.read("<Q", "record dim") for _ in range(ndim))
         raw = reader.take(4 * math.prod(dims), f"values of {name!r}")
@@ -166,20 +169,3 @@ def save(ckpt: Checkpoint, path):
 def load(path) -> Checkpoint:
     return deserialize(Path(path).read_bytes())
 
-
-def apply_to_network(ckpt: Checkpoint, network):
-    """Copy checkpoint tensors into a network, checking the shape census."""
-    params = network.named_parameters()
-    missing = sorted(set(params) - set(ckpt.tensors))
-    unexpected = sorted(set(ckpt.tensors) - set(params))
-    if missing or unexpected:
-        raise CheckpointError(
-            "checkpoint does not match the network parameter census; "
-            f"missing {missing or 'none'}, unexpected {unexpected or 'none'}")
-    for name, param in params.items():
-        stored = ckpt.tensors[name]
-        if stored.shape != param.data.shape:
-            raise CheckpointError(
-                f"checkpoint tensor {name!r} has shape {stored.shape}, "
-                f"network expects {param.data.shape}")
-        param.data = stored.astype(param.data.dtype, copy=True)

@@ -30,7 +30,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_infer(args) -> int:
     encoder_for(Path(args.output).suffix)  # reject the format before the network runs
-    network = load_network(args.checkpoint, args.config)
+    network = load_network(args.checkpoint)
     image = load_image(args.input)
     out = enhance(network, image, tile=args.tile)
     save_image(out, args.output)
@@ -39,7 +39,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    network = load_network(args.checkpoint, args.config)
+    network = load_network(args.checkpoint)
     records = scan_dataset(args.data)
     report = evaluate_network(network, records, tile=args.tile)
     print(report.to_table())
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input image (png/ppm)")
     p.add_argument("--output", required=True, help="output image path")
     p.add_argument("--tile", type=int, help="process in overlapping tiles of this size")
-    p.add_argument("--config", help="run config (defaults to <checkpoint>.cfg)")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("eval", help="PSNR/SSIM over a paired dataset")
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset root with input/ and target/")
     p.add_argument("--csv", help="also write per-image rows to this CSV file")
     p.add_argument("--tile", type=int)
-    p.add_argument("--config", help="run config (defaults to <checkpoint>.cfg)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all ops and blocks")

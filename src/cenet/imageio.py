@@ -8,6 +8,7 @@ interlaced 8-bit RGB and RGBA (alpha is dropped with a warning).
 
 import logging
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,6 +175,9 @@ def decode_png(data: bytes) -> Image:
                     f"invalid compression/filter method at byte offset {pos}")
             if width == 0 or height == 0:
                 raise ImageParseError(f"zero image extent at byte offset {pos}")
+            if max(width, height) > 2 ** 31 - 1:  # PNG spec 11.2.2
+                raise ImageParseError(
+                    f"image extent {width}x{height} exceeds 2**31 - 1 at byte offset {pos}")
             header = (width, height, color)
         elif ctype == b"IDAT":
             if header is None:
@@ -193,6 +197,8 @@ def decode_png(data: bytes) -> Image:
     width, height, color = header
     bpp = 3 if color == 2 else 4
     expected = (1 + width * bpp) * height
+    if expected >= sys.maxsize:
+        raise ImageParseError(f"declared pixel stream of {expected} bytes is too long to inflate")
     # Inflate at most one byte past the expected length: a stream that would
     # inflate far beyond it is rejected without ever being held in memory.
     inflater = zlib.decompressobj()

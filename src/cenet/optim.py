@@ -87,13 +87,7 @@ class Adam:
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray], step_count: int):
-        self.m.clear()
-        self.v.clear()
-        for name, buf in tensors.items():
-            if name.startswith("m."):
-                self.m[name[2:]] = buf.copy()
-            elif name.startswith("v."):
-                self.v[name[2:]] = buf.copy()
-            else:
-                raise ContractError(f"unrecognized optimizer state record {name!r}")
+        """Inverse of ``state_tensors``; ``training.restore`` checks the records."""
+        self.m = {name[2:]: buf.copy() for name, buf in tensors.items() if name[:2] == "m."}
+        self.v = {name[2:]: buf.copy() for name, buf in tensors.items() if name[:2] == "v."}
         self.step_count = step_count

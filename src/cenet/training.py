@@ -10,9 +10,9 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .blocks import EnhancementNetwork
-from .checkpoint import Checkpoint, apply_to_network, load, save, write_atomic
-from .config import ConfigError, RunConfig, format_config, load_config
+from .blocks import EnhancementNetwork, NetworkConfig
+from .checkpoint import Checkpoint, CheckpointError, load, save, write_atomic
+from .config import RunConfig, format_config
 from .dataset import SampleStream, scan_dataset
 from .optim import Adam
 from .tensor import ContractError, Tape, Tensor, backward, l1_loss
@@ -41,11 +41,33 @@ def snapshot(network: EnhancementNetwork, optimizer: Adam | None,
                       optimizer_tensors=optimizer.state_tensors())
 
 
+def _check_records(records: dict, shapes: dict[str, tuple[int, ...]], what: str):
+    """Require exactly the records named in ``shapes``, each of its shape."""
+    if records.keys() != shapes.keys():
+        raise CheckpointError(
+            f"checkpoint {what} records do not match the network parameter census; "
+            f"missing {sorted(shapes.keys() - records.keys()) or 'none'}, "
+            f"unexpected {sorted(records.keys() - shapes.keys()) or 'none'}")
+    for name, shape in shapes.items():
+        if records[name].shape != shape:
+            raise CheckpointError(
+                f"checkpoint tensor {name!r} has shape {records[name].shape}, "
+                f"network expects {shape}")
+
+
 def restore(ckpt: Checkpoint, network: EnhancementNetwork,
             optimizer: Adam | None = None):
-    apply_to_network(ckpt, network)
+    """Load the checkpoint into ``network``, and its optimizer state, if any,
+    into ``optimizer``, once every record matches the parameter census."""
+    params = network.named_parameters()
+    shapes = {name: p.data.shape for name, p in params.items()}
+    _check_records(ckpt.tensors, shapes, "parameter")
     if optimizer is not None and ckpt.has_optimizer_state:
+        _check_records(ckpt.optimizer_tensors, {f"{moment}.{name}": shape for moment in "mv"
+                                                for name, shape in shapes.items()}, "optimizer")
         optimizer.load_state_tensors(ckpt.optimizer_tensors, ckpt.optimizer_step)
+    for name, param in params.items():
+        param.data = ckpt.tensors[name].astype(param.data.dtype, copy=True)
 
 
 def _save_checkpoint(path: Path, network, optimizer, iteration, config):
@@ -53,18 +75,12 @@ def _save_checkpoint(path: Path, network, optimizer, iteration, config):
     write_atomic(f"{path}.cfg", format_config(config).encode())
 
 
-def load_network(checkpoint, config=None) -> EnhancementNetwork:
-    """Build the network saved in ``checkpoint`` and load its weights. The
-    architecture comes from the run config file ``config``, by default the
-    ``<checkpoint>.cfg`` sidecar that ``_save_checkpoint`` writes."""
-    if config is None:
-        config = Path(f"{checkpoint}.cfg")
-        if not config.exists():
-            raise ConfigError(
-                f"no config given and no sidecar {config} next to the checkpoint")
-    run = load_config(config)
-    network = EnhancementNetwork(run.network, seed=run.seed)
-    restore(load(checkpoint), network)
+def load_network(checkpoint) -> EnhancementNetwork:
+    """The network saved in ``checkpoint``, its architecture read off the records."""
+    ckpt = load(checkpoint)
+    network = EnhancementNetwork(
+        NetworkConfig.of_parameters({name: arr.shape for name, arr in ckpt.tensors.items()}))
+    restore(ckpt, network)
     return network
 
 

@@ -240,6 +240,15 @@ class TestNetwork:
         x = rand4((1, 3, 8, 8))
         assert net.forward(x).shape == x.shape
 
+    @pytest.mark.parametrize("gc,lc", VARIANTS)
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    @pytest.mark.parametrize("stages", [1, 2, 3, 4])
+    def test_config_is_read_off_parameter_shapes(self, stages, width, gc, lc):
+        config = NetworkConfig(stages, width, gc, lc)
+        shapes = {name: p.data.shape
+                  for name, p in EnhancementNetwork(config).named_parameters().items()}
+        assert NetworkConfig.of_parameters(shapes) == config
+
     def test_latent_extent_halves_per_stage(self):
         for m in (1, 2, 3):
             config = NetworkConfig(num_stages=m, base_channels=4)

@@ -2,7 +2,9 @@
 
 import hashlib
 import os
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +15,6 @@ from cenet.blocks import EnhancementNetwork, NetworkConfig
 from cenet.checkpoint import (
     Checkpoint,
     CheckpointError,
-    apply_to_network,
     deserialize,
     load,
     save,
@@ -156,8 +157,6 @@ class TestCheckpoint:
         blob = bytearray(serialize(Checkpoint(1, {"w": np.zeros(3, dtype=np.float32)})))
         blob[:4] = b"XXXX"
         # CRC still covers the body, so recompute it to isolate the magic check
-        import struct
-        import zlib
         body = bytes(blob[:-4])
         blob = body + struct.pack("<I", zlib.crc32(body))
         with pytest.raises(CheckpointError, match="magic"):
@@ -169,7 +168,7 @@ class TestCheckpoint:
         tensors.pop(sorted(tensors)[0])
         tensors["rogue.weight"] = np.zeros((1, 1, 1, 1), dtype=np.float32)
         with pytest.raises(CheckpointError, match="census"):
-            apply_to_network(Checkpoint(0, tensors), net)
+            training.restore(Checkpoint(0, tensors), net)
 
     def test_shape_mismatch_is_explicit(self):
         config, net, _ = trained_network()
@@ -177,16 +176,36 @@ class TestCheckpoint:
         name = sorted(tensors)[0]
         tensors[name] = np.zeros((9, 9), dtype=np.float32)
         with pytest.raises(CheckpointError, match="shape"):
-            apply_to_network(Checkpoint(0, tensors), net)
+            training.restore(Checkpoint(0, tensors), net)
 
-    def test_apply_restores_values(self):
+    def test_restore_copies_values(self):
         _, net, _ = trained_network(seed=1)
         tensors = {n: p.data.copy() for n, p in net.named_parameters().items()}
         ckpt = deserialize(serialize(Checkpoint(5, tensors)))
         fresh = EnhancementNetwork(NetworkConfig(num_stages=1, base_channels=2), seed=99)
-        apply_to_network(ckpt, fresh)
+        training.restore(ckpt, fresh)
         for name, param in fresh.named_parameters().items():
             npt.assert_array_equal(param.data, tensors[name])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda state: state.pop("v.head.bias"), r"missing \['v.head.bias'\]"),
+        (lambda state: state.update({"v.rogue": np.zeros(1, np.float32)}),
+         r"unexpected \['v.rogue'\]"),
+        (lambda state: state.update({"m.head.bias": np.zeros(3, np.float32)}),
+         r"'m.head.bias' has shape \(3,\), network expects \(1, 3, 1, 1\)"),
+    ], ids=["missing", "unexpected", "shape"])
+    def test_optimizer_records_must_match_the_census(self, edit, message):
+        _, net, opt = trained_network()
+        ckpt = training.snapshot(net, opt, 3)
+        edit(ckpt.optimizer_tensors)
+        _, fresh, fresh_opt = trained_network(seed=1, steps=0)
+        before = {n: p.data.copy() for n, p in fresh.named_parameters().items()}
+        with pytest.raises(CheckpointError, match=f"^checkpoint (optimizer|tensor) .*{message}"):
+            training.restore(ckpt, fresh, fresh_opt)
+        # nothing was loaded
+        assert fresh_opt.step_count == 0 and not fresh_opt.m
+        for name, param in fresh.named_parameters().items():
+            npt.assert_array_equal(param.data, before[name])
 
     @pytest.mark.parametrize("failing", ["fsync", "replace"])
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, failing):
@@ -302,6 +321,13 @@ class TestCodec:
         again = deserialize(serialize(ckpt))
         assert again.tensors["s"].shape == ()
         assert again.tensors["s"] == 2.0
+
+    def test_duplicate_record_rejected(self):
+        blob = serialize(Checkpoint(1, {"w": np.zeros(2, np.float32),
+                                        "x": np.ones(2, np.float32)}))
+        body = blob[:-4].replace(b"x", b"w")  # the second record takes the first's name
+        with pytest.raises(CheckpointError, match="duplicate record 'w'"):
+            deserialize(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_write_atomic_concatenates_chunks(self, tmp_path):
         write_atomic(tmp_path / "f", b"a", b"b")

@@ -35,6 +35,13 @@ def png_chunk(ctype, body):
             + struct.pack(">I", zlib.crc32(ctype + body)))
 
 
+def png_with_extent(extent):
+    """An RGB PNG whose header declares ``extent`` x ``extent`` over a tiny stream."""
+    ihdr = struct.pack(">IIBBBBB", extent, extent, 8, 2, 0, 0, 0)
+    return (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr)
+            + png_chunk(b"IDAT", zlib.compress(bytes(16))) + png_chunk(b"IEND", b""))
+
+
 def build_png(arr, color_type=2, bit_depth=8, interlace=0, filters=None):
     """Hand-rolled PNG writer with controllable filter types per row."""
     h, w, channels = arr.shape
@@ -224,6 +231,15 @@ class TestPng:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("extent,message", [
+        (0xFFFFFFFF, r"extent 4294967295x4294967295 exceeds 2\*\*31 - 1"),
+        # within the spec's bound, but its stream is too long to request from zlib
+        (2 ** 31 - 1, "pixel stream of 13835058044544745474 bytes is too long"),
+    ])
+    def test_oversized_extent_rejected(self, extent, message):
+        with pytest.raises(ImageParseError, match=message):
+            decode_png(png_with_extent(extent))
 
     def test_truncated_zlib_stream(self):
         blob = encode_png(Image.from_u8(rand_u8(8, 8, seed=9)))

@@ -8,13 +8,14 @@ import pytest
 
 from cenet import cli
 from cenet.blocks import EnhancementNetwork, NetworkConfig
-from cenet.checkpoint import load
+from cenet.checkpoint import Checkpoint, load, save
 from cenet.config import RunConfig, format_config
 from cenet.imageio import Image, load_image, save_image
 from cenet.inference import enhance
 from cenet.training import TrainingError, restore, train
 
 from reference import synthetic_pair
+from test_imageio import png_with_extent
 
 
 def write_dataset(root, n_pairs=1, size=24, seed=11):
@@ -239,15 +240,88 @@ class TestCli:
         capsys.readouterr()
 
     def test_infer_without_config_or_sidecar(self, dataset, tmp_path, capsys):
+        # the .cfg sidecar is provenance only: deleted or garbage, it changes nothing
         config = tiny_config(dataset, tmp_path / "conf_run", iters=4)
+        config.network.use_global_context = False  # not the default, so the records must say so
         train(config)
         ckpt = tmp_path / "conf_run" / "checkpoint_final.ckpt"
-        (tmp_path / "conf_run" / "checkpoint_final.ckpt.cfg").unlink()
-        code = cli.main(["infer", "--checkpoint", str(ckpt),
+        sidecar = tmp_path / "conf_run" / "checkpoint_final.ckpt.cfg"
+
+        def infer(name):
+            out = tmp_path / name
+            assert cli.main(["infer", "--checkpoint", str(ckpt),
+                             "--input", str(dataset / "input" / "pair0.png"),
+                             "--output", str(out)]) == 0
+            return out.read_bytes()
+
+        with_sidecar = infer("a.png")
+        sidecar.unlink()
+        assert infer("b.png") == with_sidecar
+        sidecar.write_text("workers = 1\n")
+        assert infer("c.png") == with_sidecar
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command,args", [
+        ("infer", ["--input", "in.png", "--output", "out.png"]),
+        ("eval", ["--data", "data"]),
+    ])
+    def test_config_flag_is_a_usage_error(self, capsys, command, args):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--checkpoint", "c.ckpt", "--config", "run.cfg", *args])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut,message", [
+        (lambda name: name == "enc0.bb.conv1.weight", "missing ['enc0.bb.conv1.weight']"),
+        (lambda name: name.startswith("mid."), "do not match the network parameter census"),
+    ], ids=["enc0.bb.conv1.weight", "mid"])
+    def test_infer_rejects_a_checkpoint_with_records_cut(self, dataset, tmp_path, capsys,
+                                                         cut, message):
+        train(tiny_config(dataset, tmp_path / "run", iters=4))
+        ckpt = load(tmp_path / "run" / "checkpoint_final.ckpt")
+        cut_path = tmp_path / "cut.ckpt"
+        save(Checkpoint(ckpt.iteration, {name: arr for name, arr in ckpt.tensors.items()
+                                         if not cut(name)}), cut_path)
+        code = cli.main(["infer", "--checkpoint", str(cut_path),
                          "--input", str(dataset / "input" / "pair0.png"),
                          "--output", str(tmp_path / "x.png")])
         assert code == 1
-        assert "config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint parameter records") and message in err
+        assert "num_stages" not in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda state: state.pop("v.head.bias"), "missing ['v.head.bias']"),
+        (lambda state: state.update({"m.head.bias": state["m.head.bias"].reshape(3)}),
+         "checkpoint tensor 'm.head.bias' has shape (3,), network expects (1, 3, 1, 1)"),
+    ], ids=["v.head.bias-dropped", "m.head.bias-reshaped"])
+    def test_resume_rejects_inconsistent_optimizer_records(self, dataset, tmp_path, capsys,
+                                                           edit, message):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(format_config(tiny_config(dataset, tmp_path / "run", iters=4)))
+        train(tiny_config(dataset, tmp_path / "run", iters=2))
+        ckpt_path = tmp_path / "run" / "checkpoint_final.ckpt"
+        ckpt = load(ckpt_path)
+        state = dict(ckpt.optimizer_tensors)
+        edit(state)
+        save(Checkpoint(ckpt.iteration, dict(ckpt.tensors), ckpt.optimizer_step, state),
+             ckpt_path)
+        before = ckpt_path.read_bytes()
+        code = cli.main(["train", "--config", str(config_path), "--resume", str(ckpt_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ") and message in err
+        assert ckpt_path.read_bytes() == before
+
+    @pytest.mark.parametrize("extent", [0xFFFFFFFF, 2 ** 31 - 1])
+    def test_infer_rejects_an_oversized_png_header(self, dataset, tmp_path, capsys, extent):
+        train(tiny_config(dataset, tmp_path / "run", iters=2))
+        image = tmp_path / "huge.png"
+        image.write_bytes(png_with_extent(extent))
+        code = cli.main(["infer", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.ckpt"),
+                         "--input", str(image), "--output", str(tmp_path / "x.png")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("output,fmt", [("out.jpg", "'jpg'"), ("out", "''")])
     def test_infer_rejects_output_format_before_loading(self, tmp_path, capsys, output, fmt):
@@ -256,23 +330,6 @@ class TestCli:
                          "--output", str(tmp_path / output)])
         assert code == 1
         assert capsys.readouterr().err == f"error: unknown image format {fmt}\n"
-
-    def test_checkpoint_config_mismatch_fails(self, dataset, tmp_path, capsys):
-        config = tiny_config(dataset, tmp_path / "m1", iters=4)
-        train(config)
-        other = tiny_config(dataset, tmp_path / "m2", iters=4)
-        other.network.base_channels = 8
-        other_path = tmp_path / "other.cfg"
-        other_path.write_text(format_config(other))
-        code = cli.main(["infer",
-                         "--checkpoint", str(tmp_path / "m1" / "checkpoint_final.ckpt"),
-                         "--config", str(other_path),
-                         "--input", str(dataset / "input" / "pair0.png"),
-                         "--output", str(tmp_path / "x.png")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "checkpoint tensor 'enc0.bb.conv1.weight' has shape" in err
-        assert "network expects" in err
 
     def test_gradcheck_command(self, capsys):
         assert cli.main(["gradcheck", "--trials", "1"]) == 0
