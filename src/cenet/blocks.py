@@ -39,17 +39,14 @@ def _param_rng(seed: int, name: str) -> np.random.Generator:
         np.random.SeedSequence((int(seed), int.from_bytes(name.encode(), "little"))))
 
 
-def _conv_param(name: str, c_out: int, c_in: int, k: int, seed: int, dtype,
-                zero: bool = False) -> Parameter:
-    if zero:
-        return Parameter(name, np.zeros((c_out, c_in, k, k), dtype=dtype))
+def _conv_param(name: str, c_out: int, c_in: int, k: int, seed: int) -> Parameter:
     bound = math.sqrt(6.0 / (c_in * k * k))
     data = _param_rng(seed, name).uniform(-bound, bound, (c_out, c_in, k, k))
-    return Parameter(name, data.astype(dtype))
+    return Parameter(name, data.astype(np.float32))
 
 
-def _channel_param(name: str, channels: int, value: float, dtype) -> Parameter:
-    return Parameter(name, np.full((1, channels, 1, 1), value, dtype=dtype))
+def _channel_param(name: str, channels: int, value: float) -> Parameter:
+    return Parameter(name, np.full((1, channels, 1, 1), value, dtype=np.float32))
 
 
 class Block:
@@ -75,13 +72,13 @@ class Block:
 class BasicBlock(Block):
     """Two stacked 3x3 convolutions, each followed by a PReLU."""
 
-    def __init__(self, name: str, c_in: int, c_out: int, seed: int, dtype=np.float32):
-        self.conv1_w = _conv_param(f"{name}.conv1.weight", c_out, c_in, 3, seed, dtype)
-        self.conv1_b = _channel_param(f"{name}.conv1.bias", c_out, 0.0, dtype)
-        self.slope1 = _channel_param(f"{name}.act1.slope", c_out, 0.25, dtype)
-        self.conv2_w = _conv_param(f"{name}.conv2.weight", c_out, c_out, 3, seed, dtype)
-        self.conv2_b = _channel_param(f"{name}.conv2.bias", c_out, 0.0, dtype)
-        self.slope2 = _channel_param(f"{name}.act2.slope", c_out, 0.25, dtype)
+    def __init__(self, name: str, c_in: int, c_out: int, seed: int):
+        self.conv1_w = _conv_param(f"{name}.conv1.weight", c_out, c_in, 3, seed)
+        self.conv1_b = _channel_param(f"{name}.conv1.bias", c_out, 0.0)
+        self.slope1 = _channel_param(f"{name}.act1.slope", c_out, 0.25)
+        self.conv2_w = _conv_param(f"{name}.conv2.weight", c_out, c_out, 3, seed)
+        self.conv2_b = _channel_param(f"{name}.conv2.bias", c_out, 0.0)
+        self.slope2 = _channel_param(f"{name}.act2.slope", c_out, 0.25)
 
     def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
         """A tuple ``f`` is read as its channel concatenation."""
@@ -99,21 +96,17 @@ class DenseResidualBlock(Block):
     makes the zero-weight block an exact identity.
     """
 
-    def __init__(self, name: str, channels: int, seed: int, dtype=np.float32):
-        self.channels = channels
-        self.layer1_w = _conv_param(f"{name}.layer1.weight", channels, channels, 3, seed, dtype)
-        self.layer1_b = _channel_param(f"{name}.layer1.bias", channels, 0.0, dtype)
-        self.slope1 = _channel_param(f"{name}.act1.slope", channels, 0.25, dtype)
-        self.layer2_w = _conv_param(f"{name}.layer2.weight", channels, 2 * channels, 3, seed, dtype)
-        self.layer2_b = _channel_param(f"{name}.layer2.bias", channels, 0.0, dtype)
-        self.slope2 = _channel_param(f"{name}.act2.slope", channels, 0.25, dtype)
-        self.layer3_w = _conv_param(f"{name}.layer3.weight", channels, 3 * channels, 3, seed, dtype)
-        self.layer3_b = _channel_param(f"{name}.layer3.bias", channels, 0.0, dtype)
+    def __init__(self, name: str, channels: int, seed: int):
+        self.layer1_w = _conv_param(f"{name}.layer1.weight", channels, channels, 3, seed)
+        self.layer1_b = _channel_param(f"{name}.layer1.bias", channels, 0.0)
+        self.slope1 = _channel_param(f"{name}.act1.slope", channels, 0.25)
+        self.layer2_w = _conv_param(f"{name}.layer2.weight", channels, 2 * channels, 3, seed)
+        self.layer2_b = _channel_param(f"{name}.layer2.bias", channels, 0.0)
+        self.slope2 = _channel_param(f"{name}.act2.slope", channels, 0.25)
+        self.layer3_w = _conv_param(f"{name}.layer3.weight", channels, 3 * channels, 3, seed)
+        self.layer3_b = _channel_param(f"{name}.layer3.bias", channels, 0.0)
 
     def forward(self, f: Tensor) -> Tensor:
-        if f.shape[1] != self.channels:
-            raise DimensionError(
-                f"dense residual block expects {self.channels} channels, got {f.shape[1]}")
         y1 = prelu(conv2d(f, self.layer1_w, self.layer1_b), self.slope1)
         y2 = prelu(conv2d((f, y1), self.layer2_w, self.layer2_b), self.slope2)
         y3 = conv2d((f, y1, y2), self.layer3_w, self.layer3_b)
@@ -130,23 +123,19 @@ class NonLocalBlock(Block):
     which makes a freshly built block the identity map.
     """
 
-    def __init__(self, name: str, channels: int, seed: int, dtype=np.float32):
-        self.channels = channels
+    def __init__(self, name: str, channels: int, seed: int):
         self.inner = (channels + 1) // 2
-        self.query_w = _conv_param(f"{name}.query.weight", self.inner, channels, 1, seed, dtype)
-        self.query_b = _channel_param(f"{name}.query.bias", self.inner, 0.0, dtype)
-        self.key_w = _conv_param(f"{name}.key.weight", self.inner, channels, 1, seed, dtype)
-        self.key_b = _channel_param(f"{name}.key.bias", self.inner, 0.0, dtype)
-        self.value_w = _conv_param(f"{name}.value.weight", self.inner, channels, 1, seed, dtype)
-        self.value_b = _channel_param(f"{name}.value.bias", self.inner, 0.0, dtype)
-        self.out_w = _conv_param(f"{name}.out.weight", channels, self.inner, 1, seed, dtype,
-                                 zero=True)
-        self.out_b = _channel_param(f"{name}.out.bias", channels, 0.0, dtype)
+        self.query_w = _conv_param(f"{name}.query.weight", self.inner, channels, 1, seed)
+        self.query_b = _channel_param(f"{name}.query.bias", self.inner, 0.0)
+        self.key_w = _conv_param(f"{name}.key.weight", self.inner, channels, 1, seed)
+        self.key_b = _channel_param(f"{name}.key.bias", self.inner, 0.0)
+        self.value_w = _conv_param(f"{name}.value.weight", self.inner, channels, 1, seed)
+        self.value_b = _channel_param(f"{name}.value.bias", self.inner, 0.0)
+        self.out_w = Parameter(f"{name}.out.weight",
+                               np.zeros((channels, self.inner, 1, 1), dtype=np.float32))
+        self.out_b = _channel_param(f"{name}.out.bias", channels, 0.0)
 
     def forward(self, z: Tensor) -> Tensor:
-        if z.shape[1] != self.channels:
-            raise DimensionError(
-                f"non-local block expects {self.channels} channels, got {z.shape[1]}")
         mixed = attention(conv2d(z, self.query_w, self.query_b),
                           conv2d(z, self.key_w, self.key_b),
                           conv2d(z, self.value_w, self.value_b))
@@ -161,11 +150,9 @@ class FeatureBlock(Block):
     change of a stage always happens in the basic block.
     """
 
-    def __init__(self, name: str, c_in: int, c_out: int, local_context: bool,
-                 seed: int, dtype=np.float32):
-        self.basic = BasicBlock(f"{name}.bb", c_in, c_out, seed, dtype)
-        self.dense = (DenseResidualBlock(f"{name}.drb", c_out, seed, dtype)
-                      if local_context else None)
+    def __init__(self, name: str, c_in: int, c_out: int, local_context: bool, seed: int):
+        self.basic = BasicBlock(f"{name}.bb", c_in, c_out, seed)
+        self.dense = DenseResidualBlock(f"{name}.drb", c_out, seed) if local_context else None
 
     def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
         y = self.basic.forward(f)
@@ -213,36 +200,31 @@ class EnhancementNetwork(Block):
     have in common regardless of the variant flags.
     """
 
-    def __init__(self, config: NetworkConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: NetworkConfig, seed: int = 0):
         config.validate()
         self.config = config
-        self.seed = seed
         m = config.num_stages
         lc = config.use_local_context
         self.encoder: list[FeatureBlock] = []
         c_in = RGB_CHANNELS
         for i in range(m):
             c_out = config.base_channels * 2 ** i
-            self.encoder.append(FeatureBlock(f"enc{i}", c_in, c_out, lc, seed, dtype))
+            self.encoder.append(FeatureBlock(f"enc{i}", c_in, c_out, lc, seed))
             c_in = c_out
         mid_channels = config.base_channels * 2 ** m
-        self.mid = FeatureBlock("mid", c_in, mid_channels, lc, seed, dtype)
-        self.attention = (NonLocalBlock("mid.attn", mid_channels, seed, dtype)
+        self.mid = FeatureBlock("mid", c_in, mid_channels, lc, seed)
+        self.attention = (NonLocalBlock("mid.attn", mid_channels, seed)
                           if config.use_global_context else None)
         self.decoder: list[FeatureBlock] = []
         for i in reversed(range(m)):
             c_src = config.base_channels * 2 ** (i + 1)
             c_skip = config.base_channels * 2 ** i
-            self.decoder.append(
-                FeatureBlock(f"dec{i}", c_src + c_skip, c_skip, lc, seed, dtype))
-        self.head_w = _conv_param("head.weight", RGB_CHANNELS,
-                                  config.base_channels, 3, seed, dtype)
-        self.head_b = _channel_param("head.bias", RGB_CHANNELS, 0.0, dtype)
+            self.decoder.append(FeatureBlock(f"dec{i}", c_src + c_skip, c_skip, lc, seed))
+        self.head_w = _conv_param("head.weight", RGB_CHANNELS, config.base_channels, 3, seed)
+        self.head_b = _channel_param("head.bias", RGB_CHANNELS, 0.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        if c != RGB_CHANNELS:
-            raise DimensionError(f"network expects {RGB_CHANNELS} input channels, got {c}")
+        h, w = x.shape[2:]
         div = self.config.divisor
         if h % div or w % div:
             raise DimensionError(

@@ -161,6 +161,8 @@ def decode_png(data: bytes) -> Image:
             raise ImageParseError(f"CRC mismatch in {ctype.decode('latin1')} chunk "
                                   f"at byte offset {pos}")
         if ctype == b"IHDR":
+            if header is not None:
+                raise ImageParseError(f"repeated IHDR chunk at byte offset {pos}")
             if length != 13:
                 raise ImageParseError(f"IHDR length {length} at byte offset {pos}")
             width, height, depth, color, comp, filt, interlace = struct.unpack(

@@ -76,8 +76,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data, dtype=None):
-        super().__init__(data, dtype=dtype)
+    def __init__(self, name: str, data):
+        super().__init__(data)
         self.name = name
 
     def __repr__(self):
@@ -113,11 +113,11 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _state().tape_stack.append(self)
+        _LOCAL.tape_stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _state().tape_stack
+        stack = _LOCAL.tape_stack
         if not stack or stack[-1] is not self:
             raise ContractError("tape context exited out of order")
         stack.pop()
@@ -127,30 +127,26 @@ class Tape:
         return False
 
 
-_LOCAL = threading.local()
+class _ThreadState(threading.local):
+    """Per-thread stacks of the open tapes and op censuses."""
+
+    def __init__(self):
+        self.tape_stack: list[Tape] = []
+        self.census_stack: list[dict[str, int]] = []
 
 
-def _state():
-    if not hasattr(_LOCAL, "tape_stack"):
-        _LOCAL.tape_stack = []
-        _LOCAL.census_stack = []
-    return _LOCAL
-
-
-def _active_tape():
-    stack = _state().tape_stack
-    return stack[-1] if stack else None
+_LOCAL = _ThreadState()
 
 
 @contextmanager
 def op_census():
     """Collect per-operation invocation counts for the enclosed code."""
     counts: dict[str, int] = {}
-    _state().census_stack.append(counts)
+    _LOCAL.census_stack.append(counts)
     try:
         yield counts
     finally:
-        _state().census_stack.pop()
+        _LOCAL.census_stack.pop()
 
 
 def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
@@ -158,10 +154,10 @@ def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
     if not np.isfinite(out_data).all():
         raise ContractError(f"{op_name} produced non-finite values")
     out = Tensor(out_data)
-    for counts in _state().census_stack:
+    for counts in _LOCAL.census_stack:
         counts[op_name] = counts.get(op_name, 0) + 1
-    tape = _active_tape()
-    if tape is not None:
+    if _LOCAL.tape_stack:
+        tape = _LOCAL.tape_stack[-1]
         node = _TapeNode(tape, op_name, inputs, out, backward_fn)
         tape.nodes.append(node)
         out.tape_node = node

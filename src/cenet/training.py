@@ -31,13 +31,9 @@ class TrainResult:
     loss_rows: list[tuple[int, float, float]]
 
 
-def snapshot(network: EnhancementNetwork, optimizer: Adam | None,
-             iteration: int) -> Checkpoint:
+def snapshot(network: EnhancementNetwork, optimizer: Adam, iteration: int) -> Checkpoint:
     tensors = {name: p.data for name, p in network.named_parameters().items()}
-    if optimizer is None:
-        return Checkpoint(iteration, tensors)
-    return Checkpoint(iteration, tensors,
-                      optimizer_step=optimizer.step_count,
+    return Checkpoint(iteration, tensors, optimizer_step=optimizer.step_count,
                       optimizer_tensors=optimizer.state_tensors())
 
 
@@ -137,8 +133,6 @@ def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
             except ContractError as exc:
                 raise TrainingError(f"aborted at iteration {i}: {exc}") from exc
             loss_value = loss.item()
-            if loss_value != loss_value:
-                raise TrainingError(f"aborted at iteration {i}: loss is NaN")
             optimizer.step(params, lr)
             done = i + 1
             if done % config.log_every == 0 or done == total:

@@ -24,6 +24,13 @@ def _t(rng, shape) -> Tensor:
     return Tensor(rng.uniform(-1.0, 1.0, shape), dtype=np.float64)
 
 
+def _float64(block):
+    """``block`` with its parameters promoted to float64 in place."""
+    for p in block.parameters():
+        p.data = p.data.astype(np.float64)
+    return block
+
+
 def _away_from_zero(arr: np.ndarray, margin: float) -> np.ndarray:
     small = np.abs(arr) < margin
     arr[small] = margin * np.where(arr[small] < 0, -1.0, 1.0)
@@ -133,17 +140,17 @@ def run_block_suite(seed: int = 0, fault: str | None = None) -> list[GradcheckRe
     rng = np.random.default_rng((seed, 1000))
     opts = dict(tol=_BLOCK_TOL, rng=rng, max_coords=_BLOCK_COORDS, fault=fault)
 
-    basic = BasicBlock("bb", 3, 4, seed=seed, dtype=np.float64)
+    basic = _float64(BasicBlock("bb", 3, 4, seed=seed))
     x = _t(rng, (1, 3, 6, 6))
     results.append(gradcheck(lambda: basic.forward(x), [x] + basic.parameters(),
                              name="basic_block", **opts))
 
-    drb = DenseResidualBlock("drb", 4, seed=seed, dtype=np.float64)
+    drb = _float64(DenseResidualBlock("drb", 4, seed=seed))
     xd = _t(rng, (1, 4, 6, 6))
     results.append(gradcheck(lambda: drb.forward(xd), [xd] + drb.parameters(),
                              name="dense_residual_block", **opts))
 
-    attn = NonLocalBlock("attn", 4, seed=seed, dtype=np.float64)
+    attn = _float64(NonLocalBlock("attn", 4, seed=seed))
     # The output projection is zero at init; give it values so its path
     # is exercised too.
     attn.out_w.data = rng.uniform(-0.5, 0.5, attn.out_w.shape)
@@ -157,7 +164,7 @@ def run_network_check(seed: int = 0, fault: str | None = None) -> GradcheckResul
     """End-to-end gradcheck of the full variant at tiny scale."""
     rng = np.random.default_rng((seed, 2000))
     config = NetworkConfig(num_stages=2, base_channels=4)
-    network = EnhancementNetwork(config, seed=seed, dtype=np.float64)
+    network = _float64(EnhancementNetwork(config, seed=seed))
     x = Tensor(rng.uniform(0.0, 1.0, (1, 3, 8, 8)), dtype=np.float64)
     return gradcheck(lambda: network.forward(x), [x] + network.parameters(), tol=_BLOCK_TOL,
                      rng=rng, max_coords=_NETWORK_COORDS, name="network", fault=fault)

@@ -3,6 +3,7 @@
 import ast
 import gc
 import inspect
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -122,6 +123,17 @@ class TestBackward:
         x = t4(np.ones((1, 1, 1, 1)))
         y = add(x, x)
         assert y.tape_node is None
+
+    def test_tape_and_census_are_per_thread(self):
+        # an op in a second thread sees neither this thread's tape nor its census
+        x = t4(np.ones((1, 1, 1, 1)))
+        outs = []
+        worker = threading.Thread(target=lambda: outs.append(add(x, x)))
+        with Tape() as tape, op_census() as counts:
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert outs[0].tape_node is None and tape.nodes == [] and counts == {}
 
 
 @contextmanager

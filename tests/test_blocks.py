@@ -136,11 +136,6 @@ class TestDenseResidualBlock:
             tracemalloc.stop()
         assert held < 7 * x.data.nbytes
 
-    def test_channel_mismatch(self):
-        block = DenseResidualBlock("d", 4, seed=0)
-        with pytest.raises(DimensionError):
-            block.forward(rand4((1, 5, 4, 4)))
-
 
 class TestNonLocalBlock:
     def test_zero_out_projection_is_identity(self):
@@ -346,6 +341,10 @@ class TestNetwork:
                 bound = math.sqrt(6.0 / (cin * k * k))
                 assert np.abs(p.data).max() <= bound
 
+    def test_parameters_are_float32(self):
+        params = EnhancementNetwork(NetworkConfig()).parameters()
+        assert [p.name for p in params if p.dtype != np.float32] == []
+
     def test_attention_out_projection_zero_at_init(self):
         net = EnhancementNetwork(NetworkConfig(2, 4, use_global_context=True), seed=0)
         npt.assert_array_equal(net.attention.out_w.data, 0)
@@ -363,7 +362,14 @@ class TestNetwork:
         with pytest.raises(DimensionError, match="8"):
             net.forward(rand4((1, 3, 12, 12)))
 
-    def test_input_channel_check(self):
-        net = EnhancementNetwork(NetworkConfig(2, 4), seed=0)
-        with pytest.raises(DimensionError):
-            net.forward(rand4((1, 4, 8, 8)))
+
+@pytest.mark.parametrize("block,got,expects", [
+    (DenseResidualBlock("d", 4, seed=0), 5, 4),
+    (NonLocalBlock("a", 8, seed=0), 6, 8),
+    (EnhancementNetwork(NetworkConfig(2, 4), seed=0), 4, 3),
+], ids=["dense_residual", "non_local", "network"])
+def test_channel_mismatch_names_both_widths(block, got, expects):
+    # each block leaves its width check to its first convolution
+    with pytest.raises(DimensionError,
+                       match=f"conv2d input has {got} channels but weight expects {expects}"):
+        block.forward(rand4((1, got, 8, 8)))

@@ -215,6 +215,14 @@ class TestPng:
         with pytest.raises(ImageParseError):
             decode_png(blob[:-12])
 
+    def test_repeated_ihdr_rejected(self):
+        # a 5x4 image and a second header declaring 1x16: both need a
+        # 64-byte stream, so without the check the second would win
+        blob = png_from_stream(bytes(4 * (1 + 5 * 3)), 5, 4)
+        second = png_chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 16, 8, 2, 0, 0, 0))
+        with pytest.raises(ImageParseError, match="repeated IHDR chunk at byte offset 33"):
+            decode_png(blob[:33] + second + blob[33:])
+
     def test_decompression_bomb_rejected_without_inflating(self):
         # a 2x2 image (14 stream bytes) whose IDAT inflates to 64 MiB
         deflate = zlib.compressobj()
