@@ -82,8 +82,8 @@ class BasicBlock(Block):
 
     def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
         """A tuple ``f`` is read as its channel concatenation."""
-        y = prelu(conv2d(f, self.conv1_w, self.conv1_b), self.slope1)
-        return prelu(conv2d(y, self.conv2_w, self.conv2_b), self.slope2)
+        f = prelu(conv2d(f, self.conv1_w, self.conv1_b), self.slope1)
+        return prelu(conv2d(f, self.conv2_w, self.conv2_b), self.slope2)
 
 
 class DenseResidualBlock(Block):
@@ -155,10 +155,10 @@ class FeatureBlock(Block):
         self.dense = DenseResidualBlock(f"{name}.drb", c_out, seed) if local_context else None
 
     def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
-        y = self.basic.forward(f)
+        f = self.basic.forward(f)
         if self.dense is not None:
-            y = self.dense.forward(y)
-        return y
+            f = self.dense.forward(f)
+        return f
 
 
 @dataclass
@@ -239,8 +239,10 @@ class EnhancementNetwork(Block):
         f = self.mid.forward(f)
         if self.attention is not None:
             f = self.attention.forward(f)
-        for block, skip in zip(self.decoder, reversed(skips)):
-            f = block.forward((upsample_nearest2x(f), skip))
+        # only the join tuple holds a stage's upsample and skip, so without a
+        # tape both are freed once the stage's basic block returns
+        for block in self.decoder:
+            f = block.forward((upsample_nearest2x(f), skips.pop()))
         return conv2d(f, self.head_w, self.head_b)
 
     def named_parameters(self) -> dict[str, Parameter]:

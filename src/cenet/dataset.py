@@ -6,8 +6,8 @@ randomness from (seed, iteration, sample), so a training run draws the
 same sequence wherever a resumed run picks up.
 """
 
-import functools
 import logging
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +18,8 @@ from .imageio import Image, load_image
 log = logging.getLogger(__name__)
 
 IMAGE_SUFFIXES = (".png", ".ppm")
-# Decoded pairs a sample stream keeps, least recently used evicted first.
-CACHE_PAIRS = 64
+# Bytes of decoded pairs a sample stream keeps, least recently used evicted first.
+_CACHE_BYTES = 512 << 20
 
 
 class DatasetError(RuntimeError):
@@ -42,6 +42,10 @@ class ImagePair:
     identifier: str
     input: Image
     target: Image
+
+    @property
+    def nbytes(self) -> int:
+        return self.input.pixels.nbytes + self.target.pixels.nbytes
 
 
 @dataclass
@@ -154,8 +158,8 @@ class SampleStream:
     """Deterministic augmented-batch stream over a list of pairs.
 
     Batch i depends only on (seed, i). Decoded pairs are kept in an LRU
-    cache of ``CACHE_PAIRS`` entries. Batches are (B, 3, crop, crop)
-    float32 NCHW arrays.
+    cache of at most ``_CACHE_BYTES``; a pair larger than that is not kept.
+    Batches are (B, 3, crop, crop) float32 NCHW arrays.
     """
 
     def __init__(self, records: list[PairRecord], spec: AugmentSpec, seed: int,
@@ -166,11 +170,21 @@ class SampleStream:
         self.spec = spec
         self.seed = seed
         self.batch_size = batch_size
-        # The cached function holds ``records``, not ``self``, so a finished
-        # stream frees its pairs without waiting for the cyclic GC, and it
-        # looks ``load_pair`` up at call time so the global can be wrapped.
-        self._pair = functools.lru_cache(maxsize=CACHE_PAIRS)(
-            lambda index: load_pair(records[index]))
+        self._cache: OrderedDict[int, ImagePair] = OrderedDict()
+        self._cached_bytes = 0
+
+    def _pair(self, index: int) -> ImagePair:
+        if index in self._cache:
+            self._cache.move_to_end(index)
+            return self._cache[index]
+        # looked up per call, so the global can be wrapped
+        pair = load_pair(self.records[index])
+        if pair.nbytes <= _CACHE_BYTES:
+            while self._cached_bytes + pair.nbytes > _CACHE_BYTES:
+                self._cached_bytes -= self._cache.popitem(last=False)[1].nbytes
+            self._cache[index] = pair
+            self._cached_bytes += pair.nbytes
+        return pair
 
     def batch(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
         inputs = []

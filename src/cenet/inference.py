@@ -47,8 +47,6 @@ def _forward_tiled(network: EnhancementNetwork, pixels: np.ndarray,
     is feathered out across the overlap band.
     """
     h, w = pixels.shape[:2]
-    if tile >= h and tile >= w:
-        return _forward_array(network, pixels)
     profile = _feather_profile(tile, overlap)
     weight_tile = np.outer(profile, profile)[:, :, None]
     acc = np.zeros((h, w, 3), dtype=np.float64)

@@ -40,8 +40,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "tape_node")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         if arr.ndim != 4:
@@ -380,7 +380,9 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
     if slope.shape != (1, c, 1, 1):
         raise DimensionError(f"prelu slope must have shape (1, {c}, 1, 1), got {slope.shape}")
     neg = x.data < 0
-    out = np.where(neg, slope.data * x.data, x.data)
+    # no output-sized temporary: at photo size a PReLU runs at the forward's peak
+    out = slope.data * x.data
+    np.putmask(out, ~neg, x.data)
 
     def backward_fn(up):
         d_x = np.where(neg, slope.data, x.dtype.type(1)) * up

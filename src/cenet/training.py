@@ -53,12 +53,18 @@ def _check_records(records: dict, shapes: dict[str, tuple[int, ...]], what: str)
 
 def restore(ckpt: Checkpoint, network: EnhancementNetwork,
             optimizer: Adam | None = None):
-    """Load the checkpoint into ``network``, and its optimizer state, if any,
-    into ``optimizer``, once every record matches the parameter census."""
+    """Load the checkpoint into ``network``, and, when ``optimizer`` is given,
+    its optimizer state into ``optimizer``, once every record matches the
+    parameter census. A checkpoint without optimizer state loads weights
+    only; resuming from one would restart Adam, so that is refused."""
     params = network.named_parameters()
     shapes = {name: p.data.shape for name, p in params.items()}
     _check_records(ckpt.tensors, shapes, "parameter")
-    if optimizer is not None and ckpt.has_optimizer_state:
+    if optimizer is not None:
+        if not ckpt.has_optimizer_state:
+            raise CheckpointError(
+                "checkpoint has no optimizer state (Adam step and m./v. records), "
+                "so training cannot continue from it exactly")
         _check_records(ckpt.optimizer_tensors, {f"{moment}.{name}": shape for moment in "mv"
                                                 for name, shape in shapes.items()}, "optimizer")
         optimizer.load_state_tensors(ckpt.optimizer_tensors, ckpt.optimizer_step)

@@ -21,7 +21,7 @@ _NETWORK_COORDS = 6
 
 
 def _t(rng, shape) -> Tensor:
-    return Tensor(rng.uniform(-1.0, 1.0, shape), dtype=np.float64)
+    return Tensor(rng.uniform(-1.0, 1.0, shape))
 
 
 def _float64(block):
@@ -47,7 +47,7 @@ def _pool_input(rng, shape) -> Tensor:
         row[:] = levels[rng.permutation(4)]
     windows += rng.uniform(-0.05, 0.05, windows.shape)
     data = windows.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return Tensor(data.reshape(shape), dtype=np.float64)
+    return Tensor(data.reshape(shape))
 
 
 def op_cases(rng: np.random.Generator):
@@ -74,7 +74,7 @@ def op_cases(rng: np.random.Generator):
     xc = _t(rng, (1, 3, 3, 3))
     yield ("concat_channels", lambda: tc.concat_channels(xa, xb, xc), [xa, xb, xc])
 
-    xr = Tensor(_away_from_zero(rng.uniform(-1, 1, (1, 3, 4, 4)), 1e-2), dtype=np.float64)
+    xr = Tensor(_away_from_zero(rng.uniform(-1, 1, (1, 3, 4, 4)), 1e-2))
     slope = _t(rng, (1, 3, 1, 1))
     yield ("prelu", lambda: tc.prelu(xr, slope), [xr, slope])
 
@@ -100,8 +100,8 @@ def op_cases(rng: np.random.Generator):
 
     pred_data = rng.uniform(-1, 1, (1, 2, 3, 3))
     target_data = pred_data + _away_from_zero(rng.uniform(-0.5, 0.5, pred_data.shape), 5e-2)
-    pred = Tensor(pred_data, dtype=np.float64)
-    target = Tensor(target_data, dtype=np.float64)
+    pred = Tensor(pred_data)
+    target = Tensor(target_data)
     yield ("l1_loss", lambda: tc.l1_loss(pred, target), [pred])
 
     xj = _t(rng, (1, 2, 2, 3))
@@ -165,7 +165,7 @@ def run_network_check(seed: int = 0, fault: str | None = None) -> GradcheckResul
     rng = np.random.default_rng((seed, 2000))
     config = NetworkConfig(num_stages=2, base_channels=4)
     network = _float64(EnhancementNetwork(config, seed=seed))
-    x = Tensor(rng.uniform(0.0, 1.0, (1, 3, 8, 8)), dtype=np.float64)
+    x = Tensor(rng.uniform(0.0, 1.0, (1, 3, 8, 8)))
     return gradcheck(lambda: network.forward(x), [x] + network.parameters(), tol=_BLOCK_TOL,
                      rng=rng, max_coords=_NETWORK_COORDS, name="network", fault=fault)
 

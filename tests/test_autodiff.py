@@ -320,8 +320,8 @@ class TestGradcheckHarness:
             gradcheck(lambda: add(x, x), [x])
 
     def test_reports_every_input(self):
-        x = Tensor(np.ones((1, 1, 2, 2)), dtype=np.float64)
-        y = Tensor(np.ones((1, 1, 2, 2)), dtype=np.float64)
+        x = Tensor(np.ones((1, 1, 2, 2)))
+        y = Tensor(np.ones((1, 1, 2, 2)))
         result = gradcheck(lambda: add(x, y), [x, y], name="add")
         assert len(result.per_input) == 2
         assert result.passed

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cenet import blocks
 from cenet.blocks import (
     BasicBlock,
     DenseResidualBlock,
@@ -23,6 +25,7 @@ from cenet.tensor import (
     conv2d,
     maxpool2d,
     op_census,
+    upsample_nearest2x,
     weighted_sum,
 )
 
@@ -356,6 +359,39 @@ class TestNetwork:
         with_gc = EnhancementNetwork(NetworkConfig(2, 4, True, False), seed=3)
         without = EnhancementNetwork(NetworkConfig(2, 4, False, False), seed=3)
         npt.assert_array_equal(with_gc.forward(x).data, without.forward(x).data)
+
+    def test_untaped_decoder_frees_its_upsample_and_skip_before_its_dense_block(
+            self, monkeypatch):
+        # weakrefs to each upsample's output and each pooled skip, recorded
+        # as the network makes them; without a tape, a decoder stage's basic
+        # block is their last reader
+        upsampled, skips, entries = [], [], []
+        dense_forward = DenseResidualBlock.forward
+
+        def recorded_upsample(x):
+            out = upsample_nearest2x(x)
+            upsampled.append(weakref.ref(out.data))
+            return out
+
+        def recorded_pool(x):
+            skips.append(weakref.ref(x.data))
+            return maxpool2d(x)
+
+        def checked_dense(block, f):
+            # the decoder has consumed the last len(upsampled) skips
+            consumed = skips[len(skips) - len(upsampled):]
+            assert all(ref() is None for ref in upsampled), "an upsample is still alive"
+            assert all(ref() is None for ref in consumed), "a consumed skip is still alive"
+            entries.append(len(upsampled))
+            return dense_forward(block, f)
+
+        monkeypatch.setattr(blocks, "upsample_nearest2x", recorded_upsample)
+        monkeypatch.setattr(blocks, "maxpool2d", recorded_pool)
+        monkeypatch.setattr(DenseResidualBlock, "forward", checked_dense)
+        net = EnhancementNetwork(NetworkConfig(num_stages=2, base_channels=4), seed=0)
+        net.forward(rand4((1, 3, 8, 8)))
+        # enc0, enc1 and mid, then dec1 after one upsample and dec0 after two
+        assert entries == [0, 0, 0, 1, 2]
 
     def test_divisibility_error_names_divisor(self):
         net = EnhancementNetwork(NetworkConfig(num_stages=3, base_channels=4), seed=0)

@@ -153,7 +153,8 @@ class TestSampleStream:
             write_pair(tmp_path, stem, size=(16, 16), seed=k)
         records = scan_dataset(tmp_path)
         spec = AugmentSpec(crop_size=8)
-        monkeypatch.setattr(dataset, "CACHE_PAIRS", 2)
+        # a budget that holds two of these pairs but not three
+        monkeypatch.setattr(dataset, "_CACHE_BYTES", 2 * load_pair(records[0]).nbytes + 1)
         stream = SampleStream(records, spec, seed=3, batch_size=2)
         loads = []
 
@@ -185,6 +186,24 @@ class TestSampleStream:
             x_fresh, y_fresh = SampleStream(records, spec, seed=3, batch_size=2).batch(i)
             npt.assert_array_equal(x, x_fresh)
             npt.assert_array_equal(y, y_fresh)
+
+    def test_pair_larger_than_the_cache_is_not_kept(self, tmp_path, monkeypatch):
+        write_pair(tmp_path, "a", size=(16, 16))
+        write_pair(tmp_path, "b", size=(32, 32))
+        records = scan_dataset(tmp_path)
+        monkeypatch.setattr(dataset, "_CACHE_BYTES", load_pair(records[0]).nbytes)
+        stream = SampleStream(records, AugmentSpec(crop_size=8), seed=0)
+        loads = []
+
+        def counting_load(record):
+            loads.append(record.identifier)
+            return load_pair(record)
+
+        monkeypatch.setattr(dataset, "load_pair", counting_load)
+        for index in (0, 1, 0, 1):
+            stream._pair(index)
+        # "b" is reloaded each time and never evicts "a"
+        assert loads == ["a", "b", "b"]
 
     def test_finished_stream_is_freed_without_cyclic_gc(self, tmp_path):
         write_pair(tmp_path, "a", size=(16, 16))

@@ -40,6 +40,17 @@ def t4(data, dtype=np.float32):
     return Tensor(np.asarray(data, dtype=dtype))
 
 
+class TestTensor:
+    @pytest.mark.parametrize("data,dtype", [
+        (np.ones((1, 1, 1, 1)), np.float64),
+        (np.ones((1, 1, 1, 1), np.float32), np.float32),
+        (np.ones((1, 1, 1, 1), np.int64), np.float32),
+        ([[[[True]]]], np.float32),
+    ], ids=["float64", "float32", "int64", "bool-list"])
+    def test_float_data_keeps_its_dtype_and_other_data_becomes_float32(self, data, dtype):
+        assert Tensor(data).dtype == dtype
+
+
 class TestConv2d:
     def test_all_ones_kernel(self):
         # frozen from the naive oracle: border sums of 1..9 under padding 1
@@ -92,7 +103,7 @@ class TestConv2d:
     ])
     def test_gradcheck(self, n, cin, cout, k, h, w):
         rng = np.random.default_rng(hash((n, cin, cout, k, h, w)) % 2**32)
-        x, wt, b = (Tensor(rng.uniform(-1, 1, shape), dtype=np.float64)
+        x, wt, b = (Tensor(rng.uniform(-1, 1, shape))
                     for shape in ((n, cin, h, w), (cout, cin, k, k), (1, cout, 1, 1)))
         result = gradcheck(lambda: conv2d(x, wt, b), [x, wt, b], rng=rng, name="conv2d")
         assert result.max_rel_error < 1e-6
@@ -120,8 +131,8 @@ class TestConv2d:
 
         monkeypatch.setattr(tensor, "_bands", recorded_bands)
         rng = np.random.default_rng(len(widths) * 10 + k)
-        xs = [Tensor(rng.uniform(-1, 1, (n, c, h, w)), dtype=np.float64) for c in widths]
-        wt, b = (Tensor(rng.uniform(-1, 1, shape), dtype=np.float64)
+        xs = [Tensor(rng.uniform(-1, 1, (n, c, h, w))) for c in widths]
+        wt, b = (Tensor(rng.uniform(-1, 1, shape))
                  for shape in ((cout, cin, k, k), (1, cout, 1, 1)))
         out = conv2d(tuple(xs), wt, b)
         # one slab per band, holding every input's rows
@@ -288,6 +299,26 @@ class TestPrelu:
     def test_slope_length_mismatch(self):
         with pytest.raises(DimensionError):
             prelu(t4(np.zeros((1, 2, 2, 2))), t4(np.zeros((1, 3, 1, 1))))
+
+    def test_forward_is_bitwise_the_where_form_without_an_output_sized_temporary(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((1, 4, 256, 256)).astype(np.float32)
+        x[0, :, 0, :2] = [0.0, -0.0]
+        slope = np.array([-1.5, 0.0, 0.3, 2.75], np.float32).reshape(1, 4, 1, 1)
+        x_t, slope_t = Tensor(x), Tensor(slope)
+        tracemalloc.start()
+        try:
+            out = prelu(x_t, slope_t).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = np.where(x < 0, slope * x, x)
+        assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
+        assert not np.signbit(out[0, :, 0, 0]).any() and np.signbit(out[0, :, 0, 1]).all()
+        # one output and two quarter-size masks at a time (the negative mask
+        # with its inverse, then with _emit's finiteness check); np.where also
+        # held ``slope * x``, 2.25 inputs in all
+        assert peak < 1.6 * x.nbytes
 
 
 class TestSoftmax:

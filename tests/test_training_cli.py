@@ -12,7 +12,7 @@ from cenet.checkpoint import Checkpoint, load, save
 from cenet.config import RunConfig, format_config
 from cenet.imageio import Image, load_image, save_image
 from cenet.inference import enhance
-from cenet.training import TrainingError, restore, train
+from cenet.training import TrainingError, load_network, restore, train
 
 from reference import synthetic_pair
 from test_imageio import png_with_extent
@@ -191,12 +191,13 @@ class TestInference:
 
     def test_tiled_matches_untiled_when_context_covers_image(self, trained):
         # with the context margin the 32-tile windows span this whole image,
-        # so tiled inference reproduces the untiled result exactly
+        # and one 64-tile is the whole image, so tiled inference reproduces
+        # the untiled result exactly
         _, network, _ = trained
         img = Image(np.random.default_rng(3).uniform(0, 1, (40, 36, 3)).astype(np.float32))
         full = enhance(network, img).pixels
-        tiled = enhance(network, img, tile=32).pixels
-        npt.assert_array_equal(tiled, full)
+        for tile in (32, 64):
+            npt.assert_array_equal(enhance(network, img, tile=tile).pixels, full)
 
     def test_tiled_output_shape_and_range(self, trained):
         _, network, _ = trained
@@ -312,6 +313,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint ") and message in err
         assert ckpt_path.read_bytes() == before
+
+    def test_resume_rejects_a_checkpoint_without_optimizer_state(self, dataset, tmp_path,
+                                                                 capsys):
+        train(tiny_config(dataset, tmp_path / "head", iters=2))
+        ckpt = load(tmp_path / "head" / "checkpoint_final.ckpt")
+        weights_only = tmp_path / "weights.ckpt"
+        save(Checkpoint(ckpt.iteration, dict(ckpt.tensors)), weights_only)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(format_config(tiny_config(dataset, tmp_path / "run", iters=4)))
+        code = cli.main(["train", "--config", str(config_path), "--resume", str(weights_only)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: checkpoint has no optimizer state (Adam step and m./v. records), "
+            "so training cannot continue from it exactly\n")
+        assert not (tmp_path / "run" / "loss_log.csv").exists()
+        # the same file still loads as a model
+        loaded = load_network(weights_only).named_parameters()
+        for name, arr in ckpt.tensors.items():
+            npt.assert_array_equal(loaded[name].data, arr)
 
     @pytest.mark.parametrize("extent", [0xFFFFFFFF, 2 ** 31 - 1])
     def test_infer_rejects_an_oversized_png_header(self, dataset, tmp_path, capsys, extent):
