@@ -23,11 +23,10 @@ from .tensor import (
     attention,
     conv2d,
     maxpool2d,
-    prelu,
     upsample_nearest2x,
 )
 # Unused here; perfbench's tracer looks these names up on this module.
-from .tensor import concat_channels, matmul, permute, reshape, softmax_rows  # noqa: F401
+from .tensor import concat_channels, matmul, permute, prelu, reshape, softmax_rows  # noqa: F401
 
 RGB_CHANNELS = 3
 
@@ -70,7 +69,8 @@ class Block:
 
 
 class BasicBlock(Block):
-    """Two stacked 3x3 convolutions, each followed by a PReLU."""
+    """Two stacked 3x3 convolutions, each followed by a PReLU (run in the
+    convolution's bands)."""
 
     def __init__(self, name: str, c_in: int, c_out: int, seed: int):
         self.conv1_w = _conv_param(f"{name}.conv1.weight", c_out, c_in, 3, seed)
@@ -82,8 +82,8 @@ class BasicBlock(Block):
 
     def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
         """A tuple ``f`` is read as its channel concatenation."""
-        f = prelu(conv2d(f, self.conv1_w, self.conv1_b), self.slope1)
-        return prelu(conv2d(f, self.conv2_w, self.conv2_b), self.slope2)
+        f = conv2d(f, self.conv1_w, self.conv1_b, self.slope1)
+        return conv2d(f, self.conv2_w, self.conv2_b, self.slope2)
 
 
 class DenseResidualBlock(Block):
@@ -107,9 +107,10 @@ class DenseResidualBlock(Block):
         self.layer3_b = _channel_param(f"{name}.layer3.bias", channels, 0.0)
 
     def forward(self, f: Tensor) -> Tensor:
-        y1 = prelu(conv2d(f, self.layer1_w, self.layer1_b), self.slope1)
-        y2 = prelu(conv2d((f, y1), self.layer2_w, self.layer2_b), self.slope2)
+        y1 = conv2d(f, self.layer1_w, self.layer1_b, self.slope1)
+        y2 = conv2d((f, y1), self.layer2_w, self.layer2_b, self.slope2)
         y3 = conv2d((f, y1, y2), self.layer3_w, self.layer3_b)
+        del y1, y2  # without a tape, the sum needs only f and y3
         return add(f, y3)
 
 
@@ -154,8 +155,14 @@ class FeatureBlock(Block):
         self.basic = BasicBlock(f"{name}.bb", c_in, c_out, seed)
         self.dense = DenseResidualBlock(f"{name}.drb", c_out, seed) if local_context else None
 
-    def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
-        f = self.basic.forward(f)
+    def forward(self, f: Tensor, skip: Tensor | None = None) -> Tensor:
+        """With ``skip``, ``f`` is a decoder stage's half-resolution input and
+        the basic block reads the join (upsampled ``f``, ``skip``). Only the
+        basic block's argument holds the join, so without a tape its first
+        convolution is the upsample's last reader; the skip is released
+        before the dense block."""
+        f = self.basic.forward(f if skip is None else (upsample_nearest2x(f), skip))
+        del skip
         if self.dense is not None:
             f = self.dense.forward(f)
         return f
@@ -239,10 +246,8 @@ class EnhancementNetwork(Block):
         f = self.mid.forward(f)
         if self.attention is not None:
             f = self.attention.forward(f)
-        # only the join tuple holds a stage's upsample and skip, so without a
-        # tape both are freed once the stage's basic block returns
         for block in self.decoder:
-            f = block.forward((upsample_nearest2x(f), skips.pop()))
+            f = block.forward(f, skips.pop())
         return conv2d(f, self.head_w, self.head_b)
 
     def named_parameters(self) -> dict[str, Parameter]:

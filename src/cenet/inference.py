@@ -23,10 +23,10 @@ def _forward_array(network: EnhancementNetwork, pixels: np.ndarray) -> np.ndarra
     """Run (H, W, 3) pixels through the network, handling divisor padding."""
     h, w = pixels.shape[:2]
     div = network.config.divisor
-    ph, pw = _round_up(h, div), _round_up(w, div)
-    if (ph, pw) != (h, w):
-        pixels = np.pad(pixels, ((0, ph - h), (0, pw - w), (0, 0)), mode="reflect")
-    x = Tensor(pixels.transpose(2, 0, 1)[None].astype(np.float32))
+    pad = ((0, _round_up(h, div) - h), (0, _round_up(w, div) - w), (0, 0))
+    # the padded copy is a temporary: only the network input outlives this line
+    x = Tensor(np.ascontiguousarray(np.pad(pixels, pad, mode="reflect").transpose(2, 0, 1)[None],
+                                    dtype=np.float32))
     out = network.forward(x)
     result = out.data[0].transpose(1, 2, 0)
     return result[:h, :w]

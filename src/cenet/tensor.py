@@ -240,13 +240,36 @@ def _bands(xs: list[np.ndarray], cout: int, k: int):
                               for dy in range(k) for dx in range(k)]
 
 
-def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int) -> np.ndarray:
+def _prelu_gain(neg: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """PReLU's gain per element: ``slope`` where ``neg``, else 1.
+
+    Branch-free, so mixed signs cost no more than one sign: ``neg * slope``
+    minus ``neg - 1``. Where ``neg`` that subtracts +0.0, which keeps every
+    slope's bits, -0.0 included (adding ``~neg`` would turn it into +0.0).
+    """
+    gain = neg * slope
+    gain -= neg - gain.dtype.type(1)
+    return gain
+
+
+def _prelu_grads(pre: np.ndarray, slope: np.ndarray, up: np.ndarray):
+    """Gradients of PReLU at pre-activation ``pre``: the input's and the slope's."""
+    neg = pre < 0
+    d_slope = np.where(neg, pre * up, 0).sum(axis=(0, 2, 3)).reshape(slope.shape)
+    return _prelu_gain(neg, slope) * up, d_slope
+
+
+def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=None,
+               pre=None) -> np.ndarray:
     """Stride-1 "same" convolution of the channel concatenation of ``xs``.
 
     ``xs`` are (N, Cin_j, H, W) arrays and ``taps`` the (k*k, Cout, Cin)
     tap matrices. Per band of output rows, each tap is one GEMM with its
     window of the band's slab, summed into the band's accumulator, whose
-    columns over the padding are computed and dropped.
+    columns over the padding are computed and dropped. While the band is in
+    cache, the accumulator gets the (Cout, 1) ``bias`` added, is copied into
+    ``pre`` when that is given, and is scaled in place by the PReLU of
+    the (Cout, 1) ``slope``.
     """
     n, _, h, w = xs[0].shape
     cout = taps.shape[1]
@@ -256,11 +279,19 @@ def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int) -> np.ndarray:
         part = np.empty_like(acc)
         for tap, window in zip(taps, windows):
             acc += np.matmul(tap, window, out=part)
-        out[i, :, r0:r1] = acc.reshape(cout, r1 - r0, -1)[:, :, :w]
+        rows = acc.reshape(cout, r1 - r0, -1)[:, :, :w]
+        if bias is not None:
+            acc += bias
+        if pre is not None:
+            pre[i, :, r0:r1] = rows
+        if slope is not None:
+            acc *= _prelu_gain(acc < 0, slope)
+        out[i, :, r0:r1] = rows
     return out
 
 
-def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
+           slope: Tensor | None = None) -> Tensor:
     """2-D cross-correlation at stride 1 with "same" zero padding.
 
     ``x`` is one (N, Cin, H, W) tensor or a tuple of tensors with equal N,
@@ -268,13 +299,16 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor) -> Tens
     ``conv2d((a, b), w, bias)`` equals ``conv2d(concat_channels(a, b), w,
     bias)`` without building the concatenation. ``weight`` is (Cout, Cin,
     k, k) with odd k and Cin the inputs' total width; ``bias`` is (1, Cout,
-    1, 1). The output keeps the inputs' H and W. The work runs in bands of
-    output rows, each stacking and padding only its own input rows, so no
-    padded copy or concatenation of the inputs exists whole and the tape
-    keeps only the inputs themselves. The backward rule yields a gradient
-    for each input, the weight and the bias; the input gradient is the
-    same convolution of the upstream gradient with the kernel flipped in
-    space and its channel axes swapped.
+    1, 1). With a (1, Cout, 1, 1) ``slope``, the output is
+    ``prelu(conv2d(x, weight, bias), slope)``, bit for bit, applied to each
+    band while it is in cache; the pre-activation is kept only while a tape
+    records, for the backward. The output keeps the inputs' H and W. The
+    work runs in bands of output rows, each stacking and padding only its
+    own input rows, so no padded copy or concatenation of the inputs exists
+    whole and the tape keeps only the inputs themselves. The backward rule
+    yields a gradient for each input, the weight, the bias and the slope;
+    the input gradient is the same convolution of the upstream gradient with
+    the kernel flipped in space and its channel axes swapped.
     """
     xs = (x,) if isinstance(x, Tensor) else tuple(x)
     if not xs:
@@ -296,14 +330,21 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor) -> Tens
         raise DimensionError(f"conv2d input has {cin} channels but weight expects {wcin}")
     if bias.shape != (1, cout, 1, 1):
         raise DimensionError(f"conv2d bias must have shape (1, {cout}, 1, 1), got {bias.shape}")
+    if slope is not None and slope.shape != (1, cout, 1, 1):
+        raise DimensionError(f"conv2d slope must have shape (1, {cout}, 1, 1), got {slope.shape}")
 
     splits = np.cumsum(widths)[:-1]
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
     data = [t.data for t in xs]
-    out = _same_conv(data, taps, k)
-    out += bias.data
+    pre = None
+    if slope is not None and _LOCAL.tape_stack:
+        pre = np.empty((n, cout, h, w), dtype=data[0].dtype)
+    out = _same_conv(data, taps, k, bias.data.reshape(cout, 1),
+                     None if slope is None else slope.data.reshape(cout, 1), pre)
 
     def backward_fn(up):
+        if slope is not None:
+            up, d_slope = _prelu_grads(pre, slope.data, up)
         # a spatial flip reverses the tap order
         d_x = _same_conv([up], taps[::-1].transpose(0, 2, 1), k)
         d_taps = np.zeros_like(taps)
@@ -314,31 +355,48 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor) -> Tens
                 d += up_band @ window.T
         d_weight = d_taps.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         d_bias = up.sum(axis=(0, 2, 3), keepdims=True)
-        return (*np.split(d_x, splits, axis=1), d_weight, d_bias)
+        grads = (*np.split(d_x, splits, axis=1), d_weight, d_bias)
+        return grads if slope is None else (*grads, d_slope)
 
-    return _emit("conv2d", out, (*xs, weight, bias), backward_fn)
+    params = (weight, bias) if slope is None else (weight, bias, slope)
+    return _emit("conv2d", out, (*xs, *params), backward_fn)
+
+
+def _window_views(a: np.ndarray) -> list[np.ndarray]:
+    """The four strided (N, C, H/2, W/2) views of ``a``'s 2x2 windows, one
+    per window position in row-major order."""
+    return [a[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
 
 
 def maxpool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2.
 
-    The backward rule routes each window's upstream gradient to the first
-    maximal element in row-major window order, so gradient mass is
-    deposited exactly once per window.
+    Each output is its window's first maximal element in row-major order,
+    bits included, so -0.0 before +0.0 gives -0.0: on a tie
+    ``np.maximum`` returns its second operand, so each pair puts the
+    earlier element second. The backward rule routes each window's
+    upstream gradient to that same element, found again by comparison, so
+    gradient mass is deposited exactly once per window and the tape keeps
+    no index array.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2d requires even spatial extents, got {h}x{w}")
-    windows = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = windows.reshape(n, c, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    v = _window_views(x.data)
+    out = np.maximum(np.maximum(v[3], v[2]), np.maximum(v[1], v[0]))
 
     def backward_fn(up):
-        d_flat = np.zeros_like(flat)
-        np.put_along_axis(d_flat, arg[..., None], up[..., None], axis=-1)
-        d_x = d_flat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return (d_x.reshape(n, c, h, w),)
+        d_x = np.empty_like(x.data)
+        # the gradient's bit patterns times a mask: exact where it is set,
+        # +0.0 elsewhere
+        bits = up.view(f"u{up.itemsize}")
+        free = np.ones(out.shape, dtype=bool)
+        for view, d in zip(_window_views(x.data), _window_views(d_x.view(bits.dtype))):
+            hit = view == out
+            hit &= free
+            free ^= hit
+            np.multiply(bits, hit, out=d)
+        return (d_x,)
 
     return _emit("maxpool2d", out, (x,), backward_fn)
 
@@ -346,10 +404,15 @@ def maxpool2d(x: Tensor) -> Tensor:
 def upsample_nearest2x(x: Tensor) -> Tensor:
     """Replicate every element into a 2x2 block; backward sums the block."""
     n, c, h, w = x.shape
-    out = x.data.repeat(2, axis=2).repeat(2, axis=3)
+    out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
+    for view in _window_views(out):
+        view[...] = x.data
 
     def backward_fn(up):
-        return (up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
+        # column pairs first, then row pairs: bitwise the block sum
+        # ``up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))``
+        cols = up[..., 0::2] + up[..., 1::2]
+        return (cols[:, :, 0::2] + cols[:, :, 1::2],)
 
     return _emit("upsample_nearest2x", out, (x,), backward_fn)
 
@@ -375,7 +438,10 @@ def concat_channels(*tensors: Tensor) -> Tensor:
 
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
-    """Parametric ReLU with a learnable per-channel negative slope."""
+    """Parametric ReLU with a learnable per-channel negative slope.
+
+    The network runs it inside ``conv2d``; this op is the same rule alone.
+    """
     n, c, h, w = x.shape
     if slope.shape != (1, c, 1, 1):
         raise DimensionError(f"prelu slope must have shape (1, {c}, 1, 1), got {slope.shape}")
@@ -385,9 +451,7 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
     np.putmask(out, ~neg, x.data)
 
     def backward_fn(up):
-        d_x = np.where(neg, slope.data, x.dtype.type(1)) * up
-        d_slope = np.where(neg, x.data * up, 0).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        return d_x, d_slope
+        return _prelu_grads(x.data, slope.data, up)
 
     return _emit("prelu", out, (x, slope), backward_fn)
 

@@ -37,6 +37,20 @@ def _away_from_zero(arr: np.ndarray, margin: float) -> np.ndarray:
     return arr
 
 
+def _bias_off_the_kink(pre: np.ndarray) -> np.ndarray:
+    """A (1, C, 1, 1) bias that centres, per channel, the widest gap between
+    the values of ``pre`` on zero, so that no biased value is near PReLU's
+    kink. One value per channel is put 0.5 above zero."""
+    c = pre.shape[1]
+    values = np.sort(pre.transpose(1, 0, 2, 3).reshape(c, -1), axis=1)
+    if values.shape[1] == 1:
+        return 0.5 - values.reshape(1, c, 1, 1)
+    widest = np.diff(values, axis=1).argmax(axis=1)
+    rows = np.arange(c)
+    middle = (values[rows, widest] + values[rows, widest + 1]) / 2
+    return -middle.reshape(1, c, 1, 1)
+
+
 def _pool_input(rng, shape) -> Tensor:
     """Pooling input whose 2x2 windows have well-separated values."""
     n, c, h, w = shape
@@ -61,7 +75,12 @@ def op_cases(rng: np.random.Generator):
     xs = [_t(rng, (n, c, h, w)) for c in widths]
     wt = _t(rng, (cout, sum(widths), k, k))
     b = _t(rng, (1, cout, 1, 1))
-    yield ("conv2d", lambda: tc.conv2d(tuple(xs), wt, b), [*xs, wt, b])
+    slope = None
+    if rng.random() < 0.5:  # the fused PReLU, with pre-activations off its kink
+        slope = _t(rng, (1, cout, 1, 1))
+        b.data = _bias_off_the_kink(tc.conv2d(tuple(xs), wt, Tensor(np.zeros_like(b.data))).data)
+    yield ("conv2d", lambda: tc.conv2d(tuple(xs), wt, b, slope),
+           [*xs, wt, b] + ([slope] if slope is not None else []))
 
     xp = _pool_input(rng, (1, 2, 4, 6))
     yield ("maxpool2d", lambda: tc.maxpool2d(xp), [xp])
@@ -75,11 +94,11 @@ def op_cases(rng: np.random.Generator):
     yield ("concat_channels", lambda: tc.concat_channels(xa, xb, xc), [xa, xb, xc])
 
     xr = Tensor(_away_from_zero(rng.uniform(-1, 1, (1, 3, 4, 4)), 1e-2))
-    slope = _t(rng, (1, 3, 1, 1))
-    yield ("prelu", lambda: tc.prelu(xr, slope), [xr, slope])
+    sr = _t(rng, (1, 3, 1, 1))
+    yield ("prelu", lambda: tc.prelu(xr, sr), [xr, sr])
 
-    xs = _t(rng, (1, 1, 4, 5))
-    yield ("softmax_rows", lambda: tc.softmax_rows(xs), [xs])
+    xm = _t(rng, (1, 1, 4, 5))
+    yield ("softmax_rows", lambda: tc.softmax_rows(xm), [xm])
 
     ma = _t(rng, (1, 1, 3, 4))
     mb = _t(rng, (1, 1, 4, 2))

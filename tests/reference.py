@@ -32,6 +32,37 @@ def conv2d_naive(x, w, b, stride=1, padding=0):
     return out
 
 
+def conv2d_grads_naive(x, w, up, padding=0):
+    """Reference gradients of ``conv2d_naive`` at stride 1 with respect to
+    ``x`` and ``w``, given the upstream gradient ``up``: each output
+    element's gradient flows back to every input element and weight it read."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    up = np.asarray(up, dtype=np.float64)
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + wd] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for nn in range(n):
+        for co in range(cout):
+            for y in range(up.shape[2]):
+                for xx in range(up.shape[3]):
+                    g = up[nn, co, y, xx]
+                    for ci in range(cin):
+                        for i in range(k):
+                            for j in range(k):
+                                dw[co, ci, i, j] += g * xp[nn, ci, y + i, xx + j]
+                                dxp[nn, ci, y + i, xx + j] += g * w[co, ci, i, j]
+    return dxp[:, :, padding:padding + h, padding:padding + wd], dw
+
+
+def prelu_ref(x, slope):
+    """Reference PReLU with one slope per channel of an NCHW array."""
+    return np.where(x < 0, np.asarray(slope).reshape(1, -1, 1, 1) * x, x)
+
+
 def maxpool2d_naive(x):
     """Reference 2x2/stride-2 max pooling via window scans."""
     x = np.asarray(x, dtype=np.float64)

@@ -30,7 +30,7 @@ from cenet.tensor import (
     upsample_nearest2x,
     weighted_sum,
 )
-from cenet.verify import op_names, run_op_suite
+from cenet.verify import op_cases, op_names, run_op_suite
 
 
 def t4(data, dtype=np.float32):
@@ -325,6 +325,24 @@ class TestGradcheckHarness:
         result = gradcheck(lambda: add(x, y), [x, y], name="add")
         assert len(result.per_input) == 2
         assert result.passed
+
+    def test_conv2d_case_checks_both_paths(self, monkeypatch):
+        # over the gradcheck command's default five trials, some conv2d
+        # cases fuse a PReLU and some do not
+        fused, paths = [], set()
+        plain_conv2d = tensor.conv2d
+
+        def recorded(x, weight, bias, slope=None):
+            fused.append(slope is not None)
+            return plain_conv2d(x, weight, bias, slope)
+
+        monkeypatch.setattr(tensor, "conv2d", recorded)
+        for trial in range(5):
+            cases = {name: fn for name, fn, _ in op_cases(np.random.default_rng((0, trial)))}
+            fused.clear()
+            cases["conv2d"]()
+            paths.update(fused)
+        assert paths == {False, True}
 
 
 class TestCensus:

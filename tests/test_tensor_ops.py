@@ -32,8 +32,8 @@ from cenet.tensor import (
     weighted_sum,
 )
 
-from reference import (attention_grads_naive, attention_naive, conv2d_naive, matmul_naive,
-                       maxpool2d_naive)
+from reference import (attention_grads_naive, attention_naive, conv2d_grads_naive, conv2d_naive,
+                       matmul_naive, maxpool2d_naive, prelu_ref)
 
 
 def t4(data, dtype=np.float32):
@@ -238,6 +238,115 @@ class TestConv2d:
                    t4(np.zeros((1, 1, 1, 1))))
 
 
+def taped_grads(op, inputs, probe):
+    """``op()``'s output and the gradients of <op(), probe> for ``inputs``."""
+    for t in inputs:
+        t.grad = None
+    with Tape():
+        out = op()
+        backward(weighted_sum(out, probe))
+    return [out.data] + [t.grad for t in inputs]
+
+
+class TestConvPrelu:
+    """``conv2d`` with a ``slope``: the PReLU runs in each band's epilogue."""
+
+    @pytest.mark.parametrize("n,widths,cout,k,h,w", [
+        (1, (2,), 3, 3, 4, 5),
+        (2, (1, 2), 2, 3, 5, 3),
+        (1, (2, 1, 1), 3, 1, 3, 4),
+        (1, (1, 2), 2, 5, 4, 4),
+    ])
+    def test_matches_naive_conv_then_prelu(self, n, widths, cout, k, h, w):
+        rng = np.random.default_rng(sum(widths) * 10 + k)
+        xs = [Tensor(rng.uniform(-1, 1, (n, c, h, w))) for c in widths]
+        wt, b = (Tensor(rng.uniform(-1, 1, shape))
+                 for shape in ((cout, sum(widths), k, k), (1, cout, 1, 1)))
+        slope = Tensor(rng.uniform(-1, 1, (1, cout, 1, 1)))
+        probe = rng.standard_normal((n, cout, h, w))
+        x_arg = xs[0] if len(xs) == 1 else tuple(xs)
+        out, *grads = taped_grads(lambda: conv2d(x_arg, wt, b, slope), [*xs, wt, b, slope],
+                                  probe)
+
+        whole = np.concatenate([x.data for x in xs], axis=1)
+        pre = conv2d_naive(whole, wt.data, b.data, 1, k // 2)
+        assert np.abs(pre).min() > 1e-9  # no sign is in doubt
+        npt.assert_allclose(out, prelu_ref(pre, slope.data), rtol=1e-12, atol=1e-12)
+        neg = pre < 0
+        d_pre = np.where(neg, slope.data, 1.0) * probe
+        d_x, d_w = conv2d_grads_naive(whole, wt.data, d_pre, k // 2)
+        want = [*np.split(d_x, np.cumsum(widths)[:-1], axis=1), d_w,
+                d_pre.sum(axis=(0, 2, 3)).reshape(b.shape),
+                (neg * pre * probe).sum(axis=(0, 2, 3)).reshape(slope.shape)]
+        assert len(grads) == len(want)
+        for got, ref in zip(grads, want):
+            npt.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("k,widths,rows", [(3, (3,), 1), (3, (2, 3), 2), (1, (4,), 3),
+                                               (5, (1, 2, 2), 4)])
+    def test_is_bitwise_the_unfused_composition(self, monkeypatch, k, widths, rows):
+        # float32, ragged bands, slopes -0.0, 0, negative and positive:
+        # forward and every gradient keep the bits of prelu(conv2d(...))
+        h, w, cout = 9, 10, 4
+        monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", rows * (sum(widths) + cout) * (w + k) * 4)
+        rng = np.random.default_rng(k + len(widths))
+        xs = [t4(rng.uniform(-1, 1, (2, c, h, w))) for c in widths]
+        wt, b = (t4(rng.uniform(-1, 1, shape)) for shape in ((cout, sum(widths), k, k),
+                                                            (1, cout, 1, 1)))
+        slope = t4(np.array([-0.0, 0.0, -1.5, 0.25]).reshape(1, cout, 1, 1))
+        probe = rng.standard_normal((2, cout, h, w)).astype(np.float32)
+        inputs = [*xs, wt, b, slope]
+        fused = taped_grads(lambda: conv2d(tuple(xs), wt, b, slope), inputs, probe)
+        unfused = taped_grads(lambda: prelu(conv2d(tuple(xs), wt, b), slope), inputs, probe)
+        for got, want in zip(fused, unfused):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        untaped = conv2d(tuple(xs), wt, b, slope).data
+        assert untaped.tobytes() == fused[0].tobytes()
+
+    @pytest.mark.parametrize("s", [0.0, -0.0, -1.5])
+    def test_signed_zeros_keep_the_where_form_bits(self, s):
+        # a 1x1 identity conv: pre-activations +0.0 (an accumulator starts
+        # at +0.0, so -0.0 comes out as +0.0), subnormals and plain values
+        x = t4(np.array([0.0, -0.0, -1e-45, 1e-45, -3.0, 2.0]).reshape(1, 1, 1, 6))
+        wt, b = t4(np.ones((1, 1, 1, 1))), t4(np.zeros((1, 1, 1, 1)))
+        slope = t4(np.full((1, 1, 1, 1), s))
+        pre = conv2d(x, wt, b).data
+        out = conv2d(x, wt, b, slope).data
+        assert out.tobytes() == np.where(pre < 0, slope.data * pre, pre).tobytes()
+        # the backward's branch-free gain, on ±0.0 and a -0.0 slope too
+        up = np.array([1.0, -1.0, -2.0, 0.5, -0.0, 3.0], np.float32).reshape(x.shape)
+        _, d_x, d_slope = taped_grads(lambda: prelu(x, slope), [x, slope], up)
+        assert d_x.tobytes() == (np.where(x.data < 0, slope.data, 1) * up).tobytes()
+        assert d_slope.tobytes() == np.where(x.data < 0, x.data * up, 0).sum().reshape(
+            1, 1, 1, 1).tobytes()
+
+    def test_tape_keeps_the_pre_activation_only_while_recording(self):
+        # 24 -> 8 channels at 256x256, as test_forward_peak_is_the_output_and_one_band:
+        # the PReLU adds nothing output-sized to that peak without a tape,
+        # and the tape keeps the output and the pre-activation, no mask
+        rng = np.random.default_rng(9)
+        x = t4(rng.uniform(-1, 1, (1, 24, 256, 256)))
+        wt = t4(rng.uniform(-1, 1, (8, 24, 3, 3)))
+        b, slope = t4(np.zeros((1, 8, 1, 1))), t4(np.full((1, 8, 1, 1), 0.25))
+        tracemalloc.start()
+        try:
+            out_bytes = conv2d(x, wt, b, slope).data.nbytes
+            _, untaped_peak = tracemalloc.get_traced_memory()
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                conv2d(x, wt, b, slope)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert untaped_peak < out_bytes + x.data.nbytes / 4
+        assert 2 * out_bytes < held < 2.1 * out_bytes
+
+    def test_slope_shape_checked(self):
+        with pytest.raises(DimensionError, match=re.escape("slope must have shape (1, 2, 1, 1)")):
+            conv2d(t4(np.zeros((1, 1, 4, 4))), t4(np.zeros((2, 1, 3, 3))),
+                   t4(np.zeros((1, 2, 1, 1))), t4(np.zeros((1, 1, 1, 1))))
+
+
 class TestMaxpool2d:
     def test_single_window(self):
         out = maxpool2d(t4([[[[1.0, 2.0], [3.0, 4.0]]]]))
@@ -262,6 +371,42 @@ class TestMaxpool2d:
         with pytest.raises(DimensionError):
             maxpool2d(t4(np.zeros((1, 1, 3, 4))))
 
+    def test_ties_pick_the_first_maximal_element(self):
+        # windows in row-major order (top-left, top-right, bottom-left,
+        # bottom-right), with partial ties and -0.0/+0.0 ties
+        windows = np.array([[1, 3, 3, 2], [2, 1, 2, 2], [-0.0, 0.0, -1, -2], [0.0, -0.0, -0.0, -1],
+                            [-1, -0.0, 0.0, -0.0], [-2, -1, -1, -0.0], [5, 5, 5, 5],
+                            [-3, -2, -0.0, 0.0]], np.float32)
+        x = windows.reshape(1, 2, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(1, 2, 4, 4)
+        first = np.array([int(np.flatnonzero(row == row.max())[0]) for row in windows])
+        up = np.arange(1, 9, dtype=np.float32)
+        with Tape():
+            xt = t4(x)
+            out = maxpool2d(xt)
+            backward(weighted_sum(out, up.reshape(out.shape)))
+        want = windows[np.arange(8), first]
+        assert out.data.ravel().tobytes() == want.tobytes()
+        routed = np.zeros_like(windows)
+        routed[np.arange(8), first] = up
+        grad = xt.grad.reshape(1, 2, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(8, 4)
+        assert grad.tobytes() == routed.tobytes()
+
+    def test_gradient_bits_pass_through_unchanged(self):
+        # -0.0 and subnormal upstream values reach their element as they are;
+        # every other element gets +0.0
+        rng = np.random.default_rng(2)
+        x = t4(rng.standard_normal((1, 2, 4, 6)))
+        up = rng.standard_normal((1, 2, 2, 3)).astype(np.float32)
+        up[0, 0, 0, :2] = [-0.0, -1e-45]
+        with Tape():
+            out = maxpool2d(x)
+            backward(weighted_sum(out, up))
+        windows = x.data.reshape(1, 2, 2, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
+        want = np.zeros_like(windows)
+        want[np.arange(len(windows)), windows.argmax(axis=1)] = up.ravel()
+        grad = x.grad.reshape(1, 2, 2, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
+        assert grad.tobytes() == want.tobytes()
+
 
 class TestUpsample:
     def test_replication(self):
@@ -273,6 +418,20 @@ class TestUpsample:
         out = upsample_nearest2x(t4(np.full((2, 3, 2, 2), 0.6)))
         assert out.shape == (2, 3, 4, 4)
         npt.assert_allclose(out.data, 0.6, rtol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 5, 7), (1, 8, 16, 24)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_is_bitwise_the_block_sum(self, shape, dtype):
+        n, c, h, w = shape
+        rng = np.random.default_rng(h * w)
+        x = t4(rng.standard_normal(shape), dtype)
+        up = rng.standard_normal((n, c, 2 * h, 2 * w)).astype(dtype)
+        with Tape():
+            out = upsample_nearest2x(x)
+            backward(weighted_sum(out, up))
+        assert out.data.tobytes() == x.data.repeat(2, axis=2).repeat(2, axis=3).tobytes()
+        block_sum = up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        assert x.grad.dtype == dtype and x.grad.tobytes() == block_sum.tobytes()
 
 
 class TestConcat:
