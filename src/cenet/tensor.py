@@ -255,7 +255,7 @@ def _prelu_gain(neg: np.ndarray, slope: np.ndarray) -> np.ndarray:
 def _prelu_grads(pre: np.ndarray, slope: np.ndarray, up: np.ndarray):
     """Gradients of PReLU at pre-activation ``pre``: the input's and the slope's."""
     neg = pre < 0
-    d_slope = np.where(neg, pre * up, 0).sum(axis=(0, 2, 3)).reshape(slope.shape)
+    d_slope = (pre * up * neg).sum(axis=(0, 2, 3)).reshape(slope.shape)
     return _prelu_gain(neg, slope) * up, d_slope
 
 
@@ -497,17 +497,38 @@ def _attention_row_blocks(positions: int, itemsize: int, buffers: int = 1):
         yield slice(start, min(start + rows, positions))
 
 
-def _attention_probs(q_t: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
+def _attention_probs(q_t: np.ndarray, k: np.ndarray, rows: slice, out=None) -> np.ndarray:
     """Row-softmaxed affinities of the query positions ``rows`` to every key.
 
     ``q_t`` is (positions, C') and ``k`` is (C', positions); the result is
-    a fresh (rows, positions) array.
+    a (rows, positions) array, written into ``out`` when that is given.
     """
-    p = q_t[rows] @ k
+    p = np.matmul(q_t[rows], k, out=out)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     return p
+
+
+# exp(x) for |x| <= 80 is finite and normal in float32 (which spans about
+# e**-87.3 to e**88.7), with room for rounding in the logits.
+_UNSHIFTED_EXP_LIMIT = 80.0
+
+
+def _unshifted_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per query position: whether its softmax can skip the max shift.
+
+    ``q``, ``k`` and ``v`` are (C', positions). Each logit q_i . k_j lies
+    within ``bound_i = |q_i| max_j |k_j|``. Where ``bound_i`` is at most
+    ``80 - ln(positions * max(1, max|v|))``, every exp(q_i . k_j) and its
+    row sum are finite and normal, and its sums weighted by ``v`` are
+    finite: each adds at most ``positions`` terms of at most
+    e**bound_i * max|v|.
+    """
+    with np.errstate(over="ignore"):  # an infinite norm only means "not safe"
+        bound = np.linalg.norm(q, axis=0) * np.linalg.norm(k, axis=0).max()
+    limit = _UNSHIFTED_EXP_LIMIT - math.log(q.shape[1] * max(1.0, float(np.abs(v).max())))
+    return bound <= limit
 
 
 def _attention_operands(*tensors: Tensor):
@@ -524,17 +545,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     ``q``, ``k`` and ``v`` are (N, C', H, W). Output position i is the
     sum over positions j of softmax_j(q_i . k_j) v_j, again (N, C', H, W).
-    Query positions are processed in row blocks, so the positions x
-    positions affinity matrix never exists whole; backward recomputes
-    each block's affinities from ``q`` and ``k``.
+    Query positions are processed in row blocks, one block alive at a
+    time, so the positions x positions affinity matrix never exists whole.
+
+    Every logit of query i lies within ``|q_i| max_j |k_j|``. A block
+    whose rows all keep that bound within ``80 - ln(positions * max(1,
+    max|v|))`` (``_unshifted_rows``) skips the max shift and normalises
+    after the value GEMM: it computes ``e = exp(Q^T[rows] K)`` in place,
+    the (rows, C') product ``e V^T`` and the row sums of ``e``, and divides
+    the one by the other; no exp or sum can overflow there. Any other block
+    keeps the exact max-shifted softmax before its value GEMM, the only
+    correct form for large logits. Backward recomputes each block's
+    affinities from ``q`` and ``k`` in the max-shifted form.
     """
     qs, ks, vs = _attention_operands(q, k, v)
     n, c, positions = qs.shape
+    blocks = list(_attention_row_blocks(positions, qs.itemsize))
+    affinities = np.empty((blocks[0].stop, positions), dtype=qs.dtype)
     out = np.empty_like(qs)
     for i in range(n):
         q_t, v_t = qs[i].T, vs[i].T
-        for rows in _attention_row_blocks(positions, qs.itemsize):
-            out[i][:, rows] = (_attention_probs(q_t, ks[i], rows) @ v_t).T
+        unshifted = _unshifted_rows(qs[i], ks[i], vs[i])
+        for rows in blocks:
+            block = affinities[:rows.stop - rows.start]
+            if unshifted[rows].all():
+                np.exp(np.matmul(q_t[rows], ks[i], out=block), out=block)
+                mixed = block @ v_t
+                # numpy's pairwise sum: row sums taken inside the GEMM gave
+                # up to 1.5x the max-shifted path's float32 error
+                mixed /= block.sum(axis=-1, keepdims=True)
+            else:
+                mixed = _attention_probs(q_t, ks[i], rows, out=block) @ v_t
+            out[i][:, rows] = mixed.T
 
     def backward_fn(up):
         ups = up.reshape(n, c, positions)

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -577,6 +578,84 @@ class TestAttention:
         q, k, v = (Tensor(rng.uniform(-1, 1, (2, 3, 2, 7))) for _ in range(3))
         result = gradcheck(lambda: attention(q, k, v), [q, k, v], rng=rng, name="attention")
         assert result.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_logits_past_the_limit_take_the_max_shifted_path(self, dtype, tol):
+        # logits of exactly +-200: exp(200) overflows float32 without the shift
+        signs = np.random.default_rng(5).choice([-5.0, 5.0], (8, 6))
+        qk = np.concatenate([signs, -signs], axis=1).reshape(1, 8, 3, 4)
+        q, k, v = t4(qk, dtype), t4(qk, dtype), t4(np.linspace(-1, 1, 96).reshape(1, 8, 3, 4), dtype)
+        assert not tensor._unshifted_rows(*(x.data.reshape(8, 12) for x in (q, k, v))).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = attention(q, k, v)
+        npt.assert_allclose(out.data, attention_naive(q.data, k.data, v.data), rtol=tol, atol=tol)
+
+    def test_one_call_with_row_blocks_on_both_sides_of_the_limit(self, monkeypatch):
+        # 4-row blocks over 16 positions; queries 8-15 are scaled past the bound
+        use_block_rows(monkeypatch, 4, 16, buffers=1)
+        rng = np.random.default_rng(6)
+        q, k, v = (rng.uniform(-1, 1, (1, 3, 4, 4)) for _ in range(3))
+        q.reshape(3, 16)[:, 8:] *= 300
+        npt.assert_array_equal(tensor._unshifted_rows(*(x.reshape(3, 16) for x in (q, k, v))),
+                               np.arange(16) < 8)
+        shifted_blocks = []
+        probs = tensor._attention_probs
+
+        def spy(q_t, k, rows, out=None):
+            shifted_blocks.append(rows.start)
+            return probs(q_t, k, rows, out)
+
+        monkeypatch.setattr(tensor, "_attention_probs", spy)
+        out = attention(Tensor(q), Tensor(k), Tensor(v))
+        assert shifted_blocks == [8, 12]
+        npt.assert_allclose(out.data, attention_naive(q, k, v), rtol=1e-12, atol=1e-12)
+
+    def test_float32_error_is_no_larger_than_the_max_shifted_paths(self):
+        # Both paths' float32 error is mostly the value GEMM's accumulation,
+        # so on one draw they tie to a few percent. Row sums accumulated in
+        # that GEMM too (a ones column beside V) read 1.1-1.4x here.
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.standard_normal((8, 48 * 48)).astype(np.float32) for _ in range(3))
+        assert tensor._unshifted_rows(q, k, v).all()
+        unshifted = attention(*(Tensor(x.reshape(1, 8, 48, 48)) for x in (q, k, v))).data
+        shifted = (tensor._attention_probs(q.T, k, slice(None)) @ v.T).T
+        logits = q.T.astype(np.float64) @ k
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        oracle = (p / p.sum(axis=1, keepdims=True) @ v.T.astype(np.float64)).T
+
+        def rms_error(x):
+            return np.sqrt(np.mean((x.reshape(oracle.shape) - oracle) ** 2))
+
+        assert rms_error(unshifted) <= 1.05 * rms_error(shifted)
+
+    @pytest.mark.parametrize("scale", [1.0, 1000.0], ids=["unshifted", "max-shifted"])
+    def test_memory_is_row_blocks_and_operand_sized_arrays(self, monkeypatch, scale):
+        # 4096 positions in 1 MiB of row blocks: 64 forward rows, or three
+        # 21-row arrays in backward. A second block alive would add 1 MiB
+        # (16 operands) to the forward and 1/3 MiB (5.3) to the backward.
+        block = 2 ** 20
+        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", block)
+        rng = np.random.default_rng(8)
+        q, k, v = (t4(rng.uniform(-1, 1, (1, 4, 64, 64)) * s) for s in (scale, 1, 1))
+        unshifted = tensor._unshifted_rows(*(x.data.reshape(4, -1) for x in (q, k, v)))
+        assert unshifted.all() if scale == 1.0 else not unshifted.any()
+        operand = q.data.nbytes
+        probe = rng.standard_normal(q.shape)
+        tracemalloc.start()
+        try:
+            attention(q, k, v)
+            forward = tracemalloc.get_traced_memory()[1]
+            with Tape():
+                loss = weighted_sum(attention(q, k, v), probe)
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                backward(loss)
+                backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert forward <= block + 4 * operand
+        assert backward_peak <= block + 8 * operand
 
     def test_overflowing_affinity_is_an_error(self):
         huge = t4(np.full((1, 2, 2, 3), 1e20))
