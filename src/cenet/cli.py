@@ -1,7 +1,9 @@
 """Command-line entry point: train, infer, eval, gradcheck, ablate."""
 
 import argparse
+import statistics
 import sys
+import time
 from pathlib import Path
 
 from .ablation import format_ablation_table, run_ablation
@@ -32,17 +34,24 @@ def _cmd_infer(args) -> int:
     encoder_for(Path(args.output).suffix)  # reject the format before the network runs
     network = load_network(args.checkpoint)
     image = load_image(args.input)
+    start = time.perf_counter()
     out = enhance(network, image, tile=args.tile)
+    seconds = time.perf_counter() - start
     save_image(out, args.output)
-    print(f"wrote {args.output}")
+    print(f"wrote {args.output} (enhanced in {seconds:.3f} s)")
     return 0
 
 
 def _cmd_eval(args) -> int:
     network = load_network(args.checkpoint)
     records = scan_dataset(args.data)
+    start = time.perf_counter()
     report = evaluate_network(network, records, tile=args.tile)
+    seconds = time.perf_counter() - start
     print(report.to_table())
+    median = statistics.median(row.seconds for row in report.rows)
+    print(f"time: {seconds:.3f} s for {len(report.rows)} images, "
+          f"median {median:.3f} s per image")
     if args.csv:
         Path(args.csv).write_text(report.to_csv())
         print(f"wrote {args.csv}")

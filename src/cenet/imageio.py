@@ -76,45 +76,88 @@ def _defilter_rows(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
     return out
 
 
-# Per-filter predictor (k_a * a + k_b * b) >> shift, with a the left and b the
-# upper neighbour; Paeth rows take the Paeth predictor instead.
-_K_A = np.array([0, 1, 0, 1, 0], dtype=np.int16)
-_K_B = np.array([0, 0, 1, 1, 0], dtype=np.int16)
-_SHIFT = np.array([0, 0, 0, 1, 0], dtype=np.int16)
+def _predictor_table() -> np.ndarray:
+    """(4, 511, 511) uint8 table of (predictor - c) mod 256 for Sub, Up,
+    Average and Paeth, indexed by (filter - 1, b - c + 255, a - c + 255).
+
+    Each of those predictors minus the upper-left byte c is a function of
+    b - c and a - c alone: Sub gives a - c, Up b - c, Average
+    (a - c + b - c) >> 1, and Paeth one of a - c, b - c or 0 by comparing
+    |b - c|, |a - c| and |a - c + b - c|.
+    """
+    d = np.arange(-255, 256, dtype=np.int16)
+    b_c, a_c = d[:, None], d[None, :]
+    pa, pb, pc = np.abs(b_c), np.abs(a_c), np.abs(a_c + b_c)
+    table = np.empty((4, 511, 511), dtype=np.uint8)
+    table[0] = a_c  # assignment wraps negative values mod 256
+    table[1] = b_c
+    table[2] = (a_c + b_c) >> 1
+    table[3] = np.where(pb <= pc, b_c, 0)
+    np.copyto(table[3], table[0], where=(pa <= pb) & (pa <= pc))
+    return table
+
+
+def _skewed(grid: np.ndarray, height: int, width: int, step: int) -> np.ndarray:
+    """The (H+1, W+1, bpp) padded-image view of a diagonal-major grid.
+
+    Padded pixel (Y, X) sits at cell (Y + X) * (step + 1) + W - X, which is
+    also Y * (step + 1) + X * step + W: one anti-diagonal occupies a run of
+    consecutive cells in order of Y. Any step >= min(H + 1, W) keeps the
+    cells distinct; the grid needs (H + W + 1) * (step + 1) of them.
+    """
+    row, byte = grid.strides
+    return np.lib.stride_tricks.as_strided(
+        grid[width:], (height + 1, width + 1, grid.shape[1]),
+        ((step + 1) * row, step * row, byte))
 
 
 def _defilter_wavefront(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
     """Undo any mix of the five filters along anti-diagonals.
 
-    Pixel (y, x) depends only on its left (y, x-1), upper (y-1, x) and
-    upper-left (y-1, x-1) neighbours, which lie on anti-diagonals y+x-1 and
-    y+x-2, so each anti-diagonal is reconstructed in one vector step. The
-    image sits in a zero-bordered (H+1, W+1) grid, where consecutive pixels
-    of an anti-diagonal are W pixels apart, so every operand is a strided
-    view of the flat grid.
+    Pixel (y, x) depends only on its left a = (y, x-1), upper b = (y-1, x)
+    and upper-left c = (y-1, x-1) neighbours, which lie on anti-diagonals
+    y+x-1 and y+x-2, so each anti-diagonal is reconstructed in one vector
+    step. The image sits zero-bordered in a diagonal-major grid (`_skewed`),
+    so a, b, c and the output of one anti-diagonal are contiguous runs of
+    cells. A None row is first rewritten as the Sub row of its byte
+    differences, which reconstructs to the same bytes. Then every row's
+    predictor is ``c + table[filter - 1, b - c, a - c]`` (`_predictor_table`,
+    1.0 MB, built per call), so one anti-diagonal costs one ``np.take`` and
+    seven ufunc calls into preallocated buffers, whatever its filters.
     """
     height, width, bpp = filtered.shape
-    grid_w = width + 1
-    recon = np.zeros(((height + 1) * grid_w, bpp), dtype=np.int16)
+    step = min(height + 1, width)
+    recon = np.zeros(((height + width + 1) * (step + 1), bpp), dtype=np.uint8)
     filt = np.zeros_like(recon)
-    filt.reshape(height + 1, grid_w, bpp)[1:, 1:] = filtered
-    rows = ftypes[:, None]
-    k_a, k_b, shift = _K_A[rows], _K_B[rows], _SHIFT[rows]
-    is_paeth = rows == 4
+    image = _skewed(filt, height, width, step)
+    image[1:, 1:] = filtered
+    none = np.flatnonzero(ftypes == 0)
+    image[none + 1, 2:] = filtered[none, 1:] - filtered[none, :-1]
+    table = _predictor_table()
+    # Flat table offset of each row's filter plane and of b - c = a - c = 0.
+    base = (np.maximum(ftypes, 1).astype(np.intp) - 1) * 511 * 511 + 255 * 512
+    base = np.repeat(base, bpp).reshape(height, bpp)
+    size = min(height, width)
+    index = np.empty((size, bpp), dtype=np.intp)
+    scaled_c = np.empty_like(index)
+    pred = np.empty((size, bpp), dtype=np.uint8)
     for d in range(height + width - 1):
         y0, y1 = max(0, d - width + 1), min(height - 1, d) + 1
-        start = (y0 + 1) * grid_w + d - y0 + 1
-        stop = start + (y1 - y0 - 1) * width + 1
-        a = recon[start - 1:stop - 1:width]
-        b = recon[start - grid_w:stop - grid_w:width]
-        c = recon[start - grid_w - 1:stop - grid_w - 1:width]
-        b_c, a_c = b - c, a - c
-        pa, pb, pc = np.abs(b_c), np.abs(a_c), np.abs(b_c + a_c)
-        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-        linear = (k_a[y0:y1] * a + k_b[y0:y1] * b) >> shift[y0:y1]
-        pred = np.where(is_paeth[y0:y1], paeth, linear)
-        recon[start:stop:width] = (filt[start:stop:width] + pred) & 0xFF
-    return recon.reshape(height + 1, grid_w, bpp)[1:, 1:].astype(np.uint8)
+        n = y1 - y0
+        at = (y0 + 1) * (step + 1) + (d - y0 + 1) * step + width  # pixel (y0, d - y0)
+        a = recon[at - step:at - step + n]
+        b = recon[at - step - 1:at - step - 1 + n]
+        c = recon[at - 2 * step - 1:at - 2 * step - 1 + n]
+        idx, c512, p = index[:n], scaled_c[:n], pred[:n]
+        np.multiply(b, 511, out=idx, dtype=np.intp)  # 511 (b - c) + (a - c)
+        np.add(idx, a, out=idx)
+        np.multiply(c, 512, out=c512, dtype=np.intp)
+        np.subtract(idx, c512, out=idx)
+        np.add(idx, base[y0:y1], out=idx)
+        np.take(table, idx, out=p, mode="clip")  # in range; "raise" would buffer out
+        np.add(p, filt[at:at + n], out=p)
+        np.add(p, c, out=recon[at:at + n])
+    return _skewed(recon, height, width, step)[1:, 1:].copy()
 
 
 def _defilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:

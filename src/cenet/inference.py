@@ -6,6 +6,8 @@ overlapping tiles whose contributions are feathered together; outputs are
 clamped to [0, 1] only here, at export time.
 """
 
+import time
+
 import numpy as np
 
 from .blocks import EnhancementNetwork
@@ -94,9 +96,11 @@ def enhance(network: EnhancementNetwork, image: Image,
 
 
 def _score(network: EnhancementNetwork, record, tile: int | None) -> MetricRow:
+    start = time.perf_counter()
     pair = load_pair(record)
     out = enhance(network, pair.input, tile=tile).pixels
-    return MetricRow(pair.identifier, psnr(out, pair.target.pixels), ssim(out, pair.target.pixels))
+    return MetricRow(pair.identifier, psnr(out, pair.target.pixels),
+                     ssim(out, pair.target.pixels), time.perf_counter() - start)
 
 
 def evaluate_network(network: EnhancementNetwork, records,

@@ -26,7 +26,8 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB over all channels, for a peak value
     of 1; inf when equal."""
     _check_same_shape(a, b)
-    mse = float(np.mean(np.square(a.astype(np.float64) - b.astype(np.float64))))
+    diff = np.subtract(a, b, dtype=np.float64)  # casts both operands, then subtracts
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
@@ -39,11 +40,17 @@ def _gaussian_kernel1d(size: int, sigma: float) -> np.ndarray:
 
 
 def _filter_valid(plane: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Separable valid-mode correlation of a 2-D plane with kern x kern."""
+    """Separable valid-mode correlation of a C-contiguous 2-D plane with
+    kern x kern.
+
+    Both passes slide the window down the rows, so ``windows @ kern`` is one
+    BLAS gemv per output row. The horizontal pass therefore filters a
+    transposed contiguous copy, and the map comes back as its ``.T`` view.
+    """
     windows = np.lib.stride_tricks.sliding_window_view(plane, kern.size, axis=0)
-    plane = windows @ kern
-    windows = np.lib.stride_tricks.sliding_window_view(plane, kern.size, axis=1)
-    return windows @ kern
+    cols = np.ascontiguousarray((windows @ kern).T)
+    windows = np.lib.stride_tricks.sliding_window_view(cols, kern.size, axis=0)
+    return (windows @ kern).T
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -56,19 +63,19 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     kern = _gaussian_kernel1d(SSIM_WINDOW, SSIM_SIGMA)
     c1 = SSIM_K1 ** 2
     c2 = SSIM_K2 ** 2
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
+    # One C-contiguous float64 plane per channel, whatever the input strides.
+    a = np.ascontiguousarray(a.transpose(2, 0, 1), dtype=np.float64)
+    b = np.ascontiguousarray(b.transpose(2, 0, 1), dtype=np.float64)
     scores = []
-    for ch in range(a.shape[2]):
-        x = a[:, :, ch]
-        y = b[:, :, ch]
+    for x, y in zip(a, b):
         mu_x = _filter_valid(x, kern)
         mu_y = _filter_valid(y, kern)
-        var_x = _filter_valid(x * x, kern) - mu_x * mu_x
-        var_y = _filter_valid(y * y, kern) - mu_y * mu_y
-        cov = _filter_valid(x * y, kern) - mu_x * mu_y
-        num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
-        den = (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
+        mu_xx, mu_yy, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y
+        # the variances only occur summed, so one filter of x^2 + y^2 serves both
+        var_sum = _filter_valid(x * x + y * y, kern) - mu_xx - mu_yy
+        cov = _filter_valid(x * y, kern) - mu_xy
+        num = (2 * mu_xy + c1) * (2 * cov + c2)
+        den = (mu_xx + mu_yy + c1) * (var_sum + c2)
         scores.append(float(np.mean(num / den)))
     return float(np.mean(scores))
 
@@ -78,6 +85,7 @@ class MetricRow:
     identifier: str
     psnr_db: float
     ssim: float
+    seconds: float = 0.0  # wall time to load, enhance and score the pair
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Codec round-trips, filter handling, and malformed-input rejection."""
 
+import itertools
 import struct
 import tracemalloc
 import zlib
@@ -16,6 +17,8 @@ from cenet.imageio import (
     ImageParseError,
     UnsupportedImageError,
     _defilter,
+    _defilter_wavefront,
+    _predictor_table,
     decode_image,
     decode_png,
     decode_ppm,
@@ -42,11 +45,10 @@ def png_with_extent(extent):
             + png_chunk(b"IDAT", zlib.compress(bytes(16))) + png_chunk(b"IEND", b""))
 
 
-def build_png(arr, color_type=2, bit_depth=8, interlace=0, filters=None):
-    """Hand-rolled PNG writer with controllable filter types per row."""
-    h, w, channels = arr.shape
-    bpp = channels
-    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, interlace)
+def filter_scanlines(arr, filters=None):
+    """The PNG scanline stream of (H, W, bpp) bytes, row y filtered with
+    ``filters[y % len(filters)]`` (None everywhere by default)."""
+    h, w, bpp = arr.shape
     rows = bytearray()
     prev = np.zeros(w * bpp, dtype=np.int32)
     for y in range(h):
@@ -75,8 +77,15 @@ def build_png(arr, color_type=2, bit_depth=8, interlace=0, filters=None):
         rows.append(ftype)
         rows.extend((enc % 256).astype(np.uint8).tobytes())
         prev = line
+    return bytes(rows)
+
+
+def build_png(arr, color_type=2, bit_depth=8, interlace=0, filters=None):
+    """Hand-rolled PNG writer with controllable filter types per row."""
+    h, w, _ = arr.shape
+    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, interlace)
     return (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr)
-            + png_chunk(b"IDAT", zlib.compress(bytes(rows)))
+            + png_chunk(b"IDAT", zlib.compress(filter_scanlines(arr, filters)))
             + png_chunk(b"IEND", b""))
 
 
@@ -149,6 +158,51 @@ class TestPng:
         raw = np.concatenate([np.array(ftypes, np.uint8)[:, None], body], axis=1).tobytes()
         npt.assert_array_equal(_defilter(raw, width, len(ftypes), bpp),
                                png_defilter_naive(raw, width, len(ftypes), bpp))
+
+    @pytest.mark.parametrize("low, high", [(0x00, 0xFF), (0x01, 0xFE)])
+    def test_predictor_table_corners_match_the_scalar_predictors(self, low, high):
+        table = _predictor_table()
+        for a, b, c in itertools.product((low, high), repeat=3):
+            for ftype in range(1, 5):
+                # a 2x2 grey image whose last filtered byte is 0 decodes to
+                # the predictor from its neighbours a, b and c
+                pixels = np.array([[c, b], [a, 0]], np.uint8)[:, :, None]
+                raw = filter_scanlines(pixels, [0, ftype])[:-1] + b"\0"
+                expected = png_defilter_naive(raw, 2, 2, 1)[1, 1, 0]
+                assert (c + int(table[ftype - 1, b - c + 255, a - c + 255])) % 256 == expected
+
+    @pytest.mark.parametrize("bpp", [3, 4])
+    @pytest.mark.parametrize("ftype", range(5))
+    @pytest.mark.parametrize("low, high", [(0x00, 0xFF), (0x01, 0xFE)])
+    def test_defilter_at_predictor_table_corners(self, bpp, ftype, low, high):
+        # Alternating extremes put b - c and a - c at +-255 or 0 in every
+        # combination a picture can reach: a checkerboard, row and column
+        # stripes, one per lane.
+        h, w = 7, 9
+        yy, xx = np.mgrid[0:h, 0:w]
+        odd = np.stack([(yy + xx) % 2, yy % 2, xx % 2, (yy + xx + 1) % 2][:bpp], axis=2)
+        image = np.where(odd == 1, high, low).astype(np.uint8)
+        streams = [filter_scanlines(image, [ftype])]
+        # and the filtered bytes themselves alternating
+        body = np.where((np.arange(w * bpp) + np.arange(h)[:, None]) % 2, high, low)
+        streams.append(np.concatenate([np.full((h, 1), ftype), body], axis=1)
+                       .astype(np.uint8).tobytes())
+        for raw in streams:
+            expected = png_defilter_naive(raw, w, h, bpp)
+            rows = np.frombuffer(raw, np.uint8).reshape(h, 1 + w * bpp)
+            npt.assert_array_equal(
+                _defilter_wavefront(rows[:, 1:].reshape(h, w, bpp), rows[:, 0]), expected)
+            npt.assert_array_equal(_defilter(raw, w, h, bpp), expected)
+        npt.assert_array_equal(_defilter(streams[0], w, h, bpp), image)
+
+    @pytest.mark.parametrize("bpp", [3, 4])
+    def test_defilter_mixed_filters_on_extreme_bytes(self, bpp):
+        h, w = 64, 96
+        rng = np.random.default_rng(bpp)
+        image = rng.choice(np.array([0x00, 0x01, 0xFE, 0xFF], np.uint8), (h, w, bpp))
+        raw = filter_scanlines(image, rng.integers(0, 5, h).tolist())
+        npt.assert_array_equal(_defilter(raw, w, h, bpp), png_defilter_naive(raw, w, h, bpp))
+        npt.assert_array_equal(_defilter(raw, w, h, bpp), image)
 
     @pytest.mark.parametrize("bad_row", [0, 3, 5])
     def test_unknown_filter_type_names_first_bad_row(self, bad_row):

@@ -50,10 +50,21 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(rand_img(4, 4, 0), rand_img(4, 5, 0))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_two_copy_float64_form(self, seed):
+        a, b = rand_img(9 + seed, 13, seed), rand_img(9 + seed, 13, seed + 20)
+        mse = float(np.mean(np.square(a.astype(np.float64) - b.astype(np.float64))))
+        assert psnr(a, b) == 10.0 * math.log10(1.0 / mse)
+
 
 class TestSsim:
     def test_self_is_exactly_one(self):
         a = rand_img(16, 16, 5)
+        assert ssim(a, a) == 1.0
+
+    @pytest.mark.parametrize("h, w", [(11, 11), (23, 17)])
+    def test_self_is_exactly_one_at_the_smallest_and_an_odd_size(self, h, w):
+        a = rand_img(h, w, 6)
         assert ssim(a, a) == 1.0
 
     def test_inverted_image_scores_low(self):
@@ -63,17 +74,28 @@ class TestSsim:
     def test_matches_reference_on_shifted_pair(self):
         a = rand_img(20, 20, 7)
         b = np.clip(a + 0.05, 0, 1)
-        assert ssim(a, b) == pytest.approx(ssim_reference(a, b), abs=1e-4)
+        assert ssim(a, b) == pytest.approx(ssim_reference(a, b), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_on_random_pairs(self, seed):
         a = rand_img(16, 18, seed)
         b = rand_img(16, 18, seed + 100)
-        assert ssim(a, b) == pytest.approx(ssim_reference(a, b), abs=1e-4)
+        assert ssim(a, b) == pytest.approx(ssim_reference(a, b), abs=1e-12)
 
     def test_symmetric(self):
         a, b = rand_img(14, 14, 8), rand_img(14, 14, 9)
         assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-6)
+
+    def test_strided_inputs_score_as_their_contiguous_copies(self):
+        a, b = rand_img(19, 27, 10), rand_img(19, 27, 11)
+        planar = np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+        transposed = np.ascontiguousarray(b.transpose(1, 0, 2)).transpose(1, 0, 2)
+        wide = np.repeat(a, 2, axis=2)[:, :, ::2]  # channel stride of 8 bytes
+        expected = ssim(a, b)
+        assert ssim(planar, b) == expected
+        assert ssim(a, transposed) == expected
+        assert ssim(wide, transposed) == expected
+        assert ssim(a.T.copy().T, b) == expected
 
     def test_bounded(self):
         for seed in range(3):

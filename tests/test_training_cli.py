@@ -1,5 +1,6 @@
 """End-to-end training, persistence, inference, and CLI behavior."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,9 @@ from cenet import cli
 from cenet.blocks import EnhancementNetwork, NetworkConfig
 from cenet.checkpoint import Checkpoint, load, save
 from cenet.config import RunConfig, format_config
+from cenet.dataset import scan_dataset
 from cenet.imageio import Image, load_image, save_image
-from cenet.inference import enhance
+from cenet.inference import enhance, evaluate_network
 from cenet.training import TrainingError, load_network, restore, train
 
 from reference import synthetic_pair
@@ -239,6 +241,35 @@ class TestCli:
         assert lines[0] == "id,psnr,ssim"
         assert len(lines) == 2  # one pair
         capsys.readouterr()
+
+    def test_infer_reports_its_enhance_time(self, dataset, tmp_path, capsys):
+        train(tiny_config(dataset, tmp_path / "run", iters=2))
+        ckpt = tmp_path / "run" / "checkpoint_final.ckpt"
+        source, out = dataset / "input" / "pair0.png", tmp_path / "x.png"
+        capsys.readouterr()
+        assert cli.main(["infer", "--checkpoint", str(ckpt), "--input", str(source),
+                         "--output", str(out)]) == 0
+        assert re.fullmatch(rf"wrote {re.escape(str(out))} \(enhanced in \d+\.\d{{3}} s\)\n",
+                            capsys.readouterr().out)
+        expected = enhance(load_network(ckpt), load_image(source))
+        npt.assert_array_equal(load_image(out).to_u8(), expected.to_u8())
+
+    def test_eval_reports_total_and_median_time_after_its_table(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, n_pairs=3)
+        train(tiny_config(data, tmp_path / "run", iters=2))
+        ckpt = tmp_path / "run" / "checkpoint_final.ckpt"
+        csv_path = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--csv", str(csv_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        report = evaluate_network(load_network(ckpt), scan_dataset(data))
+        assert lines[:-2] == report.to_table().splitlines()
+        assert re.fullmatch(r"time: \d+\.\d{3} s for 3 images, median \d+\.\d{3} s per image",
+                            lines[-2])
+        assert lines[-1] == f"wrote {csv_path}"
+        assert csv_path.read_text() == report.to_csv()
 
     def test_infer_without_config_or_sidecar(self, dataset, tmp_path, capsys):
         # the .cfg sidecar is provenance only: deleted or garbage, it changes nothing
