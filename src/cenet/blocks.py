@@ -122,6 +122,10 @@ class NonLocalBlock(Block):
     query and key vectors, so every output position aggregates value
     vectors from all positions. The output projection starts at zero,
     which makes a freshly built block the identity map.
+
+    The key bias cannot learn: it adds q_i . b to every logit of query row
+    i, which the row softmax cancels, so its gradient is analytically zero.
+    It stays a parameter so that checkpoints keep their records.
     """
 
     def __init__(self, name: str, channels: int, seed: int):

@@ -273,9 +273,11 @@ def encode_png(image: Image) -> bytes:
     h, w = arr.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
     scanlines = np.pad(arr.reshape(h, w * 3), ((0, 0), (1, 0)))  # filter None per row
+    # zlib level 1: several times faster than 6 on photo-like noise, where
+    # the higher levels barely shrink the stream (or grow it)
     return (PNG_SIGNATURE
             + _chunk(b"IHDR", ihdr)
-            + _chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 6))
+            + _chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 1))
             + _chunk(b"IEND", b""))
 
 

@@ -3,14 +3,18 @@
 Every tensor is a contiguous NCHW array of 32-bit floats (64-bit for
 verification runs). Operators record themselves onto the active tape;
 ``backward`` replays the tape in reverse and accumulates gradients into
-every tensor it reaches. A tape lives for exactly one forward/backward
-pass and is confined to the thread that created it.
+the tensors the tape did not produce: parameters and inputs. A tape lives
+for exactly one forward/backward pass and is confined to the thread that
+created it.
 
-The recorded graph is released when the tape's ``with`` block exits,
+``backward`` releases each recorded node once its rule has run, with the
+gradient of the tensor it produced, so a step's backward holds only what
+the rest of the walk still reads. Whatever it leaves, and the whole graph
+when no backward ran, is released when the tape's ``with`` block exits,
 normally or through an exception: every recorded tensor's ``tape_node``
 is ``None`` afterwards, so a finished step is freed by reference counting
-alone, while the ``.grad`` of every tensor (parameters and inputs alike)
-is kept. Run ``backward`` inside the block.
+alone, while the ``.grad`` of every parameter and input is kept. Run
+``backward`` inside the block.
 """
 
 import math
@@ -102,14 +106,16 @@ class Tape:
     list in exact reverse. A tape is single-use: once consumed it cannot
     be replayed.
 
-    Leaving the ``with`` block, normally or through an exception, releases
-    the graph: each recorded output's ``tape_node`` becomes ``None`` and
-    the node list is emptied, which breaks the tensor <-> node reference
-    cycles. Gradients already accumulated into ``.grad`` are kept.
+    ``backward`` overwrites each node it has finished with ``None`` in
+    place, so the list keeps its length. Leaving the ``with`` block,
+    normally or through an exception, releases the rest of the graph: each
+    remaining output's ``tape_node`` becomes ``None`` and the node list is
+    emptied, which breaks the tensor <-> node reference cycles. Gradients
+    already accumulated into ``.grad`` are kept.
     """
 
     def __init__(self):
-        self.nodes: list[_TapeNode] = []
+        self.nodes: list[_TapeNode | None] = []
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -122,7 +128,8 @@ class Tape:
             raise ContractError("tape context exited out of order")
         stack.pop()
         for node in self.nodes:
-            node.output.tape_node = None
+            if node is not None:
+                node.output.tape_node = None
         self.nodes.clear()
         return False
 
@@ -171,11 +178,28 @@ def _accumulate(tensor: Tensor, grad: np.ndarray):
         tensor.grad += grad
 
 
+def _run_rule(node: _TapeNode, upstream: np.ndarray):
+    """Accumulate one node's input gradients. A function of its own, so that
+    the rule's returned arrays die on return, not during the next rule."""
+    for tensor, grad in zip(node.inputs, node.backward_fn(upstream)):
+        if grad is not None:
+            _accumulate(tensor, grad)
+
+
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(tensor) into every tensor on the loss's tape.
+    """Accumulate d(loss)/d(tensor) into every parameter and input of the
+    loss's tape: each tensor the tape used but did not produce.
 
     The seed gradient is 1. Tensors feeding multiple consumers receive the
     sum over all paths. The tape is consumed: a second call is an error.
+
+    Once a node's rule has run, every consumer of its output has run
+    before it, so nothing later reads the node, its saved arrays or its
+    output's gradient. Each is released there: the output loses ``.grad``
+    and ``tape_node``, and the node's list entry becomes ``None``. So a
+    step's backward peaks near its forward, not at the sum of every
+    activation and every intermediate gradient. The loss keeps its node
+    and its gradient until the tape exits.
     """
     node = loss.tape_node
     if node is None:
@@ -187,13 +211,14 @@ def backward(loss: Tensor):
         raise ContractError("tape already consumed; build a new tape for another backward pass")
     tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        upstream = node.output.grad
-        if upstream is None:
-            continue
-        for tensor, grad in zip(node.inputs, node.backward_fn(upstream)):
-            if grad is not None:
-                _accumulate(tensor, grad)
+    nodes = tape.nodes
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        out = node.output
+        if out.grad is not None:
+            _run_rule(node, out.grad)
+        if out is not loss:
+            out.grad = out.tape_node = nodes[i] = None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import ast
 import gc
 import inspect
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -86,10 +87,9 @@ class TestBackward:
             c = add(a, b)
             backward(add(total(c), first))
         assert not np.shares_memory(a.grad, b.grad)
-        assert not np.shares_memory(a.grad, c.grad)
         npt.assert_array_equal(a.grad, np.full((1, 1, 2, 2), 2.0))
         npt.assert_array_equal(b.grad, np.ones((1, 1, 2, 2)))
-        npt.assert_array_equal(c.grad, np.ones((1, 1, 2, 2)))
+        assert c.grad is None  # released with its node once add's rule ran
 
     def test_first_gradients_are_c_contiguous(self):
         # conv2d's input and weight gradients are transposed views
@@ -209,6 +209,52 @@ class TestTapeRelease:
                 assert p.grad is not None and p.grad.shape == p.shape, name
             del loss
         assert garbage == []
+
+    def test_tape_left_by_a_failing_rule_releases_every_node(self, desk):
+        # the rule raises after backward released the nodes behind it, so the
+        # exit walks a list that is partly None
+        network, x, target = desk
+        released = []
+
+        def failing_step(outputs):
+            with Tape() as tape:
+                def failing_rule(up):
+                    released.append(tape.nodes.count(None))
+                    raise FloatingPointError("rule failed")
+
+                loss = l1_loss(network.forward(x), target)
+                outputs += [node.output for node in tape.nodes]
+                convs = [node for node in tape.nodes if node.op_name == "conv2d"]
+                convs[len(convs) // 2].backward_fn = failing_rule
+                backward(loss)
+
+        outputs = []
+        with cyclic_garbage() as garbage:
+            with pytest.raises(FloatingPointError, match="rule failed"):
+                failing_step(outputs)
+            assert 0 < released[0] < len(outputs)
+            assert all(out.tape_node is None for out in outputs)
+            del outputs
+        assert garbage == []
+
+    def test_backward_peaks_near_its_forward(self):
+        # one desk training step at its crop of 64: the traced backward peaks
+        # at about 1.2x the forward, against 1.7x while the tape kept every
+        # node, saved array and intermediate gradient until its exit
+        network = EnhancementNetwork(desk_preset().network, seed=0)
+        rng = np.random.default_rng(0)
+        x, target = rng.uniform(0, 1, (2, 1, 3, 64, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            with Tape():
+                loss = l1_loss(network.forward(Tensor(x)), Tensor(target))
+                forward_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                backward(loss)
+                backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert backward_peak <= 1.3 * forward_peak, (backward_peak, forward_peak)
 
     def test_second_backward_inside_block_still_rejected(self, desk):
         network, x, target = desk

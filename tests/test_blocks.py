@@ -29,6 +29,7 @@ from cenet.tensor import (
     upsample_nearest2x,
     weighted_sum,
 )
+from cenet.verify import _float64
 
 from reference import attention_naive, conv2d_naive, prelu_ref
 
@@ -185,6 +186,20 @@ class TestNonLocalBlock:
         out_perm = block.forward(Tensor(x_perm)).data.reshape(n, c, h * w)
         inverse = np.argsort(perm)
         npt.assert_allclose(out_perm[:, :, inverse], out, atol=1e-5)
+
+    def test_key_bias_gradient_is_zero(self):
+        # a key bias b shifts all logits of query row i by q_i . b, which the
+        # row softmax cancels; float64 leaves only rounding
+        rng = np.random.default_rng(6)
+        block = _float64(NonLocalBlock("a", 6, seed=5))
+        for p in (block.query_b, block.key_b, block.out_w):
+            p.data = rng.uniform(-0.5, 0.5, p.shape)
+        x = Tensor(rng.uniform(-1, 1, (1, 6, 5, 5)))
+        with Tape():
+            backward(weighted_sum(block.forward(x), rng.standard_normal(x.shape)))
+        largest = max(np.abs(p.grad).max() for p in block.parameters())
+        assert np.abs(block.key_b.grad).max() < 1e-12 * largest
+        assert np.abs(block.query_b.grad).max() > 1e-3 * largest  # the query bias does learn
 
     def test_bottleneck_width(self):
         assert NonLocalBlock("a", 7, seed=0).inner == 4

@@ -80,12 +80,14 @@ def filter_scanlines(arr, filters=None):
     return bytes(rows)
 
 
-def build_png(arr, color_type=2, bit_depth=8, interlace=0, filters=None):
-    """Hand-rolled PNG writer with controllable filter types per row."""
+def build_png(arr, color_type=2, bit_depth=8, interlace=0, filters=None,
+              level=zlib.Z_DEFAULT_COMPRESSION):
+    """Hand-rolled PNG writer with controllable filter types per row and
+    zlib ``level``."""
     h, w, _ = arr.shape
     ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, interlace)
     return (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr)
-            + png_chunk(b"IDAT", zlib.compress(filter_scanlines(arr, filters)))
+            + png_chunk(b"IDAT", zlib.compress(filter_scanlines(arr, filters), level))
             + png_chunk(b"IEND", b""))
 
 
@@ -224,7 +226,7 @@ class TestPng:
     @pytest.mark.parametrize("h, w", [(1, 1), (7, 5), (320, 480)])
     def test_encoder_matches_reference_writer(self, h, w):
         arr = rand_u8(h, w, seed=11)
-        assert encode_png(Image.from_u8(arr)) == build_png(arr)
+        assert encode_png(Image.from_u8(arr)) == build_png(arr, level=1)
 
     def test_rgba_drops_alpha_with_warning(self, caplog):
         arr = rand_u8(5, 4, seed=3, channels=4)

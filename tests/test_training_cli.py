@@ -1,7 +1,11 @@
 """End-to-end training, persistence, inference, and CLI behavior."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +14,7 @@ import pytest
 from cenet import cli
 from cenet.blocks import EnhancementNetwork, NetworkConfig
 from cenet.checkpoint import Checkpoint, load, save
-from cenet.config import RunConfig, format_config
+from cenet.config import RunConfig, desk_preset, format_config
 from cenet.dataset import scan_dataset
 from cenet.imageio import Image, load_image, save_image
 from cenet.inference import enhance, evaluate_network
@@ -486,6 +490,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory (Unable to allocate 9.00 GiB")
         assert "--tile" in err and "crop_size" in err
+
+    def test_infer_out_of_its_address_space_exits_with_hint(self, dataset, tmp_path):
+        # a real allocation failure: the child may map 500 MiB, and a desk
+        # forward over 2400x3200 pixels needs more than that
+        resource = pytest.importorskip("resource")
+        limit = 500 * 2 ** 20
+        train(tiny_config(dataset, tmp_path / "run", iters=2, network=desk_preset().network))
+        source = tmp_path / "big.png"
+        save_image(Image.from_u8(np.full((2400, 3200, 3), 40, dtype=np.uint8)), source)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "cenet.cli", "infer",
+             "--checkpoint", str(tmp_path / "run" / "checkpoint_final.ckpt"),
+             "--input", str(source), "--output", str(tmp_path / "out.png")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == 1, done.stderr
+        assert "hint:" in done.stderr and "Traceback" not in done.stderr, done.stderr
+        assert not (tmp_path / "out.png").exists()
 
 
 class TestAblate:
