@@ -25,8 +25,8 @@ from .tensor import (
     maxpool2d,
     upsample_nearest2x,
 )
-# Unused here; perfbench's tracer looks these names up on this module.
-from .tensor import concat_channels, matmul, permute, prelu, reshape, softmax_rows  # noqa: F401
+# perfbench's tracer patches these names, which no op has any more; ROADMAP item 1 deletes this.
+concat_channels = matmul = permute = prelu = reshape = softmax_rows = None
 
 RGB_CHANNELS = 3
 

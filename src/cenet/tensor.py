@@ -320,14 +320,14 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     """2-D cross-correlation at stride 1 with "same" zero padding.
 
     ``x`` is one (N, Cin, H, W) tensor or a tuple of tensors with equal N,
-    H and W, read as their channel concatenation in order, so
-    ``conv2d((a, b), w, bias)`` equals ``conv2d(concat_channels(a, b), w,
-    bias)`` without building the concatenation. ``weight`` is (Cout, Cin,
-    k, k) with odd k and Cin the inputs' total width; ``bias`` is (1, Cout,
-    1, 1). With a (1, Cout, 1, 1) ``slope``, the output is
-    ``prelu(conv2d(x, weight, bias), slope)``, bit for bit, applied to each
-    band while it is in cache; the pre-activation is kept only while a tape
-    records, for the backward. The output keeps the inputs' H and W. The
+    H and W, read as the channel concatenation of the tuple in order, bit
+    for bit, without building it. ``weight`` is (Cout, Cin, k, k) with odd
+    k and Cin the inputs' total width; ``bias`` is (1, Cout, 1, 1). With a
+    (1, Cout, 1, 1) ``slope``, the output is the PReLU of the
+    pre-activation ``pre = conv2d(x, weight, bias)``, bit for bit
+    ``where(pre < 0, slope * pre, pre)``, applied to each band while it is
+    in cache; the pre-activation is kept only while a tape records, for
+    the backward. The output keeps the inputs' H and W. The
     work runs in bands of output rows, each stacking and padding only its
     own input rows, so no padded copy or concatenation of the inputs exists
     whole and the tape keeps only the inputs themselves. The backward rule
@@ -440,74 +440,6 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
         return (cols[:, :, 0::2] + cols[:, :, 1::2],)
 
     return _emit("upsample_nearest2x", out, (x,), backward_fn)
-
-
-def concat_channels(*tensors: Tensor) -> Tensor:
-    """Concatenate along the channel axis, in argument order."""
-    if not tensors:
-        raise DimensionError("concat_channels needs at least one input")
-    n, _, h, w = tensors[0].shape
-    for t in tensors[1:]:
-        tn, _, th, tw = t.shape
-        if (tn, th, tw) != (n, h, w):
-            raise DimensionError(
-                f"concat_channels inputs disagree on batch/spatial extents: "
-                f"{tensors[0].shape} vs {t.shape}")
-    out = np.concatenate([t.data for t in tensors], axis=1)
-    splits = np.cumsum([t.shape[1] for t in tensors])[:-1]
-
-    def backward_fn(up):
-        return tuple(np.ascontiguousarray(g) for g in np.split(up, splits, axis=1))
-
-    return _emit("concat_channels", out, tensors, backward_fn)
-
-
-def prelu(x: Tensor, slope: Tensor) -> Tensor:
-    """Parametric ReLU with a learnable per-channel negative slope.
-
-    The network runs it inside ``conv2d``; this op is the same rule alone.
-    """
-    n, c, h, w = x.shape
-    if slope.shape != (1, c, 1, 1):
-        raise DimensionError(f"prelu slope must have shape (1, {c}, 1, 1), got {slope.shape}")
-    neg = x.data < 0
-    # no output-sized temporary: at photo size a PReLU runs at the forward's peak
-    out = slope.data * x.data
-    np.putmask(out, ~neg, x.data)
-
-    def backward_fn(up):
-        return _prelu_grads(x.data, slope.data, up)
-
-    return _emit("prelu", out, (x, slope), backward_fn)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row softmax over the last axis, with per-row max subtraction."""
-    out = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-    def backward_fn(up):
-        dot = (up * out).sum(axis=-1, keepdims=True)
-        return (out * (up - dot),)
-
-    return _emit("softmax_rows", out, (x,), backward_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the trailing two axes; leading axes must match."""
-    if a.shape[:2] != b.shape[:2]:
-        raise DimensionError(f"matmul leading axes disagree: {a.shape} vs {b.shape}")
-    if a.shape[3] != b.shape[2]:
-        raise DimensionError(f"matmul inner extents disagree: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
-
-    def backward_fn(up):
-        d_a = up @ b.data.transpose(0, 1, 3, 2)
-        d_b = a.data.transpose(0, 1, 3, 2) @ up
-        return d_a, d_b
-
-    return _emit("matmul", out, (a, b), backward_fn)
 
 
 # Byte budget of the affinity-matrix row blocks alive at once; attention
@@ -634,33 +566,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return up, up
 
     return _emit("add", out, (a, b), backward_fn)
-
-
-def reshape(x: Tensor, shape: tuple[int, int, int, int]) -> Tensor:
-    """View the same elements under a new 4-D shape."""
-    if len(shape) != 4:
-        raise DimensionError(f"reshape target must be 4-D, got {shape}")
-    if math.prod(shape) != x.size:
-        raise DimensionError(f"reshape cannot map {x.shape} onto {tuple(shape)}")
-    out = x.data.reshape(shape)
-
-    def backward_fn(up):
-        return (up.reshape(x.shape),)
-
-    return _emit("reshape", out, (x,), backward_fn)
-
-
-def permute(x: Tensor, axes: tuple[int, int, int, int]) -> Tensor:
-    """Reorder the four axes by the given bijection."""
-    if sorted(axes) != [0, 1, 2, 3]:
-        raise DimensionError(f"permute axes must be a bijection of (0, 1, 2, 3), got {axes}")
-    out = np.ascontiguousarray(x.data.transpose(axes))
-    inverse = tuple(int(i) for i in np.argsort(axes))
-
-    def backward_fn(up):
-        return (np.ascontiguousarray(up.transpose(inverse)),)
-
-    return _emit("permute", out, (x,), backward_fn)
 
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:

@@ -76,23 +76,6 @@ def maxpool2d_naive(x):
     return out
 
 
-def matmul_naive(a, b):
-    """Reference triple-loop matrix product for 2-D arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    r, k = a.shape
-    k2, s = b.shape
-    assert k == k2
-    out = np.zeros((r, s))
-    for i in range(r):
-        for j in range(s):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def attention_naive(q, k, v):
     """Reference non-local attention: the full affinity matrix, one row at a
     time, with an explicit per-row max subtraction before the softmax."""

@@ -286,13 +286,11 @@ class TestNetwork:
                 assert counts.get("attention", 0) == 1
             else:
                 assert counts.get("attention", 0) == 0
-                assert counts.get("matmul", 0) == 0
             feature_blocks = 2 * m + 1
             # the decoder's (upsampled, skip) joins, then each dense block's
             # layers 2 and 3
             expected = [2] * m + ([2, 3] * feature_blocks if lc else [])
             assert sorted(joins) == sorted(expected)
-            assert counts.get("concat_channels", 0) == 0
             structure = net.structure()
             assert structure["attention_blocks"] == (1 if gc else 0)
             assert structure["dense_blocks"] == (feature_blocks if lc else 0)

@@ -19,22 +19,16 @@ from cenet.tensor import (
     add,
     attention,
     backward,
-    concat_channels,
     conv2d,
     gradcheck,
     l1_loss,
-    matmul,
     maxpool2d,
-    permute,
-    prelu,
-    reshape,
-    softmax_rows,
     upsample_nearest2x,
     weighted_sum,
 )
 
 from reference import (attention_grads_naive, attention_naive, conv2d_grads_naive, conv2d_naive,
-                       matmul_naive, maxpool2d_naive, prelu_ref)
+                       maxpool2d_naive, prelu_ref)
 
 
 def t4(data, dtype=np.float32):
@@ -50,6 +44,16 @@ class TestTensor:
     ], ids=["float64", "float32", "int64", "bool-list"])
     def test_float_data_keeps_its_dtype_and_other_data_becomes_float32(self, data, dtype):
         assert Tensor(data).dtype == dtype
+
+
+def taped_grads(op, inputs, probe):
+    """``op()``'s output and the gradients of <op(), probe> for ``inputs``."""
+    for t in inputs:
+        t.grad = None
+    with Tape():
+        out = op()
+        backward(weighted_sum(out, probe))
+    return [out.data] + [t.grad for t in inputs]
 
 
 class TestConv2d:
@@ -155,17 +159,12 @@ class TestConv2d:
         xs = [t4(rng.uniform(-1, 1, (2, c, 9, 10))) for c in widths]
         wt, b = (t4(rng.uniform(-1, 1, shape)) for shape in ((4, sum(widths), k, k), (1, 4, 1, 1)))
         probe = rng.standard_normal((2, 4, 9, 10))
-
-        def run(op):
-            for t in (*xs, wt, b):
-                t.grad = None
-            with Tape():
-                out = op()
-                backward(weighted_sum(out, probe))
-            return [out.data] + [t.grad for t in (*xs, wt, b)]
-
-        for got, want in zip(run(lambda: conv2d(tuple(xs), wt, b)),
-                             run(lambda: conv2d(concat_channels(*xs), wt, b))):
+        whole = t4(np.concatenate([x.data for x in xs], axis=1))
+        out, *d_xs, d_w, d_b = taped_grads(lambda: conv2d(tuple(xs), wt, b), [*xs, wt, b], probe)
+        want_out, d_whole, want_w, want_b = taped_grads(lambda: conv2d(whole, wt, b),
+                                                        [whole, wt, b], probe)
+        want_xs = np.split(d_whole, np.cumsum(widths)[:-1], axis=1)
+        for got, want in zip([out, *d_xs, d_w, d_b], [want_out, *want_xs, want_w, want_b]):
             npt.assert_array_equal(got, want)
 
     def test_one_input_tuple_is_the_tensor(self):
@@ -239,16 +238,6 @@ class TestConv2d:
                    t4(np.zeros((1, 1, 1, 1))))
 
 
-def taped_grads(op, inputs, probe):
-    """``op()``'s output and the gradients of <op(), probe> for ``inputs``."""
-    for t in inputs:
-        t.grad = None
-    with Tape():
-        out = op()
-        backward(weighted_sum(out, probe))
-    return [out.data] + [t.grad for t in inputs]
-
-
 class TestConvPrelu:
     """``conv2d`` with a ``slope``: the PReLU runs in each band's epilogue."""
 
@@ -287,7 +276,8 @@ class TestConvPrelu:
                                                (5, (1, 2, 2), 4)])
     def test_is_bitwise_the_unfused_composition(self, monkeypatch, k, widths, rows):
         # float32, ragged bands, slopes -0.0, 0, negative and positive:
-        # forward and every gradient keep the bits of prelu(conv2d(...))
+        # forward and every gradient keep the bits of the where-form PReLU
+        # of the unfused conv2d, its input gradient fed upstream of that conv
         h, w, cout = 9, 10, 4
         monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", rows * (sum(widths) + cout) * (w + k) * 4)
         rng = np.random.default_rng(k + len(widths))
@@ -296,9 +286,14 @@ class TestConvPrelu:
                                                             (1, cout, 1, 1)))
         slope = t4(np.array([-0.0, 0.0, -1.5, 0.25]).reshape(1, cout, 1, 1))
         probe = rng.standard_normal((2, cout, h, w)).astype(np.float32)
-        inputs = [*xs, wt, b, slope]
-        fused = taped_grads(lambda: conv2d(tuple(xs), wt, b, slope), inputs, probe)
-        unfused = taped_grads(lambda: prelu(conv2d(tuple(xs), wt, b), slope), inputs, probe)
+        fused = taped_grads(lambda: conv2d(tuple(xs), wt, b, slope), [*xs, wt, b, slope], probe)
+        pre = conv2d(tuple(xs), wt, b).data
+        neg = pre < 0
+        d_pre = np.where(neg, slope.data, 1) * probe
+        unfused = taped_grads(lambda: conv2d(tuple(xs), wt, b), [*xs, wt, b], d_pre)
+        unfused[0] = np.where(neg, slope.data * pre, pre)
+        unfused.append(np.where(neg, pre * probe, 0).sum(axis=(0, 2, 3)).reshape(slope.shape))
+        assert len(fused) == len(unfused)
         for got, want in zip(fused, unfused):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         untaped = conv2d(tuple(xs), wt, b, slope).data
@@ -316,7 +311,7 @@ class TestConvPrelu:
         assert out.tobytes() == np.where(pre < 0, slope.data * pre, pre).tobytes()
         # the backward's branch-free gain, on ±0.0 and a -0.0 slope too
         up = np.array([1.0, -1.0, -2.0, 0.5, -0.0, 3.0], np.float32).reshape(x.shape)
-        _, d_x, d_slope = taped_grads(lambda: prelu(x, slope), [x, slope], up)
+        d_x, d_slope = tensor._prelu_grads(x.data, slope.data, up)
         assert d_x.tobytes() == (np.where(x.data < 0, slope.data, 1) * up).tobytes()
         assert d_slope.tobytes() == np.where(x.data < 0, x.data * up, 0).sum().reshape(
             1, 1, 1, 1).tobytes()
@@ -433,109 +428,6 @@ class TestUpsample:
         assert out.data.tobytes() == x.data.repeat(2, axis=2).repeat(2, axis=3).tobytes()
         block_sum = up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
         assert x.grad.dtype == dtype and x.grad.tobytes() == block_sum.tobytes()
-
-
-class TestConcat:
-    def test_order(self):
-        out = concat_channels(t4(np.array([3.0, 4.0]).reshape(1, 2, 1, 1)),
-                              t4(np.array([5.0]).reshape(1, 1, 1, 1)))
-        npt.assert_array_equal(out.data.ravel(), [3, 4, 5])
-
-    def test_single_input_identity(self):
-        x = t4(np.random.default_rng(0).uniform(size=(1, 3, 2, 2)))
-        npt.assert_array_equal(concat_channels(x).data, x.data)
-
-    def test_spatial_mismatch(self):
-        with pytest.raises(DimensionError):
-            concat_channels(t4(np.zeros((1, 1, 2, 2))), t4(np.zeros((1, 1, 3, 2))))
-
-
-class TestPrelu:
-    def test_values(self):
-        x = t4(np.array([2.0, -4.0]).reshape(1, 1, 1, 2))
-        slope = t4(np.full((1, 1, 1, 1), 0.25))
-        npt.assert_allclose(prelu(x, slope).data.ravel(), [2.0, -1.0])
-
-    def test_slope_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            prelu(t4(np.zeros((1, 2, 2, 2))), t4(np.zeros((1, 3, 1, 1))))
-
-    def test_forward_is_bitwise_the_where_form_without_an_output_sized_temporary(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((1, 4, 256, 256)).astype(np.float32)
-        x[0, :, 0, :2] = [0.0, -0.0]
-        slope = np.array([-1.5, 0.0, 0.3, 2.75], np.float32).reshape(1, 4, 1, 1)
-        x_t, slope_t = Tensor(x), Tensor(slope)
-        tracemalloc.start()
-        try:
-            out = prelu(x_t, slope_t).data
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        expected = np.where(x < 0, slope * x, x)
-        assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
-        assert not np.signbit(out[0, :, 0, 0]).any() and np.signbit(out[0, :, 0, 1]).all()
-        # one output and two quarter-size masks at a time (the negative mask
-        # with its inverse, then with _emit's finiteness check); np.where also
-        # held ``slope * x``, 2.25 inputs in all
-        assert peak < 1.6 * x.nbytes
-
-
-class TestSoftmax:
-    def test_symmetry(self):
-        out = softmax_rows(t4(np.zeros((1, 1, 1, 2))))
-        npt.assert_allclose(out.data.ravel(), [0.5, 0.5])
-
-    def test_single_element_row(self):
-        out = softmax_rows(t4(np.array([[7.0]]).reshape(1, 1, 1, 1)))
-        assert out.item() == pytest.approx(1.0)
-
-    def test_overflow_safety(self):
-        out = softmax_rows(t4(np.full((1, 1, 1, 2), 1000.0)))
-        npt.assert_allclose(out.data.ravel(), [0.5, 0.5])
-
-    def test_in_place_steps_match_two_temporary_formula(self):
-        x = np.random.default_rng(3).uniform(-30, 30, (1, 2, 5, 7)).astype(np.float32)
-        before = x.copy()
-        out = softmax_rows(Tensor(x)).data
-        npt.assert_array_equal(x, before)
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        npt.assert_array_equal(out, e / e.sum(axis=-1, keepdims=True))
-
-    @given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_rows_sum_to_one(self, rows, cols, seed):
-        x = np.random.default_rng(seed).uniform(-30, 30, (1, 1, rows, cols))
-        out = softmax_rows(t4(x)).data
-        npt.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
-        assert (out >= 0).all() and (out <= 1).all()
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.random.default_rng(1).uniform(size=(3, 3))
-        out = matmul(t4(np.eye(3).reshape(1, 1, 3, 3)), t4(m.reshape(1, 1, 3, 3)))
-        npt.assert_allclose(out.data[0, 0], m, rtol=1e-6)
-
-    def test_frozen_2x2(self):
-        out = matmul(t4(np.array([[1, 2], [3, 4]]).reshape(1, 1, 2, 2)),
-                     t4(np.array([[5, 6], [7, 8]]).reshape(1, 1, 2, 2)))
-        npt.assert_array_equal(out.data[0, 0], [[19, 22], [43, 50]])
-
-    def test_1x1(self):
-        out = matmul(t4([[[[3.0]]]]), t4([[[[4.0]]]]))
-        assert out.item() == 12.0
-
-    def test_random_against_oracle(self):
-        rng = np.random.default_rng(9)
-        a = rng.uniform(-1, 1, (4, 6))
-        b = rng.uniform(-1, 1, (6, 5))
-        out = matmul(t4(a.reshape(1, 1, 4, 6)), t4(b.reshape(1, 1, 6, 5)))
-        npt.assert_allclose(out.data[0, 0], matmul_naive(a, b), rtol=1e-5)
-
-    def test_inner_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(t4(np.zeros((1, 1, 2, 3))), t4(np.zeros((1, 1, 4, 2))))
 
 
 def input_gradients(op, inputs, probe):
@@ -677,25 +569,6 @@ class TestElementwise:
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
             add(t4(np.zeros((1, 1, 2, 2))), t4(np.zeros((1, 2, 2, 2))))
-
-    def test_reshape_round_trip(self):
-        x = t4(np.random.default_rng(0).uniform(size=(1, 2, 2, 1)))
-        back = reshape(reshape(x, (1, 1, 2, 2)), (1, 2, 2, 1))
-        npt.assert_array_equal(back.data, x.data)
-
-    def test_reshape_bad_count(self):
-        with pytest.raises(DimensionError):
-            reshape(t4(np.zeros((1, 2, 2, 2))), (1, 1, 3, 3))
-
-    def test_permute_inverse(self):
-        x = t4(np.random.default_rng(0).uniform(size=(2, 3, 4, 5)))
-        out = permute(permute(x, (0, 2, 3, 1)), (0, 3, 1, 2))
-        npt.assert_array_equal(out.data, x.data)
-
-    def test_permute_non_bijection(self):
-        with pytest.raises(DimensionError):
-            permute(t4(np.zeros((1, 1, 2, 2))), (0, 0, 2, 3))
-
 
 class TestL1Loss:
     def test_mean_of_abs(self):
