@@ -31,21 +31,11 @@ concat_channels = matmul = permute = prelu = reshape = softmax_rows = None
 RGB_CHANNELS = 3
 
 
-def _param_rng(seed: int, name: str) -> np.random.Generator:
-    # Keyed by name so adding or removing blocks never shifts the draws
-    # of the blocks that remain.
+def keyed_rng(seed: int, name: str) -> np.random.Generator:
+    """A generator keyed by (seed, name), so adding or removing a named draw
+    (a parameter, a gradcheck case) never shifts the draws of the others."""
     return np.random.default_rng(
         np.random.SeedSequence((int(seed), int.from_bytes(name.encode(), "little"))))
-
-
-def _conv_param(name: str, c_out: int, c_in: int, k: int, seed: int) -> Parameter:
-    bound = math.sqrt(6.0 / (c_in * k * k))
-    data = _param_rng(seed, name).uniform(-bound, bound, (c_out, c_in, k, k))
-    return Parameter(name, data.astype(np.float32))
-
-
-def _channel_param(name: str, channels: int, value: float) -> Parameter:
-    return Parameter(name, np.full((1, channels, 1, 1), value, dtype=np.float32))
 
 
 class Block:
@@ -68,22 +58,37 @@ class Block:
         return params
 
 
+class Conv(Block):
+    """A k x k convolution: a ``<name>.weight`` drawn by its record name, a zero
+    ``<name>.bias`` and, when ``act`` is given, a PReLU ``<act>.slope`` at 0.25
+    run in the convolution's bands."""
+
+    def __init__(self, name: str, c_in: int, c_out: int, k: int, seed: int,
+                 act: str | None = None):
+        bound = math.sqrt(6.0 / (c_in * k * k))
+        data = keyed_rng(seed, f"{name}.weight").uniform(-bound, bound, (c_out, c_in, k, k))
+        self.weight = Parameter(f"{name}.weight", data.astype(np.float32))
+        self.bias = Parameter(f"{name}.bias", np.zeros((1, c_out, 1, 1), dtype=np.float32))
+        self.slope = None if act is None else Parameter(
+            f"{act}.slope", np.full((1, c_out, 1, 1), 0.25, dtype=np.float32))
+
+    def forward(self, x: Tensor | tuple[Tensor, ...]) -> Tensor:
+        """A tuple ``x`` is read as its channel concatenation."""
+        return conv2d(x, self.weight, self.bias, self.slope)
+
+
 class BasicBlock(Block):
     """Two stacked 3x3 convolutions, each followed by a PReLU (run in the
     convolution's bands)."""
 
     def __init__(self, name: str, c_in: int, c_out: int, seed: int):
-        self.conv1_w = _conv_param(f"{name}.conv1.weight", c_out, c_in, 3, seed)
-        self.conv1_b = _channel_param(f"{name}.conv1.bias", c_out, 0.0)
-        self.slope1 = _channel_param(f"{name}.act1.slope", c_out, 0.25)
-        self.conv2_w = _conv_param(f"{name}.conv2.weight", c_out, c_out, 3, seed)
-        self.conv2_b = _channel_param(f"{name}.conv2.bias", c_out, 0.0)
-        self.slope2 = _channel_param(f"{name}.act2.slope", c_out, 0.25)
+        self.conv1 = Conv(f"{name}.conv1", c_in, c_out, 3, seed, act=f"{name}.act1")
+        self.conv2 = Conv(f"{name}.conv2", c_out, c_out, 3, seed, act=f"{name}.act2")
 
     def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
         """A tuple ``f`` is read as its channel concatenation."""
-        f = conv2d(f, self.conv1_w, self.conv1_b, self.slope1)
-        return conv2d(f, self.conv2_w, self.conv2_b, self.slope2)
+        f = self.conv1.forward(f)  # releases a tuple's join before the second convolution
+        return self.conv2.forward(f)
 
 
 class DenseResidualBlock(Block):
@@ -97,21 +102,16 @@ class DenseResidualBlock(Block):
     """
 
     def __init__(self, name: str, channels: int, seed: int):
-        self.layer1_w = _conv_param(f"{name}.layer1.weight", channels, channels, 3, seed)
-        self.layer1_b = _channel_param(f"{name}.layer1.bias", channels, 0.0)
-        self.slope1 = _channel_param(f"{name}.act1.slope", channels, 0.25)
-        self.layer2_w = _conv_param(f"{name}.layer2.weight", channels, 2 * channels, 3, seed)
-        self.layer2_b = _channel_param(f"{name}.layer2.bias", channels, 0.0)
-        self.slope2 = _channel_param(f"{name}.act2.slope", channels, 0.25)
-        self.layer3_w = _conv_param(f"{name}.layer3.weight", channels, 3 * channels, 3, seed)
-        self.layer3_b = _channel_param(f"{name}.layer3.bias", channels, 0.0)
+        self.layers = [Conv(f"{name}.layer{i}", i * channels, channels, 3, seed,
+                            act=f"{name}.act{i}" if i < 3 else None) for i in (1, 2, 3)]
 
     def forward(self, f: Tensor) -> Tensor:
-        y1 = conv2d(f, self.layer1_w, self.layer1_b, self.slope1)
-        y2 = conv2d((f, y1), self.layer2_w, self.layer2_b, self.slope2)
-        y3 = conv2d((f, y1, y2), self.layer3_w, self.layer3_b)
-        del y1, y2  # without a tape, the sum needs only f and y3
-        return add(f, y3)
+        ys = (f,)
+        for layer in self.layers[:-1]:
+            ys += (layer.forward(ys),)
+        y = self.layers[-1].forward(ys)
+        del ys  # without a tape, the sum needs only f and the last layer's output
+        return add(f, y)
 
 
 class NonLocalBlock(Block):
@@ -129,22 +129,16 @@ class NonLocalBlock(Block):
     """
 
     def __init__(self, name: str, channels: int, seed: int):
-        self.inner = (channels + 1) // 2
-        self.query_w = _conv_param(f"{name}.query.weight", self.inner, channels, 1, seed)
-        self.query_b = _channel_param(f"{name}.query.bias", self.inner, 0.0)
-        self.key_w = _conv_param(f"{name}.key.weight", self.inner, channels, 1, seed)
-        self.key_b = _channel_param(f"{name}.key.bias", self.inner, 0.0)
-        self.value_w = _conv_param(f"{name}.value.weight", self.inner, channels, 1, seed)
-        self.value_b = _channel_param(f"{name}.value.bias", self.inner, 0.0)
-        self.out_w = Parameter(f"{name}.out.weight",
-                               np.zeros((channels, self.inner, 1, 1), dtype=np.float32))
-        self.out_b = _channel_param(f"{name}.out.bias", channels, 0.0)
+        inner = (channels + 1) // 2
+        self.query = Conv(f"{name}.query", channels, inner, 1, seed)
+        self.key = Conv(f"{name}.key", channels, inner, 1, seed)
+        self.value = Conv(f"{name}.value", channels, inner, 1, seed)
+        self.out = Conv(f"{name}.out", inner, channels, 1, seed)
+        self.out.weight.data.fill(0.0)
 
     def forward(self, z: Tensor) -> Tensor:
-        mixed = attention(conv2d(z, self.query_w, self.query_b),
-                          conv2d(z, self.key_w, self.key_b),
-                          conv2d(z, self.value_w, self.value_b))
-        return add(z, conv2d(mixed, self.out_w, self.out_b))
+        mixed = attention(self.query.forward(z), self.key.forward(z), self.value.forward(z))
+        return add(z, self.out.forward(mixed))
 
 
 class FeatureBlock(Block):
@@ -231,8 +225,7 @@ class EnhancementNetwork(Block):
             c_src = config.base_channels * 2 ** (i + 1)
             c_skip = config.base_channels * 2 ** i
             self.decoder.append(FeatureBlock(f"dec{i}", c_src + c_skip, c_skip, lc, seed))
-        self.head_w = _conv_param("head.weight", RGB_CHANNELS, config.base_channels, 3, seed)
-        self.head_b = _channel_param("head.bias", RGB_CHANNELS, 0.0)
+        self.head = Conv("head", config.base_channels, RGB_CHANNELS, 3, seed)
 
     def forward(self, x: Tensor) -> Tensor:
         h, w = x.shape[2:]
@@ -252,7 +245,7 @@ class EnhancementNetwork(Block):
             f = self.attention.forward(f)
         for block in self.decoder:
             f = block.forward(f, skips.pop())
-        return conv2d(f, self.head_w, self.head_b)
+        return self.head.forward(f)
 
     def named_parameters(self) -> dict[str, Parameter]:
         return {p.name: p for p in self.parameters()}

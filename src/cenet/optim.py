@@ -37,7 +37,8 @@ class Adam:
     """Adam with bias correction; moment buffers are keyed by parameter name.
 
     No weight decay and no gradient clipping. After a step every
-    parameter's gradient buffer is cleared.
+    parameter's gradient buffer is cleared. The state is plain arrays;
+    ``training.snapshot`` and ``training.restore`` name its checkpoint records.
     """
 
     step_count: int = 0
@@ -76,18 +77,3 @@ class Adam:
                 step /= denom
                 data -= step
             p.grad = None
-
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        """Flat view of the moment buffers for checkpointing."""
-        out = {}
-        for name, buf in self.m.items():
-            out[f"m.{name}"] = buf
-        for name, buf in self.v.items():
-            out[f"v.{name}"] = buf
-        return out
-
-    def load_state_tensors(self, tensors: dict[str, np.ndarray], step_count: int):
-        """Inverse of ``state_tensors``; ``training.restore`` checks the records."""
-        self.m = {name[2:]: buf.copy() for name, buf in tensors.items() if name[:2] == "m."}
-        self.v = {name[2:]: buf.copy() for name, buf in tensors.items() if name[:2] == "v."}
-        self.step_count = step_count

@@ -32,9 +32,12 @@ class TrainResult:
 
 
 def snapshot(network: EnhancementNetwork, optimizer: Adam, iteration: int) -> Checkpoint:
+    """Parameter records, then Adam's ``m.<param>`` and ``v.<param>`` records."""
     tensors = {name: p.data for name, p in network.named_parameters().items()}
+    moments = {f"m.{name}": buf for name, buf in optimizer.m.items()}
+    moments |= {f"v.{name}": buf for name, buf in optimizer.v.items()}
     return Checkpoint(iteration, tensors, optimizer_step=optimizer.step_count,
-                      optimizer_tensors=optimizer.state_tensors())
+                      optimizer_tensors=moments)
 
 
 def _check_records(records: dict, shapes: dict[str, tuple[int, ...]], what: str):
@@ -67,7 +70,9 @@ def restore(ckpt: Checkpoint, network: EnhancementNetwork,
                 "so training cannot continue from it exactly")
         _check_records(ckpt.optimizer_tensors, {f"{moment}.{name}": shape for moment in "mv"
                                                 for name, shape in shapes.items()}, "optimizer")
-        optimizer.load_state_tensors(ckpt.optimizer_tensors, ckpt.optimizer_step)
+        optimizer.m = {name: ckpt.optimizer_tensors[f"m.{name}"].copy() for name in params}
+        optimizer.v = {name: ckpt.optimizer_tensors[f"v.{name}"].copy() for name in params}
+        optimizer.step_count = ckpt.optimizer_step
     for name, param in params.items():
         param.data = ckpt.tensors[name].astype(param.data.dtype, copy=True)
 

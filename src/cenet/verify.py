@@ -2,14 +2,17 @@
 
 Checks run in 64-bit arithmetic regardless of the training dtype. Input
 samplers keep values away from the kinks of non-smooth operators (PReLU,
-L1, max pooling) so central differences stay valid; all draws are seeded,
-so a passing suite is reproducible.
+L1, max pooling) so central differences stay valid. Each check draws its
+instance, probe and probed coordinates from its own generator, keyed by
+the seed, the trial (for op cases) and the check's name, so a passing
+suite is reproducible and no check's draws depend on the other checks.
 """
 
 import numpy as np
 
 from . import tensor as tc
-from .blocks import BasicBlock, DenseResidualBlock, EnhancementNetwork, NetworkConfig, NonLocalBlock
+from .blocks import (BasicBlock, DenseResidualBlock, EnhancementNetwork, NetworkConfig,
+                     NonLocalBlock, keyed_rng)
 from .tensor import GradcheckResult, Tensor, gradcheck
 
 # Relative-error bounds of the op checks and of the block and network checks.
@@ -64,8 +67,10 @@ def _pool_input(rng, shape) -> Tensor:
     return Tensor(data.reshape(shape))
 
 
-def op_cases(rng: np.random.Generator):
-    """Yield (name, forward_fn, inputs) for one random instance per op."""
+def op_cases(seed: int, trial: int):
+    """Yield (name, forward_fn, inputs, rng) for one random instance per op;
+    ``rng`` drew the instance, and the case's gradcheck goes on to draw from it."""
+    rng = keyed_rng(seed, f"{trial}.conv2d")
     n = int(rng.integers(1, 3))
     widths = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
     cout = int(rng.integers(1, 5))
@@ -80,35 +85,41 @@ def op_cases(rng: np.random.Generator):
         slope = _t(rng, (1, cout, 1, 1))
         b.data = _bias_off_the_kink(tc.conv2d(tuple(xs), wt, Tensor(np.zeros_like(b.data))).data)
     yield ("conv2d", lambda: tc.conv2d(tuple(xs), wt, b, slope),
-           [*xs, wt, b] + ([slope] if slope is not None else []))
+           [*xs, wt, b] + ([slope] if slope is not None else []), rng)
 
+    rng = keyed_rng(seed, f"{trial}.maxpool2d")
     xp = _pool_input(rng, (1, 2, 4, 6))
-    yield ("maxpool2d", lambda: tc.maxpool2d(xp), [xp])
+    yield ("maxpool2d", lambda: tc.maxpool2d(xp), [xp], rng)
 
+    rng = keyed_rng(seed, f"{trial}.upsample_nearest2x")
     xu = _t(rng, (1, 2, 3, 4))
-    yield ("upsample_nearest2x", lambda: tc.upsample_nearest2x(xu), [xu])
+    yield ("upsample_nearest2x", lambda: tc.upsample_nearest2x(xu), [xu], rng)
 
+    rng = keyed_rng(seed, f"{trial}.add")
     aa = _t(rng, (1, 2, 3, 3))
     ab = _t(rng, (1, 2, 3, 3))
-    yield ("add", lambda: tc.add(aa, ab), [aa, ab])
+    yield ("add", lambda: tc.add(aa, ab), [aa, ab], rng)
 
+    rng = keyed_rng(seed, f"{trial}.attention")
     qa, ka, va = (_t(rng, (2, 2, 3, 5)) for _ in range(3))
-    yield ("attention", lambda: tc.attention(qa, ka, va), [qa, ka, va])
+    yield ("attention", lambda: tc.attention(qa, ka, va), [qa, ka, va], rng)
 
+    rng = keyed_rng(seed, f"{trial}.l1_loss")
     pred_data = rng.uniform(-1, 1, (1, 2, 3, 3))
     target_data = pred_data + _away_from_zero(rng.uniform(-0.5, 0.5, pred_data.shape), 5e-2)
     pred = Tensor(pred_data)
     target = Tensor(target_data)
-    yield ("l1_loss", lambda: tc.l1_loss(pred, target), [pred])
+    yield ("l1_loss", lambda: tc.l1_loss(pred, target), [pred], rng)
 
+    rng = keyed_rng(seed, f"{trial}.weighted_sum")
     xj = _t(rng, (1, 2, 2, 3))
     probe = rng.standard_normal(xj.shape)
-    yield ("weighted_sum", lambda: tc.weighted_sum(xj, probe), [xj])
+    yield ("weighted_sum", lambda: tc.weighted_sum(xj, probe), [xj], rng)
 
 
 def op_names() -> list[str]:
     """The op names ``op_cases`` yields, in its order."""
-    return [name for name, _, _ in op_cases(np.random.default_rng(0))]
+    return [name for name, _, _, _ in op_cases(0, 0)]
 
 
 def run_op_suite(trials: int = 20, seed: int = 0,
@@ -117,8 +128,7 @@ def run_op_suite(trials: int = 20, seed: int = 0,
     ``fault``'s backward rule corrupted when it names an op."""
     worst: dict[str, GradcheckResult] = {}
     for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        for name, forward_fn, inputs in op_cases(rng):
+        for name, forward_fn, inputs, rng in op_cases(seed, trial):
             result = gradcheck(forward_fn, inputs, tol=_OP_TOL, rng=rng, name=name,
                                fault=fault)
             best = worst.get(name)
@@ -134,32 +144,34 @@ def run_block_suite(seed: int = 0, fault: str | None = None) -> list[GradcheckRe
     per tensor.
     """
     results = []
-    rng = np.random.default_rng((seed, 1000))
-    opts = dict(tol=_BLOCK_TOL, rng=rng, max_coords=_BLOCK_COORDS, fault=fault)
+    opts = dict(tol=_BLOCK_TOL, max_coords=_BLOCK_COORDS, fault=fault)
 
+    rng = keyed_rng(seed, "basic_block")
     basic = _float64(BasicBlock("bb", 3, 4, seed=seed))
     x = _t(rng, (1, 3, 6, 6))
     results.append(gradcheck(lambda: basic.forward(x), [x] + basic.parameters(),
-                             name="basic_block", **opts))
+                             rng=rng, name="basic_block", **opts))
 
+    rng = keyed_rng(seed, "dense_residual_block")
     drb = _float64(DenseResidualBlock("drb", 4, seed=seed))
     xd = _t(rng, (1, 4, 6, 6))
     results.append(gradcheck(lambda: drb.forward(xd), [xd] + drb.parameters(),
-                             name="dense_residual_block", **opts))
+                             rng=rng, name="dense_residual_block", **opts))
 
+    rng = keyed_rng(seed, "nonlocal_block")
     attn = _float64(NonLocalBlock("attn", 4, seed=seed))
     # The output projection is zero at init; give it values so its path
     # is exercised too.
-    attn.out_w.data = rng.uniform(-0.5, 0.5, attn.out_w.shape)
+    attn.out.weight.data = rng.uniform(-0.5, 0.5, attn.out.weight.shape)
     xn = _t(rng, (1, 4, 4, 4))
     results.append(gradcheck(lambda: attn.forward(xn), [xn] + attn.parameters(),
-                             name="nonlocal_block", **opts))
+                             rng=rng, name="nonlocal_block", **opts))
     return results
 
 
 def run_network_check(seed: int = 0, fault: str | None = None) -> GradcheckResult:
     """End-to-end gradcheck of the full variant at tiny scale."""
-    rng = np.random.default_rng((seed, 2000))
+    rng = keyed_rng(seed, "network")
     config = NetworkConfig(num_stages=2, base_channels=4)
     network = _float64(EnhancementNetwork(config, seed=seed))
     x = Tensor(rng.uniform(0.0, 1.0, (1, 3, 8, 8)))

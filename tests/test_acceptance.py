@@ -65,7 +65,7 @@ def test_criterion_2_nonlocal_invariants():
     out = block.forward(z)  # output projection is zero at init
     npt.assert_array_equal(out.data, z.data)
 
-    block.out_w.data = rng.uniform(-0.5, 0.5, block.out_w.shape).astype(np.float32)
+    block.out.weight.data = rng.uniform(-0.5, 0.5, block.out.weight.shape).astype(np.float32)
     n, c, h, w = z.shape
     perm = rng.permutation(h * w)
     z_perm = Tensor(z.data.reshape(n, c, h * w)[:, :, perm].reshape(n, c, h, w))
@@ -88,9 +88,8 @@ def test_criterion_3_drb_invariants():
     x = Tensor(rng.uniform(-1, 1, (1, channels, 8, 8)).astype(np.float32))
     assert block.forward(x).shape == x.shape
 
-    for layer_index, weight in enumerate(
-            (block.layer1_w, block.layer2_w, block.layer3_w), start=1):
-        assert weight.shape == (channels, channels * layer_index, 3, 3)
+    for layer_index, layer in enumerate(block.layers, start=1):
+        assert layer.weight.shape == (channels, channels * layer_index, 3, 3)
 
     for p in block.parameters():
         if not p.name.endswith("slope"):

@@ -1,6 +1,7 @@
 """Tape semantics, backward rules, and the finite-difference harness."""
 
 import ast
+import copy
 import gc
 import inspect
 import threading
@@ -12,11 +13,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cenet import tensor
+from cenet import tensor, verify
 from cenet.blocks import EnhancementNetwork
 from cenet.config import desk_preset
 from cenet.tensor import (
     ContractError,
+    GradcheckResult,
     Tape,
     Tensor,
     _TapeNode,
@@ -363,11 +365,34 @@ class TestGradcheckHarness:
 
         monkeypatch.setattr(tensor, "conv2d", recorded)
         for trial in range(5):
-            cases = {name: fn for name, fn, _ in op_cases(np.random.default_rng((0, trial)))}
+            cases = {name: fn for name, fn, _, _ in op_cases(0, trial)}
             fused.clear()
             cases["conv2d"]()
             paths.update(fused)
         assert paths == {False, True}
+
+    def test_case_draws_do_not_depend_on_earlier_checks(self, monkeypatch):
+        # every case draws from its own generator, so its inputs and probe
+        # are the same whether or not the cases before it ran their checks
+        def draws(check):
+            seen = []
+
+            def recorded(forward_fn, inputs, rng, name, **kwargs):
+                probe = copy.deepcopy(rng).standard_normal(forward_fn().shape)
+                seen.append((name, [t.data.copy() for t in inputs], probe))
+                return check(forward_fn, inputs, rng=rng, name=name, **kwargs)
+
+            monkeypatch.setattr(verify, "gradcheck", recorded)
+            verify.run_full_suite(trials=2)
+            return seen
+
+        checked = draws(gradcheck)
+        skipped = draws(lambda forward_fn, inputs, rng, name, **kwargs: GradcheckResult(name, 1.0))
+        assert [case[0] for case in checked] == [case[0] for case in skipped]
+        for (name, inputs, probe), (_, inputs_skipped, probe_skipped) in zip(checked, skipped):
+            assert len(inputs) == len(inputs_skipped), name
+            for a, b in zip(inputs + [probe], inputs_skipped + [probe_skipped]):
+                npt.assert_array_equal(a, b, err_msg=name)
 
 
 class TestCensus:

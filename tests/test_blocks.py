@@ -55,8 +55,8 @@ def attention_probs(block: NonLocalBlock, z: Tensor) -> np.ndarray:
     position j: output channel j at position i is then the weight of j in
     row i. ``attention_naive`` must agree on the same operands.
     """
-    q = conv2d(z, block.query_w, block.query_b).data
-    k = conv2d(z, block.key_w, block.key_b).data
+    q = conv2d(z, block.query.weight, block.query.bias).data
+    k = conv2d(z, block.key.weight, block.key.bias).data
     n, c, h, w = q.shape
     positions = h * w
     pad = np.zeros((n, positions - c, h, w), dtype=q.dtype)
@@ -71,7 +71,7 @@ def attention_probs(block: NonLocalBlock, z: Tensor) -> np.ndarray:
 class TestBasicBlock:
     def test_zero_weights_zero_output(self):
         block = BasicBlock("b", 3, 4, seed=0)
-        for p in (block.conv1_w, block.conv1_b, block.conv2_w, block.conv2_b):
+        for p in (block.conv1.weight, block.conv1.bias, block.conv2.weight, block.conv2.bias):
             p.data[:] = 0
         out = block.forward(rand4((1, 3, 8, 8)))
         npt.assert_array_equal(out.data, np.zeros((1, 4, 8, 8)))
@@ -85,10 +85,10 @@ class TestBasicBlock:
         block = BasicBlock("b", 2, 3, seed=2)
         x = rand4((1, 2, 6, 6), seed=3, lo=-1)
         out = block.forward(x)
-        h1 = conv2d_naive(x.data, block.conv1_w.data, block.conv1_b.data, 1, 1)
-        h1 = prelu_ref(h1, block.slope1.data.ravel())
-        h2 = conv2d_naive(h1, block.conv2_w.data, block.conv2_b.data, 1, 1)
-        h2 = prelu_ref(h2, block.slope2.data.ravel())
+        h1 = conv2d_naive(x.data, block.conv1.weight.data, block.conv1.bias.data, 1, 1)
+        h1 = prelu_ref(h1, block.conv1.slope.data.ravel())
+        h2 = conv2d_naive(h1, block.conv2.weight.data, block.conv2.bias.data, 1, 1)
+        h2 = prelu_ref(h2, block.conv2.slope.data.ravel())
         npt.assert_allclose(out.data, h2, rtol=1e-4, atol=1e-5)
 
 
@@ -104,9 +104,9 @@ class TestDenseResidualBlock:
 
     def test_dense_concatenation_widths(self):
         block = DenseResidualBlock("d", 16, seed=0)
-        assert block.layer1_w.shape == (16, 16, 3, 3)
-        assert block.layer2_w.shape == (16, 32, 3, 3)
-        assert block.layer3_w.shape == (16, 48, 3, 3)
+        assert block.layers[0].weight.shape == (16, 16, 3, 3)
+        assert block.layers[1].weight.shape == (16, 32, 3, 3)
+        assert block.layers[2].weight.shape == (16, 48, 3, 3)
         out = block.forward(rand4((1, 16, 8, 8)))
         assert out.shape == (1, 16, 8, 8)
 
@@ -114,13 +114,14 @@ class TestDenseResidualBlock:
         block = DenseResidualBlock("d", 3, seed=4)
         x = rand4((1, 3, 5, 5), seed=5, lo=-1)
         out = block.forward(x)
-        y1 = prelu_ref(conv2d_naive(x.data, block.layer1_w.data, block.layer1_b.data, 1, 1),
-                       block.slope1.data.ravel())
+        l1, l2, l3 = block.layers
+        y1 = prelu_ref(conv2d_naive(x.data, l1.weight.data, l1.bias.data, 1, 1),
+                       l1.slope.data.ravel())
         y2_in = np.concatenate([x.data, y1], axis=1)
-        y2 = prelu_ref(conv2d_naive(y2_in, block.layer2_w.data, block.layer2_b.data, 1, 1),
-                       block.slope2.data.ravel())
+        y2 = prelu_ref(conv2d_naive(y2_in, l2.weight.data, l2.bias.data, 1, 1),
+                       l2.slope.data.ravel())
         y3_in = np.concatenate([x.data, y1, y2], axis=1)
-        y3 = conv2d_naive(y3_in, block.layer3_w.data, block.layer3_b.data, 1, 1)
+        y3 = conv2d_naive(y3_in, l3.weight.data, l3.bias.data, 1, 1)
         npt.assert_allclose(out.data, x.data + y3, rtol=1e-4, atol=1e-5)
 
     def test_tape_holds_no_concatenation(self):
@@ -151,8 +152,8 @@ class TestNonLocalBlock:
         # one spatial position: attention is [[1]]; with value weight 3 and
         # output weight 0.5 the result is z + 0.5 * (3 * z) = 2.5 * z
         block = NonLocalBlock("a", 1, seed=0)
-        block.value_w.data[:] = 3.0
-        block.out_w.data[:] = 0.5
+        block.value.weight.data[:] = 3.0
+        block.out.weight.data[:] = 0.5
         out = block.forward(Tensor(np.full((1, 1, 1, 1), 2.0, dtype=np.float32)))
         assert out.item() == pytest.approx(5.0)
 
@@ -167,8 +168,8 @@ class TestNonLocalBlock:
         z = Tensor(np.full((1, 4, 3, 3), 0.2, dtype=np.float32))
         attn = attention_probs(block, z)
         npt.assert_allclose(attn, 1.0 / 9.0, atol=1e-6)
-        block.out_w.data = np.random.default_rng(0).uniform(
-            -0.5, 0.5, block.out_w.shape).astype(np.float32)
+        block.out.weight.data = np.random.default_rng(0).uniform(
+            -0.5, 0.5, block.out.weight.shape).astype(np.float32)
         out = block.forward(z).data
         # spatially constant input stays spatially constant
         spread = out.max(axis=(2, 3)) - out.min(axis=(2, 3))
@@ -176,8 +177,8 @@ class TestNonLocalBlock:
 
     def test_permutation_equivariance(self):
         block = NonLocalBlock("a", 5, seed=4)
-        block.out_w.data = np.random.default_rng(1).uniform(
-            -0.5, 0.5, block.out_w.shape).astype(np.float32)
+        block.out.weight.data = np.random.default_rng(1).uniform(
+            -0.5, 0.5, block.out.weight.shape).astype(np.float32)
         x = rand4((1, 5, 3, 4), seed=5, lo=-1)
         n, c, h, w = x.shape
         perm = np.random.default_rng(2).permutation(h * w)
@@ -192,18 +193,18 @@ class TestNonLocalBlock:
         # row softmax cancels; float64 leaves only rounding
         rng = np.random.default_rng(6)
         block = _float64(NonLocalBlock("a", 6, seed=5))
-        for p in (block.query_b, block.key_b, block.out_w):
+        for p in (block.query.bias, block.key.bias, block.out.weight):
             p.data = rng.uniform(-0.5, 0.5, p.shape)
         x = Tensor(rng.uniform(-1, 1, (1, 6, 5, 5)))
         with Tape():
             backward(weighted_sum(block.forward(x), rng.standard_normal(x.shape)))
         largest = max(np.abs(p.grad).max() for p in block.parameters())
-        assert np.abs(block.key_b.grad).max() < 1e-12 * largest
-        assert np.abs(block.query_b.grad).max() > 1e-3 * largest  # the query bias does learn
+        assert np.abs(block.key.bias.grad).max() < 1e-12 * largest
+        assert np.abs(block.query.bias.grad).max() > 1e-3 * largest  # the query bias does learn
 
     def test_bottleneck_width(self):
-        assert NonLocalBlock("a", 7, seed=0).inner == 4
-        assert NonLocalBlock("a", 8, seed=0).inner == 4
+        assert NonLocalBlock("a", 7, seed=0).query.weight.shape[0] == 4
+        assert NonLocalBlock("a", 8, seed=0).query.weight.shape[0] == 4
 
 
 def traced_peak_bytes(fn) -> int:
@@ -221,8 +222,8 @@ class TestNonLocalMemory:
 
     def block_and_input(self):
         block = NonLocalBlock("a", 8, seed=0)
-        block.out_w.data = np.random.default_rng(1).uniform(
-            -0.5, 0.5, block.out_w.shape).astype(np.float32)
+        block.out.weight.data = np.random.default_rng(1).uniform(
+            -0.5, 0.5, block.out.weight.shape).astype(np.float32)
         return block, rand4((1, 8, 64, 64), seed=2, lo=-1.0)
 
     def test_forward_peak_stays_below_the_full_matrix(self):
@@ -362,7 +363,7 @@ class TestNetwork:
 
     def test_attention_out_projection_zero_at_init(self):
         net = EnhancementNetwork(NetworkConfig(2, 4, use_global_context=True), seed=0)
-        npt.assert_array_equal(net.attention.out_w.data, 0)
+        npt.assert_array_equal(net.attention.out.weight.data, 0)
 
     def test_gc_removal_matches_fresh_init(self):
         # shared-seed networks agree at init because the attention output

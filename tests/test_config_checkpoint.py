@@ -117,9 +117,7 @@ def trained_network(seed=0, steps=3):
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         config, net, opt = trained_network()
-        ckpt = Checkpoint(42, {n: p.data for n, p in net.named_parameters().items()},
-                          optimizer_step=opt.step_count,
-                          optimizer_tensors=opt.state_tensors())
+        ckpt = training.snapshot(net, opt, 42)
         path = tmp_path / "model.ckpt"
         save(ckpt, path)
         again = load(path)
@@ -130,6 +128,13 @@ class TestCheckpoint:
             npt.assert_array_equal(again.tensors[name], arr)
         for name, arr in ckpt.optimizer_tensors.items():
             npt.assert_array_equal(again.optimizer_tensors[name], arr)
+        _, fresh, fresh_opt = trained_network(seed=1, steps=0)
+        training.restore(again, fresh, fresh_opt)
+        assert fresh_opt.step_count == opt.step_count
+        for moments, restored in ((opt.m, fresh_opt.m), (opt.v, fresh_opt.v)):
+            assert list(restored) == list(moments)
+            for name, arr in moments.items():
+                npt.assert_array_equal(restored[name], arr)
 
     def test_serialize_is_deterministic(self):
         _, net, _ = trained_network()
@@ -301,6 +306,19 @@ class TestCodec:
     ])
     def test_format_is_pinned(self, with_optimizer, digest):
         assert hashlib.sha256(serialize(fixed_checkpoint(with_optimizer))).hexdigest() == digest
+
+    def test_network_checkpoint_is_pinned(self):
+        # pins the init values and the names and order of the parameter and
+        # moment records; Adam is elementwise, so no BLAS rounding enters
+        net = EnhancementNetwork(NetworkConfig(2, 8), seed=0)
+        params = net.parameters()
+        rng = np.random.default_rng(0)
+        for p in params:
+            p.grad = rng.standard_normal(p.shape, dtype=np.float32)
+        adam = Adam()
+        adam.step(params, 1e-3)
+        digest = hashlib.sha256(serialize(training.snapshot(net, adam, 1))).hexdigest()
+        assert digest == "aeaa5565978f883eda3a9c28cc61b1193c4f2b44aa720e7c8f660238edb4944a"
 
     def test_saved_file_is_the_serialized_bytes(self, tmp_path):
         ckpt = fixed_checkpoint(True)

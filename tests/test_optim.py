@@ -114,17 +114,6 @@ class TestAdam:
             u2 = float(p2.data.ravel()[0])
             assert abs(u2 - u1) / abs(u1) < tol
 
-    def test_state_round_trip(self):
-        p = make_param(1.0, grad=0.5, name="w")
-        opt = Adam()
-        opt.step([p], lr=1e-3)
-        clone = Adam()
-        clone.load_state_tensors(opt.state_tensors(), opt.step_count)
-        npt.assert_array_equal(clone.m["w"], opt.m["w"])
-        npt.assert_array_equal(clone.v["w"], opt.v["w"])
-        assert clone.step_count == opt.step_count
-
-
     def test_in_place_update_matches_plain_formula(self):
         net = EnhancementNetwork(NetworkConfig(num_stages=2, base_channels=8), seed=0)
         params = net.parameters()

@@ -85,7 +85,7 @@ def float64_trajectory(steps: int) -> tuple[list[float], float]:
     two pairs, as ``train`` steps: forward, L1 loss, ``backward``, ``Adam.step``."""
     network = _float64(EnhancementNetwork(desk_preset().network, seed=0))
     rng = np.random.default_rng(0)
-    out_w = network.attention.out_w
+    out_w = network.attention.out.weight
     out_w.data = rng.uniform(-0.5, 0.5, out_w.shape)
     dark = rng.uniform(0.0, 0.25, (2, 3, 32, 32))
     inputs, targets = Tensor(dark), Tensor(np.sqrt(dark))
