@@ -227,15 +227,16 @@ class EnhancementNetwork(Block):
             self.decoder.append(FeatureBlock(f"dec{i}", c_src + c_skip, c_skip, lc, seed))
         self.head = Conv("head", config.base_channels, RGB_CHANNELS, 3, seed)
 
-    def forward(self, x: Tensor) -> Tensor:
-        h, w = x.shape[2:]
+    def forward(self, f: Tensor) -> Tensor:
+        """Given the caller's last reference to the input ``f``, without a
+        tape the input is released once the stem block has run."""
+        h, w = f.shape[2:]
         div = self.config.divisor
         if h % div or w % div:
             raise DimensionError(
                 f"spatial extents {h}x{w} must be divisible by {div} "
                 f"(2**num_stages with num_stages={self.config.num_stages})")
         skips = []
-        f = x
         for block in self.encoder:
             f = block.forward(f)
             skips.append(f)

@@ -32,9 +32,9 @@ def _cmd_train(args) -> int:
 def _cmd_infer(args) -> int:
     encoder_for(Path(args.output).suffix)  # reject the format before the network runs
     network = load_network(args.checkpoint)
-    image = load_image(args.input)
+    image = [load_image(args.input)]  # popped: enhance holds the only reference
     start = time.perf_counter()
-    out = enhance(network, image, tile=args.tile)
+    out = enhance(network, image.pop(), tile=args.tile)
     seconds = time.perf_counter() - start
     save_image(out, args.output)
     print(f"wrote {args.output} (enhanced in {seconds:.3f} s)")

@@ -18,7 +18,7 @@ from .imageio import Image, load_image
 log = logging.getLogger(__name__)
 
 IMAGE_SUFFIXES = (".png", ".ppm")
-# Bytes of decoded pairs a sample stream keeps, least recently used evicted first.
+# Bytes of the 8-bit pairs a sample stream keeps, least recently used evicted first.
 _CACHE_BYTES = 512 << 20
 
 
@@ -43,9 +43,24 @@ class ImagePair:
     input: Image
     target: Image
 
+
+@dataclass
+class BytePair:
+    """A decoded pair as its 8-bit samples: two (H, W, 3) uint8 arrays, a
+    quarter of the bytes of the float32 pair they came from."""
+
+    identifier: str
+    input: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def of(cls, pair: ImagePair) -> "BytePair":
+        """Exact while the decoders build every image with ``Image.from_u8``."""
+        return cls(pair.identifier, pair.input.to_u8(), pair.target.to_u8())
+
     @property
     def nbytes(self) -> int:
-        return self.input.pixels.nbytes + self.target.pixels.nbytes
+        return self.input.nbytes + self.target.nbytes
 
 
 @dataclass
@@ -117,17 +132,18 @@ def reflect_pad_to(pixels: np.ndarray, min_h: int, min_w: int) -> np.ndarray:
                   mode="reflect")
 
 
-def sample_patch(pair: ImagePair, spec: AugmentSpec,
+def sample_patch(pair: BytePair, spec: AugmentSpec,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one aligned (input, target) patch pair, shape (crop, crop, 3).
 
     The crop origin, flips, and rotation are drawn from ``rng`` and applied
     identically to both images. Images smaller than the crop are
-    reflect-padded first (flagged in the log).
+    reflect-padded first (flagged in the log). The patches are uint8 views
+    into the pair, or into its padded copy.
     """
     size = spec.crop_size
-    src = pair.input.pixels
-    tgt = pair.target.pixels
+    src = pair.input
+    tgt = pair.target
     if src.shape[0] < size or src.shape[1] < size:
         log.warning("pair %s (%dx%d) is smaller than crop %d; reflect-padding",
                     pair.identifier, src.shape[1], src.shape[0], size)
@@ -146,7 +162,7 @@ def sample_patch(pair: ImagePair, spec: AugmentSpec,
         k = int(rng.integers(0, 4))
         if k:
             a, b = np.rot90(a, k), np.rot90(b, k)
-    return np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a, b
 
 
 def sample_rng(seed: int, iteration: int, sample: int) -> np.random.Generator:
@@ -157,9 +173,11 @@ def sample_rng(seed: int, iteration: int, sample: int) -> np.random.Generator:
 class SampleStream:
     """Deterministic augmented-batch stream over a list of pairs.
 
-    Batch i depends only on (seed, i). Decoded pairs are kept in an LRU
-    cache of at most ``_CACHE_BYTES``; a pair larger than that is not kept.
-    Batches are (B, 3, crop, crop) float32 NCHW arrays.
+    Batch i depends only on (seed, i). Decoded pairs are kept as their
+    8-bit samples (``BytePair``) in an LRU cache of at most
+    ``_CACHE_BYTES``; a pair larger than that is not kept. Batches are
+    (B, 3, crop, crop) float32 NCHW arrays, each patch converted with
+    ``Image.from_u8``'s arithmetic as it is written into the batch.
     """
 
     def __init__(self, records: list[PairRecord], spec: AugmentSpec, seed: int,
@@ -170,15 +188,15 @@ class SampleStream:
         self.spec = spec
         self.seed = seed
         self.batch_size = batch_size
-        self._cache: OrderedDict[int, ImagePair] = OrderedDict()
+        self._cache: OrderedDict[int, BytePair] = OrderedDict()
         self._cached_bytes = 0
 
-    def _pair(self, index: int) -> ImagePair:
+    def _pair(self, index: int) -> BytePair:
         if index in self._cache:
             self._cache.move_to_end(index)
             return self._cache[index]
         # looked up per call, so the global can be wrapped
-        pair = load_pair(self.records[index])
+        pair = BytePair.of(load_pair(self.records[index]))
         if pair.nbytes <= _CACHE_BYTES:
             while self._cached_bytes + pair.nbytes > _CACHE_BYTES:
                 self._cached_bytes -= self._cache.popitem(last=False)[1].nbytes
@@ -187,12 +205,13 @@ class SampleStream:
         return pair
 
     def batch(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-        inputs = []
-        targets = []
+        size = self.spec.crop_size
+        inputs = np.empty((self.batch_size, 3, size, size), dtype=np.float32)
+        targets = np.empty_like(inputs)
         for j in range(self.batch_size):
             rng = sample_rng(self.seed, iteration, j)
             pair = self._pair(int(rng.integers(0, len(self.records))))
-            a, b = sample_patch(pair, self.spec, rng)
-            inputs.append(a.transpose(2, 0, 1))
-            targets.append(b.transpose(2, 0, 1))
-        return np.stack(inputs), np.stack(targets)
+            for patch, out in zip(sample_patch(pair, self.spec, rng), (inputs[j], targets[j])):
+                # bit for bit Image.from_u8(patch): u8 -> float32, then / 255 in float32
+                np.divide(patch.transpose(2, 0, 1), 255, out=out, dtype=np.float32)
+        return inputs, targets

@@ -22,14 +22,20 @@ def _round_up(value: int, multiple: int) -> int:
 
 
 def _forward_array(network: EnhancementNetwork, pixels: np.ndarray) -> np.ndarray:
-    """Run (H, W, 3) pixels through the network, handling divisor padding."""
+    """Run (H, W, 3) pixels through the network, handling divisor padding.
+
+    Given the caller's last reference, ``pixels`` are released once the
+    network input exists; the network gets the only reference to that
+    input, so without a tape its stem block is the input's last reader.
+    """
     h, w = pixels.shape[:2]
     div = network.config.divisor
     pad = ((0, _round_up(h, div) - h), (0, _round_up(w, div) - w), (0, 0))
     # the padded copy is a temporary: only the network input outlives this line
-    x = Tensor(np.ascontiguousarray(np.pad(pixels, pad, mode="reflect").transpose(2, 0, 1)[None],
-                                    dtype=np.float32))
-    out = network.forward(x)
+    x = [Tensor(np.ascontiguousarray(np.pad(pixels, pad, mode="reflect").transpose(2, 0, 1)[None],
+                                     dtype=np.float32))]
+    del pixels
+    out = network.forward(x.pop())
     result = out.data[0].transpose(1, 2, 0)
     return result[:h, :w]
 
@@ -82,7 +88,11 @@ def _forward_tiled(network: EnhancementNetwork, pixels: np.ndarray,
 
 def enhance(network: EnhancementNetwork, image: Image,
             tile: int | None = None) -> Image:
-    """Enhance one image; the result is clamped to [0, 1]."""
+    """Enhance one image; the result is clamped to [0, 1].
+
+    Untiled, given the caller's last reference, ``image`` is released once
+    the padded network input exists.
+    """
     div = network.config.divisor
     if tile is not None:
         if tile < 2 * div:
@@ -91,7 +101,9 @@ def enhance(network: EnhancementNetwork, image: Image,
         overlap = max(div, _round_up(tile // 3, div))
         out = _forward_tiled(network, image.pixels, tile, overlap)
     else:
-        out = _forward_array(network, image.pixels)
+        pixels = [image.pixels]
+        del image
+        out = _forward_array(network, pixels.pop())
     return Image(np.clip(out, 0.0, 1.0))
 
 

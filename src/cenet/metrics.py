@@ -63,11 +63,12 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     kern = _gaussian_kernel1d(SSIM_WINDOW, SSIM_SIGMA)
     c1 = SSIM_K1 ** 2
     c2 = SSIM_K2 ** 2
-    # One C-contiguous float64 plane per channel, whatever the input strides.
-    a = np.ascontiguousarray(a.transpose(2, 0, 1), dtype=np.float64)
-    b = np.ascontiguousarray(b.transpose(2, 0, 1), dtype=np.float64)
     scores = []
-    for x, y in zip(a, b):
+    for c in range(a.shape[2]):
+        # one C-contiguous float64 plane of each image, whatever the input
+        # strides, made only when its channel is scored
+        x = np.ascontiguousarray(a[:, :, c], dtype=np.float64)
+        y = np.ascontiguousarray(b[:, :, c], dtype=np.float64)
         mu_x = _filter_valid(x, kern)
         mu_y = _filter_valid(y, kern)
         mu_xx, mu_yy, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y

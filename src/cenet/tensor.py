@@ -17,6 +17,7 @@ alone, while the ``.grad`` of every parameter and input is kept. Run
 ``backward`` inside the block.
 """
 
+import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -358,7 +359,6 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     if slope is not None and slope.shape != (1, cout, 1, 1):
         raise DimensionError(f"conv2d slope must have shape (1, {cout}, 1, 1), got {slope.shape}")
 
-    splits = np.cumsum(widths)[:-1]
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
     data = [t.data for t in xs]
     pre = None
@@ -373,14 +373,16 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         # a spatial flip reverses the tap order
         d_x = _same_conv([up], taps[::-1].transpose(0, 2, 1), k)
         d_taps = np.zeros_like(taps)
+        product = np.empty_like(taps[0])  # one tap's GEMM of one band
         for i, r0, r1, windows in _bands(data, cout, k):
             up_band = np.zeros((cout, windows[0].shape[1]), dtype=up.dtype)
             up_band.reshape(cout, r1 - r0, -1)[:, :, :w] = up[i, :, r0:r1]
             for d, window in zip(d_taps, windows):
-                d += up_band @ window.T
+                d += np.matmul(up_band, window.T, out=product)
         d_weight = d_taps.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         d_bias = up.sum(axis=(0, 2, 3), keepdims=True)
-        grads = (*np.split(d_x, splits, axis=1), d_weight, d_bias)
+        edges = itertools.pairwise(itertools.accumulate(widths, initial=0))
+        grads = (*(d_x[:, lo:hi] for lo, hi in edges), d_weight, d_bias)
         return grads if slope is None else (*grads, d_slope)
 
     params = (weight, bias) if slope is None else (weight, bias, slope)

@@ -172,6 +172,30 @@ def synthetic_pair(size=64, seed=5):
     return dark, bright
 
 
+def sample_patch_float(src, tgt, spec, rng):
+    """Aligned crop, flips and rotation of two float (H, W, 3) images, drawn
+    from ``rng`` in the order ``cenet.dataset.sample_patch`` draws them,
+    with images smaller than the crop reflect-padded first."""
+    size = spec.crop_size
+    h, w = src.shape[:2]
+    if h < size or w < size:
+        ph, pw = max(0, size - h), max(0, size - w)
+        pad = ((ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0))
+        src, tgt = np.pad(src, pad, mode="reflect"), np.pad(tgt, pad, mode="reflect")
+    y = int(rng.integers(0, src.shape[0] - size + 1))
+    x = int(rng.integers(0, src.shape[1] - size + 1))
+    a, b = src[y:y + size, x:x + size], tgt[y:y + size, x:x + size]
+    if spec.enable_flip:
+        if rng.integers(0, 2):
+            a, b = a[:, ::-1], b[:, ::-1]
+        if rng.integers(0, 2):
+            a, b = a[::-1], b[::-1]
+    if spec.enable_rotation:
+        k = int(rng.integers(0, 4))
+        a, b = np.rot90(a, k), np.rot90(b, k)
+    return np.ascontiguousarray(a), np.ascontiguousarray(b)
+
+
 def png_defilter_naive(raw, width, height, bpp):
     """Reference PNG scanline defilter (W3C PNG §9), one byte at a time with
     Python ints; returns an (H, W, bpp) uint8 array."""

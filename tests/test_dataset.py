@@ -10,8 +10,8 @@ import pytest
 from cenet import dataset
 from cenet.dataset import (
     AugmentSpec,
+    BytePair,
     DatasetError,
-    ImagePair,
     PairError,
     SampleStream,
     load_pair,
@@ -20,6 +20,8 @@ from cenet.dataset import (
     scan_dataset,
 )
 from cenet.imageio import Image, encode_png, save_image
+
+from reference import sample_patch_float
 
 
 def write_pair(root, stem, size=(12, 10), seed=0):
@@ -32,9 +34,8 @@ def write_pair(root, stem, size=(12, 10), seed=0):
 
 def make_pair(h=12, w=10, seed=0):
     rng = np.random.default_rng(seed)
-    a = Image(rng.uniform(0, 1, (h, w, 3)).astype(np.float32))
-    b = Image(rng.uniform(0, 1, (h, w, 3)).astype(np.float32))
-    return ImagePair("p", a, b)
+    a, b = rng.integers(0, 256, (2, h, w, 3), dtype=np.uint8)
+    return BytePair("p", a, b)
 
 
 class TestScan:
@@ -86,8 +87,8 @@ class TestSamplePatch:
         pair = make_pair(8, 8)
         spec = AugmentSpec(crop_size=8, enable_flip=False, enable_rotation=False)
         a, b = sample_patch(pair, spec, np.random.default_rng(0))
-        npt.assert_array_equal(a, pair.input.pixels)
-        npt.assert_array_equal(b, pair.target.pixels)
+        npt.assert_array_equal(a, pair.input)
+        npt.assert_array_equal(b, pair.target)
 
     def test_deterministic_for_fixed_rng(self):
         pair = make_pair(20, 20)
@@ -99,21 +100,21 @@ class TestSamplePatch:
 
     def test_rot180_equals_double_flip(self):
         pair = make_pair(8, 8)
-        patch = pair.input.pixels
+        patch = pair.input
         npt.assert_array_equal(np.rot90(patch, 2), patch[::-1, ::-1])
 
     def test_same_transform_on_both_images(self):
         # plant a marker at the same coordinate in input and target; it must
         # land at the same output coordinate in every drawn patch
         pair = make_pair(16, 16, seed=3)
-        pair.input.pixels[5, 7] = [1.0, 0.0, 0.0]
-        pair.target.pixels[5, 7] = [1.0, 0.0, 0.0]
+        pair.input[5, 7] = [255, 0, 0]
+        pair.target[5, 7] = [255, 0, 0]
         spec = AugmentSpec(crop_size=12)
         hits = 0
         for seed in range(30):
             a, b = sample_patch(pair, spec, np.random.default_rng(seed))
-            pos_a = np.argwhere((a == [1.0, 0.0, 0.0]).all(axis=-1))
-            pos_b = np.argwhere((b == [1.0, 0.0, 0.0]).all(axis=-1))
+            pos_a = np.argwhere((a == [255, 0, 0]).all(axis=-1))
+            pos_b = np.argwhere((b == [255, 0, 0]).all(axis=-1))
             npt.assert_array_equal(pos_a, pos_b)
             hits += len(pos_a)
         assert hits > 0
@@ -126,11 +127,11 @@ class TestSamplePatch:
         assert a.shape == (10, 10, 3)
         assert "reflect" in caplog.text
 
-    def test_values_stay_in_unit_range(self):
-        pair = make_pair(20, 20, seed=6)
-        spec = AugmentSpec(crop_size=8)
-        a, b = sample_patch(pair, spec, np.random.default_rng(1))
-        for patch in (a, b):
+    def test_values_stay_in_unit_range(self, tmp_path):
+        write_pair(tmp_path, "a", size=(20, 20), seed=6)
+        stream = SampleStream(scan_dataset(tmp_path), AugmentSpec(crop_size=8), seed=1)
+        for patch in stream.batch(0):
+            assert patch.dtype == np.float32
             assert patch.min() >= 0.0 and patch.max() <= 1.0
 
 
@@ -154,7 +155,8 @@ class TestSampleStream:
         records = scan_dataset(tmp_path)
         spec = AugmentSpec(crop_size=8)
         # a budget that holds two of these pairs but not three
-        monkeypatch.setattr(dataset, "_CACHE_BYTES", 2 * load_pair(records[0]).nbytes + 1)
+        monkeypatch.setattr(dataset, "_CACHE_BYTES",
+                            2 * BytePair.of(load_pair(records[0])).nbytes + 1)
         stream = SampleStream(records, spec, seed=3, batch_size=2)
         loads = []
 
@@ -191,7 +193,7 @@ class TestSampleStream:
         write_pair(tmp_path, "a", size=(16, 16))
         write_pair(tmp_path, "b", size=(32, 32))
         records = scan_dataset(tmp_path)
-        monkeypatch.setattr(dataset, "_CACHE_BYTES", load_pair(records[0]).nbytes)
+        monkeypatch.setattr(dataset, "_CACHE_BYTES", BytePair.of(load_pair(records[0])).nbytes)
         stream = SampleStream(records, AugmentSpec(crop_size=8), seed=0)
         loads = []
 
@@ -204,6 +206,35 @@ class TestSampleStream:
             stream._pair(index)
         # "b" is reloaded each time and never evicts "a"
         assert loads == ["a", "b", "b"]
+
+    def test_batches_equal_those_built_from_float_pairs(self, tmp_path):
+        # 1000 batches of two draws; "c" and "d" are narrower or shorter than
+        # the crop, so their draws take the reflect-pad path
+        for k, (stem, size) in enumerate([("a", (16, 16)), ("b", (20, 13)),
+                                          ("c", (14, 9)), ("d", (6, 15))]):
+            write_pair(tmp_path, stem, size=size, seed=k)
+        records = scan_dataset(tmp_path)
+        spec = AugmentSpec(crop_size=10)
+        stream = SampleStream(records, spec, seed=7, batch_size=2)
+        floats = [load_pair(r) for r in records]
+        padded = 0
+        for i in range(1000):
+            x, y = stream.batch(i)
+            for j in range(2):
+                rng = sample_rng(7, i, j)
+                pair = floats[int(rng.integers(0, len(records)))]
+                padded += min(pair.input.pixels.shape[:2]) < 10
+                a, b = sample_patch_float(pair.input.pixels, pair.target.pixels, spec, rng)
+                assert x[j].tobytes() == a.transpose(2, 0, 1).tobytes()
+                assert y[j].tobytes() == b.transpose(2, 0, 1).tobytes()
+        assert 0 < padded < 2000
+
+    def test_cached_pair_is_a_quarter_of_the_float_pair(self, tmp_path):
+        write_pair(tmp_path, "a", size=(16, 12))
+        pair = load_pair(scan_dataset(tmp_path)[0])
+        cached = BytePair.of(pair)
+        assert cached.input.dtype == cached.target.dtype == np.uint8
+        assert 4 * cached.nbytes == pair.input.pixels.nbytes + pair.target.pixels.nbytes
 
     def test_finished_stream_is_freed_without_cyclic_gc(self, tmp_path):
         write_pair(tmp_path, "a", size=(16, 16))

@@ -347,3 +347,32 @@ class TestConversions:
         img = Image.from_u8(arr)
         npt.assert_array_equal(decode_png(encode_png(img)).to_u8(), arr)
         npt.assert_array_equal(decode_ppm(encode_ppm(img)).to_u8(), arr)
+
+    @pytest.mark.parametrize("color_type", [2, 6])
+    @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
+    def test_decoded_pixels_survive_the_byte_cache(self, color_type, ftype):
+        # dataset.SampleStream keeps each decoded pair as to_u8() and samples
+        # it back with from_u8's arithmetic; that is exact only while every
+        # decoded pixel is an 8-bit sample over 255. A 16-bit decode fails
+        # here, and then the cache has to keep uint16 samples.
+        # every byte value in each channel, in a scrambled order
+        rgb = (np.arange(16 * 16 * 3) * 37 % 256).astype(np.uint8).reshape(16, 16, 3)
+        assert all(len(np.unique(rgb[..., c])) == 256 for c in range(3))
+        arr = rgb if color_type == 2 else np.dstack([rgb, rgb[..., :1]])
+        decoded = [decode_png(build_png(arr, color_type=color_type, filters=[ftype]))]
+        if color_type == 2 and ftype == 0:
+            decoded.append(decode_ppm(encode_ppm(decoded[0])))
+        for img in decoded:
+            again = Image.from_u8(img.to_u8()).pixels
+            assert again.tobytes() == img.pixels.tobytes()
+
+    def test_no_decode_yields_samples_the_byte_cache_would_round(self):
+        # 16-bit PNG is rejected today. Once it decodes (over 65535), to_u8
+        # rounds its pixels, so this fails until the cache keeps uint16
+        samples = (np.arange(16 * 16 * 3) * 37 % 256 * 257 + 1).astype(">u2")
+        blob = build_png(samples.view(np.uint8).reshape(16, 16, 6), bit_depth=16)
+        try:
+            img = decode_png(blob)
+        except UnsupportedImageError:
+            return
+        assert Image.from_u8(img.to_u8()).pixels.tobytes() == img.pixels.tobytes()

@@ -5,21 +5,22 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cenet import cli
-from cenet.blocks import EnhancementNetwork, NetworkConfig
+from cenet import blocks, cli
+from cenet.blocks import EnhancementNetwork, FeatureBlock, NetworkConfig
 from cenet.checkpoint import Checkpoint, load, save
 from cenet.config import RunConfig, desk_preset, format_config
 from cenet.dataset import scan_dataset
 from cenet.imageio import Image, load_image, save_image
 from cenet.inference import enhance, evaluate_network
 from cenet.optim import Adam
-from cenet.tensor import Tape, Tensor, backward, l1_loss
+from cenet.tensor import Tape, Tensor, backward, l1_loss, maxpool2d
 from cenet.training import TrainingError, load_network, restore, train
 from cenet.verify import _float64
 
@@ -253,6 +254,34 @@ class TestInference:
         full = enhance(network, img).pixels
         for tile in (32, 64):
             npt.assert_array_equal(enhance(network, img, tile=tile).pixels, full)
+
+    def test_untiled_enhance_frees_the_image_then_the_network_input(self, monkeypatch):
+        # weakrefs to the image's pixels and to the padded network input.
+        # Given its only reference, enhance releases the image before the
+        # stem block starts, and the network releases its input once the
+        # stem block has run, before the first pooling
+        pending = [Image(np.random.default_rng(5).uniform(0, 1, (13, 10, 3)).astype(np.float32))]
+        image = weakref.ref(pending[0].pixels)
+        inputs, pools = [], []
+        feature_forward = FeatureBlock.forward
+
+        def checked_feature(block, f, skip=None):
+            if not inputs:
+                assert image() is None, "the image is still alive"
+                inputs.append(weakref.ref(f.data))
+            return feature_forward(block, f, skip)
+
+        def checked_pool(x):
+            assert inputs[0]() is None, "the network input is still alive"
+            pools.append(x.shape)
+            return maxpool2d(x)
+
+        monkeypatch.setattr(FeatureBlock, "forward", checked_feature)
+        monkeypatch.setattr(blocks, "maxpool2d", checked_pool)
+        net = EnhancementNetwork(NetworkConfig(num_stages=2, base_channels=4), seed=0)
+        out = enhance(net, pending.pop())
+        assert (out.height, out.width) == (13, 10)
+        assert len(inputs) == 1 and len(pools) == 2
 
     def test_tiled_output_shape_and_range(self, trained):
         _, network, _ = trained
