@@ -3,8 +3,9 @@
 The network is an encoder-decoder over NCHW tensors. Each encoder stage
 is a feature block whose output is kept as a skip and then max-pooled;
 the bottleneck is a feature block, optionally followed by a non-local
-attention block (global context); each decoder stage upsamples and runs
-a feature block on the upsampled features and the matching skip; a 3x3
+attention block (global context); each decoder stage runs a feature block
+on its 2x nearest-upsampled input and the matching skip, whose first
+convolution reads the upsample in its bands without building it; a 3x3
 head maps back to RGB. A feature block is a basic block of two 3x3
 convolutions, optionally followed by a dense residual block (local
 context).
@@ -23,10 +24,9 @@ from .tensor import (
     attention,
     conv2d,
     maxpool2d,
-    upsample_nearest2x,
 )
 # perfbench's tracer patches these names, which no op has any more; ROADMAP item 1 deletes this.
-concat_channels = matmul = permute = prelu = reshape = softmax_rows = None
+concat_channels = matmul = permute = prelu = reshape = softmax_rows = upsample_nearest2x = None
 
 RGB_CHANNELS = 3
 
@@ -155,11 +155,11 @@ class FeatureBlock(Block):
 
     def forward(self, f: Tensor, skip: Tensor | None = None) -> Tensor:
         """With ``skip``, ``f`` is a decoder stage's half-resolution input and
-        the basic block reads the join (upsampled ``f``, ``skip``). Only the
-        basic block's argument holds the join, so without a tape its first
-        convolution is the upsample's last reader; the skip is released
+        the basic block's first convolution reads the join (``f`` upsampled,
+        ``skip``) in its bands. Given the caller's last references, without
+        a tape ``f`` and ``skip`` are released when the basic block returns,
         before the dense block."""
-        f = self.basic.forward(f if skip is None else (upsample_nearest2x(f), skip))
+        f = self.basic.forward(f if skip is None else (f, skip))
         del skip
         if self.dense is not None:
             f = self.dense.forward(f)
@@ -229,24 +229,29 @@ class EnhancementNetwork(Block):
 
     def forward(self, f: Tensor) -> Tensor:
         """Given the caller's last reference to the input ``f``, without a
-        tape the input is released once the stem block has run."""
+        tape the input is released when the stem's basic block returns.
+
+        Each stage gets its input through the one-element list ``held``, so
+        the stage's argument is that input's only reference: a decoder
+        stage's half-resolution input, like the network input, dies when the
+        stage's basic block returns, not when the stage does."""
         h, w = f.shape[2:]
         div = self.config.divisor
         if h % div or w % div:
             raise DimensionError(
                 f"spatial extents {h}x{w} must be divisible by {div} "
                 f"(2**num_stages with num_stages={self.config.num_stages})")
-        skips = []
+        held, skips = [f], []
+        del f
         for block in self.encoder:
-            f = block.forward(f)
-            skips.append(f)
-            f = maxpool2d(f)
-        f = self.mid.forward(f)
+            skips.append(block.forward(held.pop()))
+            held.append(maxpool2d(skips[-1]))
+        held.append(self.mid.forward(held.pop()))
         if self.attention is not None:
-            f = self.attention.forward(f)
+            held.append(self.attention.forward(held.pop()))
         for block in self.decoder:
-            f = block.forward(f, skips.pop())
-        return self.head.forward(f)
+            held.append(block.forward(held.pop(), skips.pop()))
+        return self.head.forward(held.pop())
 
     def named_parameters(self) -> dict[str, Parameter]:
         return {p.name: p for p in self.parameters()}

@@ -137,18 +137,16 @@ def sample_patch(pair: BytePair, spec: AugmentSpec,
     """Draw one aligned (input, target) patch pair, shape (crop, crop, 3).
 
     The crop origin, flips, and rotation are drawn from ``rng`` and applied
-    identically to both images. Images smaller than the crop are
-    reflect-padded first (flagged in the log). The patches are uint8 views
-    into the pair, or into its padded copy.
+    identically to both images, which must be at least the crop in both
+    extents (``SampleStream`` reflect-pads smaller pairs once, as it
+    decodes them). The patches are uint8 views into the pair.
     """
     size = spec.crop_size
     src = pair.input
     tgt = pair.target
     if src.shape[0] < size or src.shape[1] < size:
-        log.warning("pair %s (%dx%d) is smaller than crop %d; reflect-padding",
-                    pair.identifier, src.shape[1], src.shape[0], size)
-        src = reflect_pad_to(src, size, size)
-        tgt = reflect_pad_to(tgt, size, size)
+        raise ValueError(f"pair {pair.identifier} ({src.shape[1]}x{src.shape[0]}) is smaller "
+                         f"than crop {size}; reflect-pad it first")
     y = int(rng.integers(0, src.shape[0] - size + 1))
     x = int(rng.integers(0, src.shape[1] - size + 1))
     a = src[y:y + size, x:x + size]
@@ -175,7 +173,9 @@ class SampleStream:
 
     Batch i depends only on (seed, i). Decoded pairs are kept as their
     8-bit samples (``BytePair``) in an LRU cache of at most
-    ``_CACHE_BYTES``; a pair larger than that is not kept. Batches are
+    ``_CACHE_BYTES``; a pair larger than that is not kept. A pair smaller
+    than the crop is reflect-padded up to it as it is decoded, with one
+    warning per decode, and kept padded. Batches are
     (B, 3, crop, crop) float32 NCHW arrays, each patch converted with
     ``Image.from_u8``'s arithmetic as it is written into the batch.
     """
@@ -197,6 +197,13 @@ class SampleStream:
             return self._cache[index]
         # looked up per call, so the global can be wrapped
         pair = BytePair.of(load_pair(self.records[index]))
+        size = self.spec.crop_size
+        h, w = pair.input.shape[:2]
+        if h < size or w < size:
+            log.warning("pair %s (%dx%d) is smaller than crop %d; reflect-padding",
+                        pair.identifier, w, h, size)
+            pair = BytePair(pair.identifier, reflect_pad_to(pair.input, size, size),
+                            reflect_pad_to(pair.target, size, size))
         if pair.nbytes <= _CACHE_BYTES:
             while self._cached_bytes + pair.nbytes > _CACHE_BYTES:
                 self._cached_bytes -= self._cache.popitem(last=False)[1].nbytes

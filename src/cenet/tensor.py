@@ -157,9 +157,20 @@ def op_census():
         _LOCAL.census_stack.pop()
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every element of ``a`` is finite, without an ``a``-sized
+    temporary: a finite sum of squares (one BLAS dot) proves it, and only
+    when that sum is not finite, as it also is when a finite ``a`` is large
+    enough to overflow it, are the elements checked one by one."""
+    flat = a.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.dot(flat, flat)
+    return math.isfinite(squares) or bool(np.isfinite(a).all())
+
+
 def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
     """Wrap an op result in a Tensor and record it on the active tape."""
-    if not np.isfinite(out_data).all():
+    if not _all_finite(out_data):
         raise ContractError(f"{op_name} produced non-finite values")
     out = Tensor(out_data)
     for counts in _LOCAL.census_stack:
@@ -231,6 +242,26 @@ def backward(loss: Tensor):
 _CONV_BAND_BYTES = 256 * 2 ** 10
 
 
+def _extents(xs: list[np.ndarray]) -> tuple[int, int, int]:
+    """(N, H, W) of a convolution over ``xs``: the largest input's extents."""
+    return xs[0].shape[0], max(x.shape[2] for x in xs), max(x.shape[3] for x in xs)
+
+
+def _fill_upsampled(dst: np.ndarray, x: np.ndarray, lo: int):
+    """Write rows ``lo`` on of ``x``'s nearest 2x upsample into ``dst``.
+
+    ``x`` is (C, H/2, W/2) and ``dst`` a (C, rows, W) view. Each of the two
+    row parities takes every other ``dst`` row, and each of the two column
+    phases every other column of those: four strided writes of ``x``'s
+    rows, as upsample row r is ``x`` row r // 2.
+    """
+    for j in (0, 1):
+        top = (lo + j) // 2
+        src = x[:, top:top + (dst.shape[1] - j + 1) // 2]
+        for phase in (0, 1):
+            dst[:, j::2, phase::2] = src
+
+
 def _bands(xs: list[np.ndarray], cout: int, k: int):
     """Walk the output of a stride-1 "same" convolution of ``xs`` band by band.
 
@@ -238,15 +269,18 @@ def _bands(xs: list[np.ndarray], cout: int, k: int):
     The band reads one slab: the input rows first - p up to end + p
     (p = k // 2) of every input, stacked along channels in order, zero
     outside the image, padded by p columns on each side and by one zero
-    row below, flattened to (Cin, (rows + 2p + 1) * (W + 2p)). ``windows``
-    are the k² shifted slices of that slab, in row-major tap order, each
-    (Cin, rows * (W + 2p)): the band's output rows at the slab's pitch,
-    whose last 2p columns per row fall over the padding. A band holds
-    ``_CONV_BAND_BYTES`` of input and output rows, or as many rows as the
-    taps' bytes when those are larger, so that deep layers stream their
-    taps once per band of about their own size, not once per few rows.
+    row below, flattened to (Cin, (rows + 2p + 1) * (W + 2p)). An input
+    with half the output's extents fills its channels with the rows of its
+    nearest 2x upsample. ``windows`` are the k² shifted slices of that
+    slab, in row-major tap order, each (Cin, rows * (W + 2p)): the band's
+    output rows at the slab's pitch, whose last 2p columns per row fall
+    over the padding. A band holds ``_CONV_BAND_BYTES`` of input and
+    output rows, every input counted at the output's width, or as many
+    rows as the taps' bytes when those are larger, so that deep layers
+    stream their taps once per band of about their own size, not once per
+    few rows.
     """
-    n, _, h, w = xs[0].shape
+    n, h, w = _extents(xs)
     p = k // 2
     wp = w + 2 * p
     cin = sum(x.shape[1] for x in xs)
@@ -258,8 +292,15 @@ def _bands(xs: list[np.ndarray], cout: int, k: int):
             r1 = min(r0 + rows, h)
             lo, hi = max(r0 - p, 0), min(r1 + p, h)
             slab = np.zeros((cin, r1 - r0 + 2 * p + 1, wp), dtype=xs[0].dtype)
-            np.concatenate([x[i, :, lo:hi] for x in xs],
-                           out=slab[:, lo - r0 + p:hi - r0 + p, p:p + w])
+            filled = slab[:, lo - r0 + p:hi - r0 + p, p:p + w]
+            c0 = 0
+            for x in xs:
+                dst = filled[c0:c0 + x.shape[1]]
+                c0 += x.shape[1]
+                if x.shape[2] == h:
+                    dst[...] = x[i, :, lo:hi]
+                else:
+                    _fill_upsampled(dst, x[i], lo)
             slab = slab.reshape(cin, -1)
             span = (r1 - r0) * wp
             yield i, r0, r1, [slab[:, dy * wp + dx:dy * wp + dx + span]
@@ -289,15 +330,16 @@ def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=
                pre=None) -> np.ndarray:
     """Stride-1 "same" convolution of the channel concatenation of ``xs``.
 
-    ``xs`` are (N, Cin_j, H, W) arrays and ``taps`` the (k*k, Cout, Cin)
-    tap matrices. Per band of output rows, each tap is one GEMM with its
+    ``xs`` are (N, Cin_j, H, W) arrays, or (N, Cin_j, H/2, W/2) ones read
+    as their nearest 2x upsample, and ``taps`` the (k*k, Cout, Cin) tap
+    matrices. Per band of output rows, each tap is one GEMM with its
     window of the band's slab, summed into the band's accumulator, whose
     columns over the padding are computed and dropped. While the band is in
     cache, the accumulator gets the (Cout, 1) ``bias`` added, is copied into
     ``pre`` when that is given, and is scaled in place by the PReLU of
     the (Cout, 1) ``slope``.
     """
-    n, _, h, w = xs[0].shape
+    n, h, w = _extents(xs)
     cout = taps.shape[1]
     out = np.empty((n, cout, h, w), dtype=xs[0].dtype)
     for i, r0, r1, windows in _bands(xs, cout, k):
@@ -316,34 +358,47 @@ def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=
     return out
 
 
+def _block_sum(d: np.ndarray) -> np.ndarray:
+    """The sums of ``d``'s 2x2 blocks: column pairs first, then row pairs,
+    bitwise ``d.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))``."""
+    cols = d[..., 0::2] + d[..., 1::2]
+    return cols[:, :, 0::2] + cols[:, :, 1::2]
+
+
 def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
            slope: Tensor | None = None) -> Tensor:
     """2-D cross-correlation at stride 1 with "same" zero padding.
 
     ``x`` is one (N, Cin, H, W) tensor or a tuple of tensors with equal N,
-    H and W, read as the channel concatenation of the tuple in order, bit
-    for bit, without building it. ``weight`` is (Cout, Cin, k, k) with odd
-    k and Cin the inputs' total width; ``bias`` is (1, Cout, 1, 1). With a
-    (1, Cout, 1, 1) ``slope``, the output is the PReLU of the
+    read as the channel concatenation of the tuple in order, bit for bit,
+    without building it. The output takes the largest input's H and W; an
+    input with exactly half of them is read as its nearest 2x upsample, bit
+    for bit, without building that either, so a decoder join of coarse
+    features and a skip is one call. ``weight`` is (Cout, Cin, k, k) with
+    odd k and Cin the inputs' total width; ``bias`` is (1, Cout, 1, 1).
+    With a (1, Cout, 1, 1) ``slope``, the output is the PReLU of the
     pre-activation ``pre = conv2d(x, weight, bias)``, bit for bit
     ``where(pre < 0, slope * pre, pre)``, applied to each band while it is
     in cache; the pre-activation is kept only while a tape records, for
-    the backward. The output keeps the inputs' H and W. The
-    work runs in bands of output rows, each stacking and padding only its
-    own input rows, so no padded copy or concatenation of the inputs exists
-    whole and the tape keeps only the inputs themselves. The backward rule
-    yields a gradient for each input, the weight, the bias and the slope;
-    the input gradient is the same convolution of the upstream gradient with
-    the kernel flipped in space and its channel axes swapped.
+    the backward. The work runs in bands of output rows, each stacking and
+    padding only its own input rows, so no padded copy, upsample or
+    concatenation of the inputs exists whole and the tape keeps only the
+    inputs themselves. The backward rule yields a gradient for each input,
+    the weight, the bias and the slope; the input gradient is the same
+    convolution of the upstream gradient with the kernel flipped in space
+    and its channel axes swapped, summed over 2x2 blocks for a
+    half-extent input (column pairs first, then row pairs).
     """
     xs = (x,) if isinstance(x, Tensor) else tuple(x)
     if not xs:
         raise DimensionError("conv2d needs at least one input")
-    n, _, h, w = xs[0].shape
-    for t in xs[1:]:
-        if (t.shape[0], t.shape[2], t.shape[3]) != (n, h, w):
-            raise DimensionError(
-                f"conv2d inputs disagree on batch/spatial extents: {xs[0].shape} vs {t.shape}")
+    data = [t.data for t in xs]
+    n, h, w = _extents(data)
+    if any(t.shape[0] != n or (t.shape[2], t.shape[3]) not in ((h, w), (h / 2, w / 2))
+           for t in xs):
+        raise DimensionError(
+            "conv2d inputs disagree on batch/spatial extents (each must have the largest "
+            f"extents or exactly half of them): {' vs '.join(str(t.shape) for t in xs)}")
     widths = [t.shape[1] for t in xs]
     cin = sum(widths)
     cout, wcin, kh, kw = weight.shape
@@ -360,7 +415,6 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         raise DimensionError(f"conv2d slope must have shape (1, {cout}, 1, 1), got {slope.shape}")
 
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
-    data = [t.data for t in xs]
     pre = None
     if slope is not None and _LOCAL.tape_stack:
         pre = np.empty((n, cout, h, w), dtype=data[0].dtype)
@@ -382,7 +436,9 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         d_weight = d_taps.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         d_bias = up.sum(axis=(0, 2, 3), keepdims=True)
         edges = itertools.pairwise(itertools.accumulate(widths, initial=0))
-        grads = (*(d_x[:, lo:hi] for lo, hi in edges), d_weight, d_bias)
+        d_xs = (d_x[:, lo:hi] if t.shape[2] == h else _block_sum(d_x[:, lo:hi])
+                for t, (lo, hi) in zip(xs, edges))
+        grads = (*d_xs, d_weight, d_bias)
         return grads if slope is None else (*grads, d_slope)
 
     params = (weight, bias) if slope is None else (weight, bias, slope)
@@ -426,22 +482,6 @@ def maxpool2d(x: Tensor) -> Tensor:
         return (d_x,)
 
     return _emit("maxpool2d", out, (x,), backward_fn)
-
-
-def upsample_nearest2x(x: Tensor) -> Tensor:
-    """Replicate every element into a 2x2 block; backward sums the block."""
-    n, c, h, w = x.shape
-    out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
-    for view in _window_views(out):
-        view[...] = x.data
-
-    def backward_fn(up):
-        # column pairs first, then row pairs: bitwise the block sum
-        # ``up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))``
-        cols = up[..., 0::2] + up[..., 1::2]
-        return (cols[:, :, 0::2] + cols[:, :, 1::2],)
-
-    return _emit("upsample_nearest2x", out, (x,), backward_fn)
 
 
 # Byte budget of the affinity-matrix row blocks alive at once; attention

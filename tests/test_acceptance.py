@@ -119,8 +119,8 @@ def test_criterion_4_architecture_shapes():
             assert structure["attention_blocks"] == (1 if gc else 0)
             assert structure["dense_blocks"] == ((2 * m + 1) if lc else 0)
             assert counts.get("attention", 0) == (1 if gc else 0)
-            # multi-input convolutions: the decoder's (upsampled, skip)
-            # joins, then each dense block's layers 2 and 3
+            # multi-input convolutions: the decoder's (half-resolution
+            # input, skip) joins, then each dense block's layers 2 and 3
             expected = [2] * m + ([2, 3] * (2 * m + 1) if lc else [])
             assert sorted(joins) == sorted(expected)
     elapsed = time.time() - start

@@ -29,7 +29,6 @@ from cenet.tensor import (
     l1_loss,
     maxpool2d,
     op_census,
-    upsample_nearest2x,
     weighted_sum,
 )
 from cenet.verify import op_cases, op_names, run_op_suite
@@ -299,21 +298,29 @@ class TestBackwardRules:
         assert x.grad.sum() == pytest.approx(out.size)
 
     def test_upsample_backward_sums_blocks(self):
+        # conv2d's half-extent input, read through a 1x1 kernel that picks it
         with Tape():
             x = t4(np.ones((1, 1, 2, 2)))
-            loss = total(upsample_nearest2x(x))
+            picked = conv2d((x, t4(np.zeros((1, 1, 4, 4)))), t4([[[[1.0]], [[0.0]]]]),
+                            t4(np.zeros((1, 1, 1, 1))))
+            loss = total(picked)
             backward(loss)
         npt.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 4.0))
 
     def test_upsample_is_exact_adjoint(self):
-        # <forward(x), y> == <x, backward(y)> for random x, y
+        # <forward(x), y> == <x, backward(y)> for random x, y, where forward
+        # is conv2d's read of a half-extent x joined with a zero skip: linear
+        # in x
         rng = np.random.default_rng(7)
         x_data = rng.uniform(-1, 1, (1, 2, 3, 4)).astype(np.float32)
-        y_data = rng.uniform(-1, 1, (1, 2, 6, 8)).astype(np.float32)
-        fx = upsample_nearest2x(Tensor(x_data)).data
+        y_data = rng.uniform(-1, 1, (1, 3, 6, 8)).astype(np.float32)
+        skip = t4(np.zeros((1, 1, 6, 8)))
+        w = t4(rng.uniform(-1, 1, (3, 3, 3, 3)))
+        b = t4(np.zeros((1, 3, 1, 1)))
+        fx = conv2d((Tensor(x_data), skip), w, b).data
         with Tape():
             x = Tensor(x_data)
-            loss = weighted_sum(upsample_nearest2x(x), y_data)
+            loss = weighted_sum(conv2d((x, skip), w, b), y_data)
             backward(loss)
         lhs = float((fx * y_data).sum())
         rhs = float((x_data * x.grad).sum())
@@ -355,21 +362,25 @@ class TestGradcheckHarness:
 
     def test_conv2d_case_checks_both_paths(self, monkeypatch):
         # over the gradcheck command's default five trials, some conv2d
-        # cases fuse a PReLU and some do not
-        fused, paths = [], set()
+        # cases fuse a PReLU and some do not, and some read a half-extent
+        # input (a decoder join) and some do not
+        fused, halved, paths, joins = [], [], set(), set()
         plain_conv2d = tensor.conv2d
 
         def recorded(x, weight, bias, slope=None):
             fused.append(slope is not None)
+            halved.append(len({t.shape[2:] for t in x}) > 1)
             return plain_conv2d(x, weight, bias, slope)
 
         monkeypatch.setattr(tensor, "conv2d", recorded)
         for trial in range(5):
             cases = {name: fn for name, fn, _, _ in op_cases(0, trial)}
             fused.clear()
+            halved.clear()
             cases["conv2d"]()
             paths.update(fused)
-        assert paths == {False, True}
+            joins.update(halved)
+        assert paths == joins == {False, True}
 
     def test_case_draws_do_not_depend_on_earlier_checks(self, monkeypatch):
         # every case draws from its own generator, so its inputs and probe

@@ -26,7 +26,6 @@ from cenet.tensor import (
     conv2d,
     maxpool2d,
     op_census,
-    upsample_nearest2x,
     weighted_sum,
 )
 from cenet.verify import _float64
@@ -288,8 +287,8 @@ class TestNetwork:
             else:
                 assert counts.get("attention", 0) == 0
             feature_blocks = 2 * m + 1
-            # the decoder's (upsampled, skip) joins, then each dense block's
-            # layers 2 and 3
+            # the decoder's (half-resolution input, skip) joins, then each
+            # dense block's layers 2 and 3
             expected = [2] * m + ([2, 3] * feature_blocks if lc else [])
             assert sorted(joins) == sorted(expected)
             structure = net.structure()
@@ -303,11 +302,18 @@ class TestNetwork:
         with op_census() as counts, Tape() as tape:
             net.forward(x)
             pooled = [n.inputs[0] for n in tape.nodes if n.op_name == "maxpool2d"]
-            upsampled = {id(n.output) for n in tape.nodes if n.op_name == "upsample_nearest2x"}
-            # a decoder stage convolves (upsampled, skip), innermost first
-            skips = [n.inputs[1] for n in tape.nodes
-                     if n.op_name == "conv2d" and id(n.inputs[0]) in upsampled]
-        assert counts["maxpool2d"] == counts["upsample_nearest2x"] == len(skips) == m
+            # a decoder stage convolves (half-resolution input, skip) with no
+            # upsample node between them, innermost first
+            joins = [n.inputs[:2] for n in tape.nodes if n.op_name == "conv2d"
+                     and not isinstance(n.inputs[1], Parameter)
+                     and n.inputs[0].shape[2:] != n.inputs[1].shape[2:]]
+            outputs = {id(n.output) for n in tape.nodes}
+        assert set(counts) <= {"conv2d", "maxpool2d", "add", "attention"}
+        assert counts["maxpool2d"] == len(joins) == m
+        for half, skip in joins:
+            assert id(half) in outputs
+            assert (2 * half.shape[2], 2 * half.shape[3]) == skip.shape[2:]
+        skips = [skip for _, skip in joins]
         assert all(s is p for s, p in zip(skips, reversed(pooled)))
         f = x
         for block, skip in zip(net.encoder, pooled):
@@ -373,50 +379,49 @@ class TestNetwork:
         without = EnhancementNetwork(NetworkConfig(2, 4, False, False), seed=3)
         npt.assert_array_equal(with_gc.forward(x).data, without.forward(x).data)
 
-    def test_untaped_decoder_frees_its_upsample_and_skip_before_its_dense_block(
+    def test_untaped_decoder_frees_its_inputs_before_its_dense_block(
             self, monkeypatch):
-        # weakrefs to each upsample's output and each pooled skip, recorded
-        # as the network makes them; without a tape, a decoder stage's basic
-        # block is their last reader
-        upsampled, skips, entries = [], [], []
+        # weakrefs to the network input and to both inputs of each decoder
+        # join, recorded as its convolution reads them; without a tape, each
+        # stage's basic block is the last reader of what it was handed
+        pending = [rand4((1, 3, 8, 8))]
+        network_input = weakref.ref(pending[0].data)
+        joins, entries = [], []
         dense_forward = DenseResidualBlock.forward
 
-        def recorded_upsample(x):
-            out = upsample_nearest2x(x)
-            upsampled.append(weakref.ref(out.data))
-            return out
-
-        def recorded_pool(x):
-            skips.append(weakref.ref(x.data))
-            return maxpool2d(x)
+        def recorded_conv(x, weight, bias, slope=None):
+            if isinstance(x, tuple) and x[0].shape[2:] != x[-1].shape[2:]:
+                joins.append([weakref.ref(t.data) for t in x])
+            return conv2d(x, weight, bias, slope)
 
         def checked_dense(block, f):
-            # the decoder has consumed the last len(upsampled) skips
-            consumed = skips[len(skips) - len(upsampled):]
-            assert all(ref() is None for ref in upsampled), "an upsample is still alive"
-            assert all(ref() is None for ref in consumed), "a consumed skip is still alive"
-            entries.append(len(upsampled))
+            assert network_input() is None, "the network input is still alive"
+            assert all(ref() is None for refs in joins for ref in refs), \
+                "a decoder stage's half-resolution input or skip is still alive"
+            entries.append(len(joins))
             return dense_forward(block, f)
 
-        monkeypatch.setattr(blocks, "upsample_nearest2x", recorded_upsample)
-        monkeypatch.setattr(blocks, "maxpool2d", recorded_pool)
+        monkeypatch.setattr(blocks, "conv2d", recorded_conv)
         monkeypatch.setattr(DenseResidualBlock, "forward", checked_dense)
         net = EnhancementNetwork(NetworkConfig(num_stages=2, base_channels=4), seed=0)
-        net.forward(rand4((1, 3, 8, 8)))
-        # enc0, enc1 and mid, then dec1 after one upsample and dec0 after two
+        net.forward(pending.pop())
+        # enc0, enc1 and mid, then dec1 after one join and dec0 after two
         assert entries == [0, 0, 0, 1, 2]
 
     def test_untaped_forward_peak(self):
-        # unit: one full-resolution stage-0 activation. The peak, 4.5 and a
-        # band, is at the last decoder stage: its first conv (half-resolution
-        # input, upsample, skip, output) or its dense block's third conv
-        # (input, three layer outputs, half-resolution input). Holding the
-        # join through the basic block, with PReLU as passes of their own,
-        # took it to 7.
+        # unit: one full-resolution stage-0 activation. The peak, 4.47, is
+        # at both stage-0 dense blocks' third conv: block input, two layer
+        # outputs and its output (4), the 3-channel input this test holds
+        # (0.375) and a band. The last decoder stage's basic block holds
+        # 3.9 (that input, the half-resolution input, skip and two conv
+        # outputs). With the upsample built (2) and the half-resolution
+        # input held through the dense block, the peak was 4.98; holding
+        # the join through the basic block, with PReLU as passes of their
+        # own, took it to 7.
         net = EnhancementNetwork(NetworkConfig(2, 8, use_global_context=False), seed=0)
         x = rand4((1, 3, 192, 256))
         unit = 8 * 192 * 256 * x.data.itemsize
-        assert traced_peak_bytes(lambda: net.forward(x)) < 5.5 * unit
+        assert traced_peak_bytes(lambda: net.forward(x)) < 4.5 * unit
 
     def test_divisibility_error_names_divisor(self):
         net = EnhancementNetwork(NetworkConfig(num_stages=3, base_channels=4), seed=0)

@@ -119,13 +119,11 @@ class TestSamplePatch:
             hits += len(pos_a)
         assert hits > 0
 
-    def test_small_image_reflect_padded(self, caplog):
-        pair = make_pair(6, 6)
-        spec = AugmentSpec(crop_size=10, enable_flip=False, enable_rotation=False)
-        with caplog.at_level("WARNING"):
-            a, b = sample_patch(pair, spec, np.random.default_rng(0))
-        assert a.shape == (10, 10, 3)
-        assert "reflect" in caplog.text
+    @pytest.mark.parametrize("h,w", [(6, 10), (10, 9), (3, 3)])
+    def test_pair_smaller_than_the_crop_is_rejected(self, h, w):
+        # the stream pads such pairs once, as it decodes them
+        with pytest.raises(ValueError, match=f"pair p \\({w}x{h}\\) is smaller than crop 10"):
+            sample_patch(make_pair(h, w), AugmentSpec(crop_size=10), np.random.default_rng(0))
 
     def test_values_stay_in_unit_range(self, tmp_path):
         write_pair(tmp_path, "a", size=(20, 20), seed=6)
@@ -206,6 +204,31 @@ class TestSampleStream:
             stream._pair(index)
         # "b" is reloaded each time and never evicts "a"
         assert loads == ["a", "b", "b"]
+
+    def test_small_image_reflect_padded(self, tmp_path, monkeypatch, caplog):
+        # padded once, when the pair is decoded and cached, with one warning;
+        # every draw crops the cached padded pair
+        write_pair(tmp_path, "a", size=(6, 7))
+        records = scan_dataset(tmp_path)
+        spec = AugmentSpec(crop_size=10, enable_flip=False, enable_rotation=False)
+        stream = SampleStream(records, spec, seed=0)
+        pads = []
+        reflect_pad_to = dataset.reflect_pad_to
+
+        def counting_pad(pixels, min_h, min_w):
+            pads.append(pixels.shape)
+            return reflect_pad_to(pixels, min_h, min_w)
+
+        monkeypatch.setattr(dataset, "reflect_pad_to", counting_pad)
+        with caplog.at_level("WARNING"):
+            batches = [stream.batch(i) for i in range(5)]
+        assert pads == [(6, 7, 3), (6, 7, 3)]
+        assert caplog.text.count("a (7x6) is smaller than crop 10; reflect-padding") == 1
+        padded = reflect_pad_to(BytePair.of(load_pair(records[0])).input, 10, 10)
+        assert stream._pair(0).input.tobytes() == padded.tobytes()
+        x, _ = batches[0]
+        assert x.shape == (1, 3, 10, 10)
+        assert x[0].tobytes() == (padded.transpose(2, 0, 1) / np.float32(255)).tobytes()
 
     def test_batches_equal_those_built_from_float_pairs(self, tmp_path):
         # 1000 batches of two draws; "c" and "d" are narrower or shorter than

@@ -23,7 +23,6 @@ from cenet.tensor import (
     gradcheck,
     l1_loss,
     maxpool2d,
-    upsample_nearest2x,
     weighted_sum,
 )
 
@@ -167,14 +166,77 @@ class TestConv2d:
         for got, want in zip([out, *d_xs, d_w, d_b], [want_out, *want_xs, want_w, want_b]):
             npt.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n,k,inputs,h,w,rows", [
+        (1, 3, ((2, True), (3, False)), 4, 6, 4),
+        (2, 1, ((1, False), (2, True)), 6, 4, 6),
+        (2, 5, ((2, True), (1, False), (1, True)), 2, 2, 1),
+        (1, 3, ((1, True), (2, False)), 10, 14, 3),
+        (1, 5, ((2, True), (1, False)), 12, 6, 5),
+    ], ids=["join", "half-last", "two-halves", "odd-bands", "k5-odd-bands"])
+    def test_half_extent_input_matches_naive_oracle_of_its_upsample(
+            self, monkeypatch, n, k, inputs, h, w, rows):
+        # (width, half) per input; bands of ``rows`` output rows start at odd
+        # rows too, so both row parities open a band
+        cout = 3
+        cin = sum(c for c, _ in inputs)
+        monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", rows * (cin + cout) * (w + k - 1) * 8)
+        rng = np.random.default_rng(k * 100 + h)
+        xs = [Tensor(rng.uniform(-1, 1, (n, c, h // 2, w // 2) if half else (n, c, h, w)))
+              for c, half in inputs]
+        wt, b = (Tensor(rng.uniform(-1, 1, shape)) for shape in ((cout, cin, k, k),
+                                                                (1, cout, 1, 1)))
+        probe = rng.standard_normal((n, cout, h, w))
+        out, *d_xs, d_w, d_b = taped_grads(lambda: conv2d(tuple(xs), wt, b), [*xs, wt, b], probe)
+        whole = np.concatenate([x.data.repeat(2, axis=2).repeat(2, axis=3) if half else x.data
+                                for x, (_, half) in zip(xs, inputs)], axis=1)
+        npt.assert_allclose(out, conv2d_naive(whole, wt.data, b.data, 1, k // 2),
+                            rtol=1e-12, atol=1e-12)
+        want_x, want_w = conv2d_grads_naive(whole, wt.data, probe, k // 2)
+        for got, want, (_, half) in zip(d_xs, np.split(want_x, np.cumsum([c for c, _ in inputs])[:-1],
+                                                       axis=1), inputs):
+            if half:
+                want = want.reshape(n, -1, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+            npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(d_w, want_w, rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(d_b, probe.sum(axis=(0, 2, 3)).reshape(b.shape), rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16])
+    def test_half_extent_input_is_bitwise_its_built_upsample(self, monkeypatch, rows):
+        # float32, a fused PReLU and ragged bands: reading the upsample in
+        # the bands and convolving the built upsample run the same GEMMs on
+        # the same slabs, and the half-extent gradient is the built one's
+        # 2x2 block sum, column pairs first
+        n, h, w, cout = 2, 10, 12, 4
+        monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", rows * (5 + cout) * (w + 2) * 4)
+        rng = np.random.default_rng(rows)
+        coarse = t4(rng.uniform(-1, 1, (n, 3, h // 2, w // 2)))
+        skip = t4(rng.uniform(-1, 1, (n, 2, h, w)))
+        wt, b, slope = (t4(rng.uniform(-1, 1, shape))
+                        for shape in ((cout, 5, 3, 3), (1, cout, 1, 1), (1, cout, 1, 1)))
+        probe = rng.standard_normal((n, cout, h, w)).astype(np.float32)
+        fused = taped_grads(lambda: conv2d((coarse, skip), wt, b, slope),
+                            [coarse, skip, wt, b, slope], probe)
+        built = t4(coarse.data.repeat(2, axis=2).repeat(2, axis=3))
+        want = taped_grads(lambda: conv2d((built, skip), wt, b, slope),
+                           [built, skip, wt, b, slope], probe)
+        cols = want[1][..., 0::2] + want[1][..., 1::2]
+        want[1] = cols[:, :, 0::2] + cols[:, :, 1::2]
+        for got, ref in zip(fused, want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        untaped = conv2d((coarse, skip), wt, b, slope).data
+        assert untaped.tobytes() == fused[0].tobytes()
+
     def test_one_input_tuple_is_the_tensor(self):
         rng = np.random.default_rng(5)
         x, wt, b = (t4(rng.uniform(-1, 1, shape))
                     for shape in ((2, 3, 5, 4), (2, 3, 3, 3), (1, 2, 1, 1)))
         npt.assert_array_equal(conv2d((x,), wt, b).data, conv2d(x, wt, b).data)
 
-    @pytest.mark.parametrize("shape", [(2, 1, 4, 4), (1, 1, 3, 4), (1, 1, 4, 5)])
+    @pytest.mark.parametrize("shape", [(2, 1, 4, 4), (1, 1, 3, 4), (1, 1, 4, 5), (1, 1, 2, 3),
+                                       (1, 1, 8, 9), (1, 1, 16, 16), (2, 1, 8, 8)])
     def test_inputs_must_share_batch_and_extents(self, shape):
+        # equal extents or exactly half the largest input's; (1, 2, 4, 4) is
+        # half of (8, 9) in one extent only, and a quarter of (16, 16)
         a = t4(np.zeros((1, 2, 4, 4)))
         with pytest.raises(DimensionError, match=re.escape(f"{a.shape} vs {shape}")):
             conv2d((a, t4(np.zeros(shape))), t4(np.zeros((1, 3, 3, 3))),
@@ -404,14 +466,26 @@ class TestMaxpool2d:
         assert grad.tobytes() == want.tobytes()
 
 
+def read_upsampled(x: Tensor) -> Tensor:
+    """``x``'s nearest 2x upsample as conv2d reads a half-extent input: a 1x1
+    identity kernel over the join (``x``, zeros at twice its extents)."""
+    n, c, h, w = x.shape
+    zeros = Tensor(np.zeros((n, 1, 2 * h, 2 * w), dtype=x.dtype))
+    weight = Tensor(np.eye(c, c + 1, dtype=x.dtype).reshape(c, c + 1, 1, 1))
+    return conv2d((x, zeros), weight, Tensor(np.zeros((1, c, 1, 1), dtype=x.dtype)))
+
+
 class TestUpsample:
+    """conv2d reads an input with half the output's extents as its nearest
+    2x upsample, and sums its gradient over 2x2 blocks."""
+
     def test_replication(self):
-        out = upsample_nearest2x(t4([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        out = read_upsampled(t4([[[[1.0, 2.0], [3.0, 4.0]]]]))
         npt.assert_array_equal(out.data[0, 0], [[1, 1, 2, 2], [1, 1, 2, 2],
                                                 [3, 3, 4, 4], [3, 3, 4, 4]])
 
     def test_constant(self):
-        out = upsample_nearest2x(t4(np.full((2, 3, 2, 2), 0.6)))
+        out = read_upsampled(t4(np.full((2, 3, 2, 2), 0.6)))
         assert out.shape == (2, 3, 4, 4)
         npt.assert_allclose(out.data, 0.6, rtol=1e-6)
 
@@ -423,7 +497,7 @@ class TestUpsample:
         x = t4(rng.standard_normal(shape), dtype)
         up = rng.standard_normal((n, c, 2 * h, 2 * w)).astype(dtype)
         with Tape():
-            out = upsample_nearest2x(x)
+            out = read_upsampled(x)
             backward(weighted_sum(out, up))
         assert out.data.tobytes() == x.data.repeat(2, axis=2).repeat(2, axis=3).tobytes()
         block_sum = up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
@@ -590,3 +664,31 @@ class TestFiniteGuard:
         x = t4(np.full((1, 1, 1, 1), 3e38))
         with np.errstate(over="ignore"), pytest.raises(ContractError):
             add(x, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_non_finite_element_names_the_op(self, bad, dtype):
+        x = np.random.default_rng(0).uniform(-1, 1, (2, 3, 17, 19)).astype(dtype)
+        x[1, 2, 16, 5] = bad
+        with pytest.raises(ContractError, match="^add produced non-finite values$"):
+            add(t4(x, dtype), t4(np.zeros_like(x), dtype))
+
+    def test_finite_output_whose_sum_of_squares_overflows_passes_silently(self):
+        # 1e30 squared overflows float32, so the elementwise check decides
+        x = t4(np.full((1, 2, 8, 8), 1e30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = add(x, t4(np.zeros(x.shape)))
+        assert out.data.tobytes() == x.data.tobytes()
+
+    def test_check_makes_no_output_sized_temporary(self):
+        # an isfinite mask of the output is a quarter of its float32 bytes
+        rng = np.random.default_rng(1)
+        a, b = (t4(rng.uniform(-1, 1, (1, 8, 128, 128))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            out = add(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + out.data.size // 8

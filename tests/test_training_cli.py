@@ -468,9 +468,8 @@ class TestCli:
         assert cli.main(["gradcheck", "--trials", "1"]) == 0
         out = capsys.readouterr().out
         # every op and block type appears exactly once in the report
-        for name in ("conv2d", "maxpool2d", "upsample_nearest2x", "add", "attention",
-                     "l1_loss", "weighted_sum", "basic_block", "dense_residual_block",
-                     "nonlocal_block", "network"):
+        for name in ("conv2d", "maxpool2d", "add", "attention", "l1_loss", "weighted_sum",
+                     "basic_block", "dense_residual_block", "nonlocal_block", "network"):
             assert sum(line.split()[0] == name for line in out.splitlines()) == 1, name
 
     def test_gradcheck_fault_injection(self, capsys):
@@ -485,10 +484,12 @@ class TestCli:
             raise AssertionError("checks ran for an unknown fault target")
 
         monkeypatch.setattr(cli, "run_full_suite", must_not_run)
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["gradcheck", "--trials", "1", "--inject-fault", "conv"])
-        assert exit_info.value.code != 0
-        assert "invalid choice: 'conv'" in capsys.readouterr().err
+        # upsample_nearest2x is an op no more: conv2d reads the decoder's upsample
+        for target in ("conv", "upsample_nearest2x"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["gradcheck", "--trials", "1", "--inject-fault", target])
+            assert exit_info.value.code != 0
+            assert f"invalid choice: '{target}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_gradcheck_needs_a_trial(self, monkeypatch, capsys, trials):
