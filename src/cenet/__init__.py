@@ -11,7 +11,8 @@ from .config import RunConfig, desk_preset, load_config, parse_config
 from .imageio import Image, decode_image, encode_image, load_image, save_image
 from .metrics import MetricReport, psnr, ssim
 from .optim import Adam, StepDecaySchedule
-from .tensor import Parameter, Tape, Tensor, backward, gradcheck
+from .tensor import Parameter, Tape, Tensor, backward
+from .verify import gradcheck
 
 __version__ = "0.1.0"
 

@@ -61,13 +61,21 @@ class Block:
 class Conv(Block):
     """A k x k convolution: a ``<name>.weight`` drawn by its record name, a zero
     ``<name>.bias`` and, when ``act`` is given, a PReLU ``<act>.slope`` at 0.25
-    run in the convolution's bands."""
+    run in the convolution's bands.
+
+    The weight is held in the tap order ``conv2d``'s GEMMs read: a
+    C-contiguous (k, k, Cout, Cin) buffer, seen through ``weight.data`` as
+    its (Cout, Cin, k, k) transpose. So ``conv2d`` reads the buffer itself,
+    copying nothing per call, and the weight's gradient takes that layout.
+    """
 
     def __init__(self, name: str, c_in: int, c_out: int, k: int, seed: int,
                  act: str | None = None):
         bound = math.sqrt(6.0 / (c_in * k * k))
         data = keyed_rng(seed, f"{name}.weight").uniform(-bound, bound, (c_out, c_in, k, k))
-        self.weight = Parameter(f"{name}.weight", data.astype(np.float32))
+        taps = np.ascontiguousarray(data.transpose(2, 3, 0, 1), dtype=np.float32)
+        self.weight = Parameter(f"{name}.weight", taps)  # a Tensor's data starts C-contiguous
+        self.weight.data = taps.transpose(2, 3, 0, 1)
         self.bias = Parameter(f"{name}.bias", np.zeros((1, c_out, 1, 1), dtype=np.float32))
         self.slope = None if act is None else Parameter(
             f"{act}.slope", np.full((1, c_out, 1, 1), 0.25, dtype=np.float32))

@@ -12,8 +12,9 @@ Layout, little-endian throughout:
 Round-trips are bit-exact, and a CRC mismatch or truncation is a
 corruption error. This module knows only the file format: checking the
 records against a network's parameter census is ``training.restore``'s
-job. Saving writes the arrays' own buffers; a loaded checkpoint's arrays
-are read-only views of the file's bytes.
+job. Saving writes a C-contiguous float32 array's own buffer and converts
+any other a few rows at a time as the file is written; a loaded
+checkpoint's arrays are read-only views of the file's bytes.
 """
 
 import math
@@ -45,31 +46,45 @@ class Checkpoint:
         return self.optimizer_step is not None
 
 
+# Bytes of a record in another layout converted to C order at a time.
+_CONVERT_BYTES = 2 ** 15
+
+
 def _records(tensors: dict[str, np.ndarray]):
-    """Each record as its packed header followed by the array itself."""
+    """Each record as its packed header followed by its values in C order:
+    a C-contiguous float32 array itself, any other converted a slice of
+    rows (of its first axis) at a time, so no record is copied whole."""
     for name, arr in tensors.items():
         encoded = name.encode("utf-8")
-        arr = np.asarray(arr, dtype="<f4", order="C")
+        arr = np.asarray(arr, dtype="<f4")
         yield struct.pack(f"<I{len(encoded)}sB{arr.ndim}Q",
                           len(encoded), encoded, arr.ndim, *arr.shape)
-        yield arr
+        if arr.flags.c_contiguous:
+            yield arr
+        else:
+            rows = max(1, _CONVERT_BYTES * len(arr) // arr.nbytes)
+            yield from (np.ascontiguousarray(arr[i:i + rows]) for i in range(0, len(arr), rows))
 
 
-def _chunks(ckpt: Checkpoint) -> list:
-    """The file as a list of buffers, ending with the CRC of all the others.
-    Float32 arrays go in as they are, so building the list copies nothing."""
-    chunks = [MAGIC, struct.pack("<IQI", VERSION, ckpt.iteration, len(ckpt.tensors))]
-    chunks += _records(ckpt.tensors)
+def _body(ckpt: Checkpoint):
+    yield MAGIC
+    yield struct.pack("<IQI", VERSION, ckpt.iteration, len(ckpt.tensors))
+    yield from _records(ckpt.tensors)
     if ckpt.has_optimizer_state:
-        chunks.append(struct.pack("<BQI", 1, ckpt.optimizer_step, len(ckpt.optimizer_tensors)))
-        chunks += _records(ckpt.optimizer_tensors)
+        yield struct.pack("<BQI", 1, ckpt.optimizer_step, len(ckpt.optimizer_tensors))
+        yield from _records(ckpt.optimizer_tensors)
     else:
-        chunks.append(struct.pack("<B", 0))
+        yield struct.pack("<B", 0)
+
+
+def _chunks(ckpt: Checkpoint):
+    """The file as buffers made as they are consumed, ending with the
+    running CRC of all the others."""
     crc = 0
-    for chunk in chunks:
+    for chunk in _body(ckpt):
         crc = zlib.crc32(chunk, crc)
-    chunks.append(struct.pack("<I", crc))
-    return chunks
+        yield chunk
+    yield struct.pack("<I", crc)
 
 
 class _Reader:
@@ -144,6 +159,11 @@ def write_atomic(path, *chunks):
     the write fails, the temp file is removed and the old file is
     untouched; if the directory fsync fails, the new file is already in
     place and the error propagates."""
+    _write_atomic(path, chunks)
+
+
+def _write_atomic(path, chunks):
+    """``write_atomic`` of an iterable of buffers, each written as it comes."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -163,7 +183,7 @@ def write_atomic(path, *chunks):
 
 
 def save(ckpt: Checkpoint, path):
-    write_atomic(path, *_chunks(ckpt))
+    _write_atomic(path, _chunks(ckpt))
 
 
 def load(path) -> Checkpoint:

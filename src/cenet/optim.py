@@ -32,12 +32,38 @@ class StepDecaySchedule:
         return self.initial_lr / self.decay_factor ** (iteration // self.decay_every)
 
 
+def memory_order(a: np.ndarray) -> tuple[int, ...]:
+    """``a``'s axes from the outermost in memory to the innermost: ``a``
+    transposed by them is C-contiguous when ``a`` is dense."""
+    return tuple(sorted(range(a.ndim), key=a.strides.__getitem__, reverse=True))
+
+
+def copy_in_layout(a: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` laid out in memory as ``like`` is."""
+    out = np.empty_like(like, dtype=a.dtype)
+    out[...] = a
+    return out
+
+
+def _moment(moments: dict[str, np.ndarray], p: Parameter, axes) -> np.ndarray:
+    """``p``'s buffer in ``moments``: zeros at first, copied into ``p``'s
+    layout (memory order ``axes``) when it has another."""
+    buf = moments.get(p.name)
+    if buf is None:
+        buf = moments[p.name] = np.zeros_like(p.data)
+    elif not buf.transpose(axes).flags.c_contiguous:
+        buf = moments[p.name] = copy_in_layout(buf, p.data)
+    return buf
+
+
 @dataclass
 class Adam:
     """Adam with bias correction; moment buffers are keyed by parameter name.
 
     No weight decay and no gradient clipping. After a step every
-    parameter's gradient buffer is cleared. The state is plain arrays;
+    parameter's gradient buffer is cleared. The state is plain arrays,
+    each moment laid out in memory as its parameter is (a moment given in
+    another layout is copied into that one at the next step);
     ``training.snapshot`` and ``training.restore`` name its checkpoint records.
     """
 
@@ -54,10 +80,12 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         for p in params:
-            if p.name not in self.m:
-                self.m[p.name] = np.zeros_like(p.data)
-                self.v[p.name] = np.zeros_like(p.data)
-            flat = [a.reshape(-1) for a in (p.data, p.grad, self.m[p.name], self.v[p.name])]
+            # every array walked in the parameter's memory order: views of
+            # the parameter and its moments, the gradient copied only when
+            # its layout differs
+            axes = memory_order(p.data)
+            flat = [a.transpose(axes).reshape(-1) for a in
+                    (p.data, p.grad, _moment(self.m, p, axes), _moment(self.v, p, axes))]
             for start in range(0, p.data.size, _SLICE_ELEMENTS):
                 data, g, m, v = (a[start:start + _SLICE_ELEMENTS] for a in flat)
                 # lr * m_hat / (sqrt(v_hat) + eps), evaluated in two scratch

@@ -1,9 +1,11 @@
 """Dense 4-D tensors with reverse-mode automatic differentiation.
 
-Every tensor is a contiguous NCHW array of 32-bit floats (64-bit for
-verification runs). Operators record themselves onto the active tape;
-``backward`` replays the tape in reverse and accumulates gradients into
-the tensors the tape did not produce: parameters and inputs. A tape lives
+Every tensor is an NCHW array of 32-bit floats (64-bit for verification
+runs), C-contiguous when built; a parameter may then be given another
+layout, as ``blocks.Conv`` gives its weight. Operators record themselves
+onto the active tape; ``backward`` replays the tape in reverse and
+accumulates gradients, each in its tensor's layout, into the tensors the
+tape did not produce: parameters and inputs. A tape lives
 for exactly one forward/backward pass and is confined to the thread that
 created it.
 
@@ -21,7 +23,6 @@ import itertools
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -184,8 +185,9 @@ def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray):
-    if tensor.grad is None:  # a copy: backward rules may return one array twice
-        tensor.grad = np.array(grad, dtype=tensor.data.dtype, order="C")
+    if tensor.grad is None:  # a copy, as rules may return one array twice, in the tensor's layout
+        tensor.grad = np.empty_like(tensor.data)
+        tensor.grad[...] = grad
     else:
         tensor.grad += grad
 
@@ -274,11 +276,12 @@ def _bands(xs: list[np.ndarray], cout: int, k: int):
     nearest 2x upsample. ``windows`` are the k² shifted slices of that
     slab, in row-major tap order, each (Cin, rows * (W + 2p)): the band's
     output rows at the slab's pitch, whose last 2p columns per row fall
-    over the padding. A band holds ``_CONV_BAND_BYTES`` of input and
+    over the padding. A band holds about ``_CONV_BAND_BYTES`` of input and
     output rows, every input counted at the output's width, or as many
     rows as the taps' bytes when those are larger, so that deep layers
     stream their taps once per band of about their own size, not once per
-    few rows.
+    few rows. The H rows are split into round(H / that many rows) bands of
+    equal height, give or take a row, so no band is a sliver.
     """
     n, h, w = _extents(xs)
     p = k // 2
@@ -287,9 +290,10 @@ def _bands(xs: list[np.ndarray], cout: int, k: int):
     row_bytes = (cin + cout) * wp * xs[0].itemsize
     weight_bytes = k * k * cout * cin * xs[0].itemsize
     rows = max(1, _CONV_BAND_BYTES // row_bytes, -(-weight_bytes // row_bytes))
+    count = max(1, round(h / rows))
     for i in range(n):
-        for r0 in range(0, h, rows):
-            r1 = min(r0 + rows, h)
+        for j in range(count):
+            r0, r1 = h * j // count, h * (j + 1) // count
             lo, hi = max(r0 - p, 0), min(r1 + p, h)
             slab = np.zeros((cin, r1 - r0 + 2 * p + 1, wp), dtype=xs[0].dtype)
             filled = slab[:, lo - r0 + p:hi - r0 + p, p:p + w]
@@ -383,11 +387,15 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     the backward. The work runs in bands of output rows, each stacking and
     padding only its own input rows, so no padded copy, upsample or
     concatenation of the inputs exists whole and the tape keeps only the
-    inputs themselves. The backward rule yields a gradient for each input,
-    the weight, the bias and the slope; the input gradient is the same
-    convolution of the upstream gradient with the kernel flipped in space
-    and its channel axes swapped, summed over 2x2 blocks for a
-    half-extent input (column pairs first, then row pairs).
+    inputs themselves. The GEMMs read the weight as (k, k, Cout, Cin) tap
+    matrices: a weight held in that order (``blocks.Conv``'s) is read and
+    kept on the tape as it is, any other is copied into it. The backward
+    rule yields a gradient for each input, the bias and the slope, and sums
+    the weight's straight into ``weight.grad``, which starts as zeros in
+    the weight's layout; the input gradient is the same convolution of the
+    upstream gradient with the kernel flipped in space and its channel axes
+    swapped, summed over 2x2 blocks for a half-extent input (column pairs
+    first, then row pairs).
     """
     xs = (x,) if isinstance(x, Tensor) else tuple(x)
     if not xs:
@@ -426,19 +434,23 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
             up, d_slope = _prelu_grads(pre, slope.data, up)
         # a spatial flip reverses the tap order
         d_x = _same_conv([up], taps[::-1].transpose(0, 2, 1), k)
-        d_taps = np.zeros_like(taps)
+        if weight.grad is None:
+            weight.grad = np.zeros_like(weight.data)
+        # the weight gradient is summed in place, tap by tap, into views of
+        # weight.grad; in a weight's tap order each is contiguous
+        d_w = weight.grad.transpose(2, 3, 0, 1)
+        d_taps = [d_w[dy, dx] for dy in range(k) for dx in range(k)]
         product = np.empty_like(taps[0])  # one tap's GEMM of one band
         for i, r0, r1, windows in _bands(data, cout, k):
             up_band = np.zeros((cout, windows[0].shape[1]), dtype=up.dtype)
             up_band.reshape(cout, r1 - r0, -1)[:, :, :w] = up[i, :, r0:r1]
             for d, window in zip(d_taps, windows):
                 d += np.matmul(up_band, window.T, out=product)
-        d_weight = d_taps.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         d_bias = up.sum(axis=(0, 2, 3), keepdims=True)
         edges = itertools.pairwise(itertools.accumulate(widths, initial=0))
         d_xs = (d_x[:, lo:hi] if t.shape[2] == h else _block_sum(d_x[:, lo:hi])
                 for t, (lo, hi) in zip(xs, edges))
-        grads = (*d_xs, d_weight, d_bias)
+        grads = (*d_xs, None, d_bias)
         return grads if slope is None else (*grads, d_slope)
 
     params = (weight, bias) if slope is None else (weight, bias, slope)
@@ -638,97 +650,3 @@ def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
         return (w * up.reshape(()),)
 
     return _emit("weighted_sum", out, (x,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-# Central-difference step of ``gradcheck``, in 64-bit arithmetic.
-_GRADCHECK_STEP = 1e-5
-
-
-def _corrupted(backward_fn):
-    """``backward_fn`` with its first non-None gradient scaled by 1.02."""
-    def faulty(up):
-        grads = list(backward_fn(up))
-        for i, g in enumerate(grads):
-            if g is not None:
-                grads[i] = g * 1.02
-                break
-        return tuple(grads)
-
-    return faulty
-
-
-@dataclass
-class GradcheckResult:
-    """Outcome of one analytic-vs-numeric gradient comparison."""
-
-    name: str
-    tolerance: float
-    per_input: list[float] = field(default_factory=list)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_input) if self.per_input else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-
-def gradcheck(forward_fn, inputs, tol: float = 1e-4, rng=None, max_coords: int | None = None,
-              name: str = "op", fault: str | None = None) -> GradcheckResult:
-    """Compare analytic gradients against central finite differences.
-
-    ``forward_fn()`` recomputes the output from the current contents of
-    ``inputs``, which must be float64 tensors; differences are taken in
-    64-bit arithmetic with step ``_GRADCHECK_STEP``. The output is
-    scalarized by a fixed random weighting so the full Jacobian is
-    exercised. With ``max_coords`` set, only a deterministic random subset
-    of each input's coordinates is probed (needed to keep whole-network
-    checks fast). Failure is a report outcome, not an exception. With
-    ``fault`` naming an op, that op's backward rules on this check's tape
-    are corrupted, so the check must fail (a negative control).
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    for t in inputs:
-        if t.dtype != np.float64:
-            raise ContractError("gradcheck inputs must be float64 tensors")
-        t.grad = None
-
-    with Tape() as tape:
-        out = forward_fn()
-        probe = rng.standard_normal(out.shape)
-        loss = weighted_sum(out, probe)
-        for node in tape.nodes:
-            if node.op_name == fault:
-                node.backward_fn = _corrupted(node.backward_fn)
-        backward(loss)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
-
-    def scalar_eval() -> float:
-        return float((forward_fn().data * probe).sum())
-
-    result = GradcheckResult(name=name, tolerance=tol)
-    scale_floor = max(max(np.abs(a).max() for a in analytic), 1e-6)
-    for t, a in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if max_coords is not None and flat.size > max_coords:
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
-        worst = 0.0
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + _GRADCHECK_STEP
-            f_plus = scalar_eval()
-            flat[c] = orig - _GRADCHECK_STEP
-            f_minus = scalar_eval()
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2 * _GRADCHECK_STEP)
-            ana = a.reshape(-1)[c]
-            denom = max(abs(ana), abs(numeric), 1e-3 * scale_floor, 1e-12)
-            worst = max(worst, abs(ana - numeric) / denom)
-        result.per_input.append(worst)
-    return result

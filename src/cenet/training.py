@@ -14,7 +14,7 @@ from .blocks import EnhancementNetwork, NetworkConfig
 from .checkpoint import Checkpoint, CheckpointError, load, save, write_atomic
 from .config import RunConfig, format_config
 from .dataset import SampleStream, scan_dataset
-from .optim import Adam
+from .optim import Adam, copy_in_layout
 from .tensor import ContractError, Tape, Tensor, backward, l1_loss
 
 log = logging.getLogger(__name__)
@@ -59,7 +59,9 @@ def restore(ckpt: Checkpoint, network: EnhancementNetwork,
     """Load the checkpoint into ``network``, and, when ``optimizer`` is given,
     its optimizer state into ``optimizer``, once every record matches the
     parameter census. A checkpoint without optimizer state loads weights
-    only; resuming from one would restart Adam, so that is refused."""
+    only; resuming from one would restart Adam, so that is refused.
+    Parameters are overwritten in place and moments copied in their
+    parameter's layout, so a conv weight keeps its tap order."""
     params = network.named_parameters()
     shapes = {name: p.data.shape for name, p in params.items()}
     _check_records(ckpt.tensors, shapes, "parameter")
@@ -70,11 +72,12 @@ def restore(ckpt: Checkpoint, network: EnhancementNetwork,
                 "so training cannot continue from it exactly")
         _check_records(ckpt.optimizer_tensors, {f"{moment}.{name}": shape for moment in "mv"
                                                 for name, shape in shapes.items()}, "optimizer")
-        optimizer.m = {name: ckpt.optimizer_tensors[f"m.{name}"].copy() for name in params}
-        optimizer.v = {name: ckpt.optimizer_tensors[f"v.{name}"].copy() for name in params}
+        optimizer.m, optimizer.v = (
+            {name: copy_in_layout(ckpt.optimizer_tensors[f"{moment}.{name}"], param.data)
+             for name, param in params.items()} for moment in "mv")
         optimizer.step_count = ckpt.optimizer_step
     for name, param in params.items():
-        param.data = ckpt.tensors[name].astype(param.data.dtype, copy=True)
+        param.data[...] = ckpt.tensors[name]  # in place, so each keeps its layout
 
 
 def _save_checkpoint(path: Path, network, optimizer, iteration, config):

@@ -8,12 +8,14 @@ the seed, the trial (for op cases) and the check's name, so a passing
 suite is reproducible and no check's draws depend on the other checks.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import tensor as tc
 from .blocks import (BasicBlock, DenseResidualBlock, EnhancementNetwork, NetworkConfig,
                      NonLocalBlock, keyed_rng)
-from .tensor import GradcheckResult, Tensor, gradcheck
+from .tensor import ContractError, Tape, Tensor, backward, weighted_sum
 
 # Relative-error bounds of the op checks and of the block and network checks.
 _OP_TOL = 1e-4
@@ -21,6 +23,97 @@ _BLOCK_TOL = 1e-3
 # Coordinates probed per parameter tensor in the block and network checks.
 _BLOCK_COORDS = 25
 _NETWORK_COORDS = 6
+
+
+# Central-difference step of ``gradcheck``, in 64-bit arithmetic.
+_GRADCHECK_STEP = 1e-5
+
+
+def _corrupted(backward_fn):
+    """``backward_fn`` with its first non-None gradient scaled by 1.02."""
+    def faulty(up):
+        grads = list(backward_fn(up))
+        for i, g in enumerate(grads):
+            if g is not None:
+                grads[i] = g * 1.02
+                break
+        return tuple(grads)
+
+    return faulty
+
+
+@dataclass
+class GradcheckResult:
+    """Outcome of one analytic-vs-numeric gradient comparison."""
+
+    name: str
+    tolerance: float
+    per_input: list[float] = field(default_factory=list)
+
+    @property
+    def max_rel_error(self) -> float:
+        return max(self.per_input) if self.per_input else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error < self.tolerance
+
+
+def gradcheck(forward_fn, inputs, tol: float = 1e-4, rng=None, max_coords: int | None = None,
+              name: str = "op", fault: str | None = None) -> GradcheckResult:
+    """Compare analytic gradients against central finite differences.
+
+    ``forward_fn()`` recomputes the output from the current contents of
+    ``inputs``, which must be float64 tensors; differences are taken in
+    64-bit arithmetic with step ``_GRADCHECK_STEP``. The output is
+    scalarized by a fixed random weighting so the full Jacobian is
+    exercised. With ``max_coords`` set, only a deterministic random subset
+    of each input's coordinates is probed (needed to keep whole-network
+    checks fast). Coordinates are drawn in row-major order of each input's
+    shape and perturbed in place, whatever its memory layout. Failure is a
+    report outcome, not an exception. With ``fault`` naming an op, that
+    op's backward rules on this check's tape are corrupted, so the check
+    must fail (a negative control).
+    """
+    rng = rng if rng is not None else np.random.default_rng(0)
+    for t in inputs:
+        if t.dtype != np.float64:
+            raise ContractError("gradcheck inputs must be float64 tensors")
+        t.grad = None
+
+    with Tape() as tape:
+        out = forward_fn()
+        probe = rng.standard_normal(out.shape)
+        loss = weighted_sum(out, probe)
+        for node in tape.nodes:
+            if node.op_name == fault:
+                node.backward_fn = _corrupted(node.backward_fn)
+        backward(loss)
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
+
+    def scalar_eval() -> float:
+        return float((forward_fn().data * probe).sum())
+
+    result = GradcheckResult(name=name, tolerance=tol)
+    scale_floor = max(max(np.abs(a).max() for a in analytic), 1e-6)
+    for t, a in zip(inputs, analytic):
+        coords = np.arange(t.size)
+        if max_coords is not None and t.size > max_coords:
+            coords = rng.choice(t.size, size=max_coords, replace=False)
+        worst = 0.0
+        for c in zip(*np.unravel_index(coords, t.shape)):
+            orig = t.data[c]
+            t.data[c] = orig + _GRADCHECK_STEP
+            f_plus = scalar_eval()
+            t.data[c] = orig - _GRADCHECK_STEP
+            f_minus = scalar_eval()
+            t.data[c] = orig
+            numeric = (f_plus - f_minus) / (2 * _GRADCHECK_STEP)
+            ana = a[c]
+            denom = max(abs(ana), abs(numeric), 1e-3 * scale_floor, 1e-12)
+            worst = max(worst, abs(ana - numeric) / denom)
+        result.per_input.append(worst)
+    return result
 
 
 def _t(rng, shape) -> Tensor:

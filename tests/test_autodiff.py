@@ -3,7 +3,6 @@
 import ast
 import copy
 import gc
-import inspect
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -14,24 +13,22 @@ import numpy.testing as npt
 import pytest
 
 from cenet import tensor, verify
-from cenet.blocks import EnhancementNetwork
+from cenet.blocks import BasicBlock, Conv, EnhancementNetwork
 from cenet.config import desk_preset
 from cenet.tensor import (
     ContractError,
-    GradcheckResult,
     Tape,
     Tensor,
     _TapeNode,
     add,
     backward,
     conv2d,
-    gradcheck,
     l1_loss,
     maxpool2d,
     op_census,
     weighted_sum,
 )
-from cenet.verify import op_cases, op_names, run_op_suite
+from cenet.verify import GradcheckResult, gradcheck, op_cases, op_names, run_op_suite
 
 
 def t4(data, dtype=np.float32):
@@ -91,13 +88,46 @@ class TestBackward:
         npt.assert_array_equal(b.grad, np.ones((1, 1, 2, 2)))
         assert c.grad is None  # released with its node once add's rule ran
 
-    def test_first_gradients_are_c_contiguous(self):
-        # conv2d's input and weight gradients are transposed views
+    def test_first_gradients_take_their_tensors_layout(self):
+        # C order for inputs and for a weight given in C order; tap order,
+        # (k, k, Cout, Cin) in memory, for a network's weight
         rng = np.random.default_rng(4)
         x, w = t4(rng.uniform(-1, 1, (2, 3, 5, 4))), t4(rng.uniform(-1, 1, (2, 3, 3, 3)))
+        conv = Conv("c", 3, 2, 3, seed=0)
         with Tape():
-            backward(total(conv2d(x, w, t4(np.zeros((1, 2, 1, 1))))))
+            backward(add(total(conv2d(x, w, t4(np.zeros((1, 2, 1, 1))))), total(conv.forward(x))))
         assert x.grad.flags.c_contiguous and w.grad.flags.c_contiguous
+        assert conv.weight.data.transpose(2, 3, 0, 1).flags.c_contiguous
+        assert conv.weight.grad.transpose(2, 3, 0, 1).flags.c_contiguous
+        assert conv.weight.grad.shape == (2, 3, 3, 3)
+
+    def test_taped_forward_keeps_no_copy_of_a_conv_weight(self):
+        # the held bytes of a taped desk forward, against a twin whose weights
+        # are held in C order and so copied into tap order per call and kept
+        # on the tape; 1x1 weights are already tap-ordered in C order
+        def held_after_forward(network):
+            x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32))
+            tracemalloc.start()
+            try:
+                with Tape():
+                    base = tracemalloc.get_traced_memory()[0]
+                    out = network.forward(x)
+                    held = tracemalloc.get_traced_memory()[0] - base
+                    del out
+            finally:
+                tracemalloc.stop()
+            return held
+
+        tapped = EnhancementNetwork(desk_preset().network, seed=0)
+        twin = EnhancementNetwork(desk_preset().network, seed=0)
+        weights = [p for p in twin.parameters() if p.name.endswith(".weight")]
+        for p in weights:
+            p.data = p.data.copy()
+        copied = sum(p.data.nbytes for p in weights if p.shape[2] > 1)
+        assert copied > 400_000
+        held_after_forward(tapped)  # the first forward allocates a few KB for good
+        saved = held_after_forward(twin) - held_after_forward(tapped)
+        assert abs(saved - copied) < 0.02 * copied, (saved, copied)
 
     def test_non_scalar_loss_rejected(self):
         with Tape():
@@ -360,6 +390,20 @@ class TestGradcheckHarness:
         assert len(result.per_input) == 2
         assert result.passed
 
+    def test_block_checks_probe_tap_ordered_weights_in_place(self):
+        # the float64 copies keep the tap order; probing a flattened copy of
+        # such a weight would read a relative error of 1.0
+        block = verify._float64(BasicBlock("bb", 3, 4, seed=0))
+        x = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, 3, 6, 6)))
+        weights = [block.conv1.weight, block.conv2.weight]
+        assert all(w.dtype == np.float64 and w.data.transpose(2, 3, 0, 1).flags.c_contiguous
+                   for w in weights)
+        for fault, passed in ((None, True), ("conv2d", False)):
+            result = gradcheck(lambda: block.forward(x), [x, *weights], tol=1e-3,
+                               max_coords=25, fault=fault)
+            assert result.passed == passed, result.per_input
+        assert result.per_input[1] > 1e-3  # the weight's gradient too is wrong under the fault
+
     def test_conv2d_case_checks_both_paths(self, monkeypatch):
         # over the gradcheck command's default five trials, some conv2d
         # cases fuse a PReLU and some do not, and some read a half-extent
@@ -418,9 +462,15 @@ class TestCensus:
         assert "conv2d" not in counts
 
 
+def package_sources() -> dict[str, ast.Module]:
+    """The parsed source of every ``cenet`` module, by file name."""
+    return {path.name: ast.parse(path.read_text())
+            for path in Path(tensor.__file__).parent.glob("*.py")}
+
+
 def emitted_op_names() -> list[str]:
-    """The op names ``tensor.py`` records through ``_emit``, read from its source."""
-    calls = [node for node in ast.walk(ast.parse(inspect.getsource(tensor)))
+    """The op names ``cenet`` records through ``_emit``, read from its source."""
+    calls = [node for source in package_sources().values() for node in ast.walk(source)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"]
     assert all(isinstance(call.args[0], ast.Constant) for call in calls)
     return [call.args[0].value for call in calls]
@@ -434,10 +484,13 @@ class TestOpCoverage:
         assert set(emitted) == set(checked)
 
     def test_every_recorded_op_has_a_caller_besides_the_checker(self):
-        # an op only its gradcheck case calls is dead code; bare names only,
-        # so that np.matmul or a .reshape() call cannot stand in for an op
-        called = {node.func.id for path in Path(tensor.__file__).parent.glob("*.py")
-                  if path.name != "verify.py"
-                  for node in ast.walk(ast.parse(path.read_text()))
+        # an op only its gradcheck case calls is dead code, so every module
+        # is read but verify.op_cases (gradcheck's scalarizer counts); bare
+        # names only, so that np.matmul or a .reshape() call cannot stand in
+        # for an op
+        sources = package_sources()
+        sources["verify.py"].body = [node for node in sources["verify.py"].body
+                                     if getattr(node, "name", None) != "op_cases"]
+        called = {node.func.id for source in sources.values() for node in ast.walk(source)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert set(emitted_op_names()) - called == set()

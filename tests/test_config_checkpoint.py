@@ -320,6 +320,37 @@ class TestCodec:
         digest = hashlib.sha256(serialize(training.snapshot(net, adam, 1))).hexdigest()
         assert digest == "aeaa5565978f883eda3a9c28cc61b1193c4f2b44aa720e7c8f660238edb4944a"
 
+    def test_view_records_restore_bitwise(self, tmp_path):
+        # records taken straight from named_parameters(), as a benchmark's
+        # eval model is written: each conv weight is a transposed view
+        net = EnhancementNetwork(NetworkConfig(2, 4), seed=0)
+        tensors = {name: p.data for name, p in net.named_parameters().items()}
+        tensors["head.weight"] = np.random.default_rng(1).normal(
+            0, 0.05, tensors["head.weight"].shape).astype(np.float32)
+        assert not tensors["enc0.bb.conv1.weight"].flags.c_contiguous
+        save(Checkpoint(0, tensors), tmp_path / "model.ckpt")
+        fresh = EnhancementNetwork(NetworkConfig(2, 4), seed=5)
+        training.restore(load(tmp_path / "model.ckpt"), fresh)
+        for name, p in fresh.named_parameters().items():
+            npt.assert_array_equal(p.data, tensors[name], err_msg=name)
+        # restored in place: the weights keep their tap order
+        assert fresh.encoder[0].basic.conv1.weight.data.transpose(2, 3, 0, 1).flags.c_contiguous
+
+    def test_saving_view_records_copies_none_whole(self, tmp_path):
+        net = EnhancementNetwork(NetworkConfig(2, 8), seed=0)
+        params = net.parameters()
+        for p in params:
+            p.grad = np.ones(p.shape, dtype=np.float32)
+        adam = Adam()
+        adam.step(params, 1e-3)
+        ckpt = training.snapshot(net, adam, 1)
+        records = [*ckpt.tensors.values(), *ckpt.optimizer_tensors.values()]
+        largest = max(records, key=lambda arr: arr.nbytes)
+        assert not largest.flags.c_contiguous
+        peak, _ = traced_peak(lambda: save(ckpt, tmp_path / "model.ckpt"))
+        assert peak < largest.nbytes, (peak, largest.nbytes)
+        assert (tmp_path / "model.ckpt").read_bytes() == serialize(ckpt)
+
     def test_saved_file_is_the_serialized_bytes(self, tmp_path):
         ckpt = fixed_checkpoint(True)
         save(ckpt, tmp_path / "model.ckpt")

@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cenet import optim
+from cenet import optim, training
 from cenet.blocks import EnhancementNetwork, NetworkConfig
+from cenet.checkpoint import deserialize, serialize
 from cenet.optim import Adam, StepDecaySchedule
 from cenet.tensor import ContractError, Parameter, Tape, Tensor, backward, l1_loss
 
@@ -147,6 +148,56 @@ class TestAdam:
                 plain_adam_update(*ref[p.name], p.grad, t, 1e-2)
             opt.step(params, lr=1e-2)
         assert_matches_plain_update(params, opt, ref)
+
+    def test_tap_ordered_step_is_bitwise_the_c_order_step(self):
+        # Adam on tap-ordered weights with C-order gradients and moments, and
+        # again after a checkpoint round trip of its state, against a twin
+        # whose every array is in C order
+        def networks():
+            tapped = EnhancementNetwork(NetworkConfig(num_stages=1, base_channels=4), seed=0)
+            twin = EnhancementNetwork(NetworkConfig(num_stages=1, base_channels=4), seed=0)
+            for p in twin.parameters():
+                p.data = p.data.copy()
+            return tapped, twin
+
+        def steps(pairs, count, rng):
+            for _ in range(count):
+                grads = [rng.standard_normal(p.shape).astype(np.float32)
+                         for p in pairs[0][0].parameters()]
+                for net, opt in pairs:
+                    for p, g in zip(net.parameters(), grads):
+                        p.grad = g.copy()
+                    opt.step(net.parameters(), lr=1e-2)
+
+        def assert_bitwise(pairs):
+            (tapped, tapped_opt), (twin, twin_opt) = pairs
+            for p, q in zip(tapped.parameters(), twin.parameters()):
+                npt.assert_array_equal(p.data, q.data, err_msg=p.name)
+                for moments, twin_moments in ((tapped_opt.m, twin_opt.m),
+                                              (tapped_opt.v, twin_opt.v)):
+                    npt.assert_array_equal(moments[p.name], twin_moments[q.name], err_msg=p.name)
+
+        rng = np.random.default_rng(3)
+        pairs = [(net, Adam()) for net in networks()]
+        weight = pairs[0][0].encoder[0].basic.conv1.weight
+        assert weight.data.transpose(2, 3, 0, 1).flags.c_contiguous
+        assert not weight.data.flags.c_contiguous
+        steps(pairs, 1, rng)
+        for _, opt in pairs:  # moments handed back in C order
+            opt.m = {name: m.copy() for name, m in opt.m.items()}
+            opt.v = {name: v.copy() for name, v in opt.v.items()}
+        steps(pairs, 2, rng)
+        assert_bitwise(pairs)
+
+        ckpt = deserialize(serialize(training.snapshot(*pairs[0], 3)))
+        restored = [(net, Adam()) for net in networks()]
+        for net, opt in restored:
+            training.restore(ckpt, net, opt)
+        for p in restored[0][0].parameters():  # restored moments take their parameter's layout
+            axes = optim.memory_order(p.data)
+            assert restored[0][1].m[p.name].transpose(axes).flags.c_contiguous, p.name
+        steps(restored, 2, rng)
+        assert_bitwise(restored)
 
     @pytest.mark.parametrize("lr", [0.0, -1e-4, float("nan")])
     def test_non_positive_lr_rejected(self, lr):
