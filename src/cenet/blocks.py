@@ -8,7 +8,8 @@ on its 2x nearest-upsampled input and the matching skip, whose first
 convolution reads the upsample in its bands without building it; a 3x3
 head maps back to RGB. A feature block is a basic block of two 3x3
 convolutions, optionally followed by a dense residual block (local
-context).
+context). The dense residual block and the non-local block each end in a
+skip sum, which their last convolution adds as it writes its output.
 """
 
 import math
@@ -20,13 +21,13 @@ from .tensor import (
     DimensionError,
     Parameter,
     Tensor,
-    add,
     attention,
     conv2d,
     maxpool2d,
 )
 # perfbench's tracer patches these names, which no op has any more; ROADMAP item 1 deletes this.
-concat_channels = matmul = permute = prelu = reshape = softmax_rows = upsample_nearest2x = None
+add = concat_channels = matmul = permute = prelu = reshape = softmax_rows = None
+upsample_nearest2x = None
 
 RGB_CHANNELS = 3
 
@@ -80,9 +81,10 @@ class Conv(Block):
         self.slope = None if act is None else Parameter(
             f"{act}.slope", np.full((1, c_out, 1, 1), 0.25, dtype=np.float32))
 
-    def forward(self, x: Tensor | tuple[Tensor, ...]) -> Tensor:
-        """A tuple ``x`` is read as its channel concatenation."""
-        return conv2d(x, self.weight, self.bias, self.slope)
+    def forward(self, x: Tensor | tuple[Tensor, ...], skip: Tensor | None = None) -> Tensor:
+        """A tuple ``x`` is read as its channel concatenation; a ``skip`` is
+        added to the output."""
+        return conv2d(x, self.weight, self.bias, self.slope, skip)
 
 
 class BasicBlock(Block):
@@ -105,8 +107,9 @@ class DenseResidualBlock(Block):
     Layer l consumes the channel concatenation of the block input and all
     previous layer outputs, so its input width is l times the block width.
     Each layer's convolution reads those tensors in place, so the
-    concatenation is never built. The last layer is linear and the skip
-    makes the zero-weight block an exact identity.
+    concatenation is never built. The last layer is linear and adds the
+    block input as it writes its output, so the skip makes the zero-weight
+    block an exact identity and the unsummed branch output never exists.
     """
 
     def __init__(self, name: str, channels: int, seed: int):
@@ -117,9 +120,7 @@ class DenseResidualBlock(Block):
         ys = (f,)
         for layer in self.layers[:-1]:
             ys += (layer.forward(ys),)
-        y = self.layers[-1].forward(ys)
-        del ys  # without a tape, the sum needs only f and the last layer's output
-        return add(f, y)
+        return self.layers[-1].forward(ys, skip=f)
 
 
 class NonLocalBlock(Block):
@@ -128,8 +129,9 @@ class NonLocalBlock(Block):
     Query, key, and value are 1x1 projections into a bottleneck of
     ceil(C/2) channels; affinities are row-softmaxed dot products between
     query and key vectors, so every output position aggregates value
-    vectors from all positions. The output projection starts at zero,
-    which makes a freshly built block the identity map.
+    vectors from all positions. The output projection adds the block input
+    as it writes its output, and starts at zero, which makes a freshly
+    built block the identity map.
 
     The key bias cannot learn: it adds q_i . b to every logit of query row
     i, which the row softmax cancels, so its gradient is analytically zero.
@@ -146,7 +148,7 @@ class NonLocalBlock(Block):
 
     def forward(self, z: Tensor) -> Tensor:
         mixed = attention(self.query.forward(z), self.key.forward(z), self.value.forward(z))
-        return add(z, self.out.forward(mixed))
+        return self.out.forward(mixed, skip=z)
 
 
 class FeatureBlock(Block):

@@ -2,8 +2,9 @@
 
 The config file format is one ``key = value`` per line, with ``#``
 comments and blank lines; unknown keys are errors so typos cannot pass
-silently. The serialized text round-trips and is written alongside every
-checkpoint for provenance.
+silently. The serialized text of a valid config round-trips, as
+validation rejects string values the format cannot hold, and is written
+alongside every checkpoint for provenance.
 """
 
 from dataclasses import dataclass, field
@@ -39,6 +40,13 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key in _STRING_KEYS:
+            value = getattr(*_field(self, key))
+            # parse_config cuts a line at '#', splits lines and strips values
+            if "#" in value or len(value.splitlines()) > 1 or value != value.strip():
+                raise ConfigError(
+                    f"{key} must not contain '#' or a line break, nor start or end with "
+                    f"whitespace, got {value!r}")
         if self.augment.crop_size < self.network.divisor:
             raise ConfigError(
                 f"crop_size {self.augment.crop_size} is smaller than the "
@@ -85,6 +93,7 @@ _KEYS = {
     "checkpoint_every": (None, "checkpoint_every", int),
     "log_every": (None, "log_every", int),
 }
+_STRING_KEYS = tuple(key for key, (_, _, parser) in _KEYS.items() if parser is str)
 _POSITIVE_KEYS = ("stages", "base_channels", "batch_size", "lr", "lr_decay_factor",
                   "lr_decay_every", "iterations", "checkpoint_every", "log_every")
 

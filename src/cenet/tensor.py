@@ -331,7 +331,7 @@ def _prelu_grads(pre: np.ndarray, slope: np.ndarray, up: np.ndarray):
 
 
 def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=None,
-               pre=None) -> np.ndarray:
+               pre=None, skip=None) -> np.ndarray:
     """Stride-1 "same" convolution of the channel concatenation of ``xs``.
 
     ``xs`` are (N, Cin_j, H, W) arrays, or (N, Cin_j, H/2, W/2) ones read
@@ -341,7 +341,8 @@ def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=
     columns over the padding are computed and dropped. While the band is in
     cache, the accumulator gets the (Cout, 1) ``bias`` added, is copied into
     ``pre`` when that is given, and is scaled in place by the PReLU of
-    the (Cout, 1) ``slope``.
+    the (Cout, 1) ``slope``; the band's rows of the output-shaped ``skip``
+    are then added as the rows are written out.
     """
     n, h, w = _extents(xs)
     cout = taps.shape[1]
@@ -358,7 +359,10 @@ def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=
             pre[i, :, r0:r1] = rows
         if slope is not None:
             acc *= _prelu_gain(acc < 0, slope)
-        out[i, :, r0:r1] = rows
+        if skip is None:
+            out[i, :, r0:r1] = rows
+        else:
+            np.add(rows, skip[i, :, r0:r1], out=out[i, :, r0:r1])
     return out
 
 
@@ -370,7 +374,7 @@ def _block_sum(d: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
-           slope: Tensor | None = None) -> Tensor:
+           slope: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
     """2-D cross-correlation at stride 1 with "same" zero padding.
 
     ``x`` is one (N, Cin, H, W) tensor or a tuple of tensors with equal N,
@@ -384,14 +388,19 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     pre-activation ``pre = conv2d(x, weight, bias)``, bit for bit
     ``where(pre < 0, slope * pre, pre)``, applied to each band while it is
     in cache; the pre-activation is kept only while a tape records, for
-    the backward. The work runs in bands of output rows, each stacking and
-    padding only its own input rows, so no padded copy, upsample or
+    the backward. With a ``skip`` of the output's exact (N, Cout, H, W),
+    each band's rows of it are added as the band is written out, after
+    the bias and the PReLU: the output is bit for bit ``skip`` plus the
+    convolution, a residual sum for which no unsummed output is built or
+    kept on the tape. The work runs in bands of output rows, each stacking
+    and padding only its own input rows, so no padded copy, upsample or
     concatenation of the inputs exists whole and the tape keeps only the
     inputs themselves. The GEMMs read the weight as (k, k, Cout, Cin) tap
     matrices: a weight held in that order (``blocks.Conv``'s) is read and
     kept on the tape as it is, any other is copied into it. The backward
-    rule yields a gradient for each input, the bias and the slope, and sums
-    the weight's straight into ``weight.grad``, which starts as zeros in
+    rule yields a gradient for each input, the bias, the slope and the
+    skip, which takes the upstream gradient unchanged, and sums the
+    weight's straight into ``weight.grad``, which starts as zeros in
     the weight's layout; the input gradient is the same convolution of the
     upstream gradient with the kernel flipped in space and its channel axes
     swapped, summed over 2x2 blocks for a half-extent input (column pairs
@@ -421,15 +430,20 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         raise DimensionError(f"conv2d bias must have shape (1, {cout}, 1, 1), got {bias.shape}")
     if slope is not None and slope.shape != (1, cout, 1, 1):
         raise DimensionError(f"conv2d slope must have shape (1, {cout}, 1, 1), got {slope.shape}")
+    if skip is not None and skip.shape != (n, cout, h, w):
+        raise DimensionError(
+            f"conv2d skip must have the output's shape {(n, cout, h, w)}, got {skip.shape}")
 
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
     pre = None
     if slope is not None and _LOCAL.tape_stack:
         pre = np.empty((n, cout, h, w), dtype=data[0].dtype)
     out = _same_conv(data, taps, k, bias.data.reshape(cout, 1),
-                     None if slope is None else slope.data.reshape(cout, 1), pre)
+                     None if slope is None else slope.data.reshape(cout, 1), pre,
+                     None if skip is None else skip.data)
 
     def backward_fn(up):
+        d_skip = up
         if slope is not None:
             up, d_slope = _prelu_grads(pre, slope.data, up)
         # a spatial flip reverses the tap order
@@ -451,10 +465,12 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         d_xs = (d_x[:, lo:hi] if t.shape[2] == h else _block_sum(d_x[:, lo:hi])
                 for t, (lo, hi) in zip(xs, edges))
         grads = (*d_xs, None, d_bias)
-        return grads if slope is None else (*grads, d_slope)
+        if slope is not None:
+            grads += (d_slope,)
+        return grads if skip is None else (*grads, d_skip)
 
-    params = (weight, bias) if slope is None else (weight, bias, slope)
-    return _emit("conv2d", out, (*xs, *params), backward_fn)
+    extra = tuple(t for t in (slope, skip) if t is not None)
+    return _emit("conv2d", out, (*xs, weight, bias, *extra), backward_fn)
 
 
 def _window_views(a: np.ndarray) -> list[np.ndarray]:
@@ -610,30 +626,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _emit("attention", out.reshape(q.shape), (q, k, v), backward_fn)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of identically shaped tensors."""
-    if a.shape != b.shape:
-        raise DimensionError(f"add requires identical shapes, got {a.shape} and {b.shape}")
-    out = a.data + b.data
-
-    def backward_fn(up):
-        return up, up
-
-    return _emit("add", out, (a, b), backward_fn)
-
-
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean absolute difference; the target is a constant.
 
-    The subgradient at an exact zero difference is 0.
+    The subgradient at an exact zero difference is 0. The backward
+    recomputes the difference's sign from ``pred`` and ``target``, which
+    the tape holds anyway, so no copy of the difference is kept.
     """
     if pred.shape != target.shape:
         raise DimensionError(f"l1_loss shapes disagree: {pred.shape} vs {target.shape}")
-    diff = pred.data - target.data
-    out = np.abs(diff).mean().reshape(1, 1, 1, 1)
+    out = np.abs(pred.data - target.data).mean().reshape(1, 1, 1, 1)
 
     def backward_fn(up):
-        g = np.sign(diff) * (up.reshape(()) / pred.size)
+        g = np.sign(pred.data - target.data) * (up.reshape(()) / pred.size)
         return g, None
 
     return _emit("l1_loss", out, (pred, target), backward_fn)

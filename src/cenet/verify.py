@@ -180,17 +180,14 @@ def op_cases(seed: int, trial: int):
     if rng.random() < 0.5:  # the fused PReLU, with pre-activations off its kink
         slope = _t(rng, (1, cout, 1, 1))
         b.data = _bias_off_the_kink(tc.conv2d(tuple(xs), wt, Tensor(np.zeros_like(b.data))).data)
-    yield ("conv2d", lambda: tc.conv2d(tuple(xs), wt, b, slope),
-           [*xs, wt, b] + ([slope] if slope is not None else []), rng)
+    # sometimes a residual sum: a skip added to the output
+    skip = _t(rng, (n, cout, scale * h, scale * w)) if rng.random() < 0.5 else None
+    yield ("conv2d", lambda: tc.conv2d(tuple(xs), wt, b, slope, skip),
+           [*xs, wt, b] + [t for t in (slope, skip) if t is not None], rng)
 
     rng = keyed_rng(seed, f"{trial}.maxpool2d")
     xp = _pool_input(rng, (1, 2, 4, 6))
     yield ("maxpool2d", lambda: tc.maxpool2d(xp), [xp], rng)
-
-    rng = keyed_rng(seed, f"{trial}.add")
-    aa = _t(rng, (1, 2, 3, 3))
-    ab = _t(rng, (1, 2, 3, 3))
-    yield ("add", lambda: tc.add(aa, ab), [aa, ab], rng)
 
     rng = keyed_rng(seed, f"{trial}.attention")
     qa, ka, va = (_t(rng, (2, 2, 3, 5)) for _ in range(3))

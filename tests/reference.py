@@ -7,8 +7,9 @@ floats) and stays independent of the implementation under test.
 import numpy as np
 
 
-def conv2d_naive(x, w, b, stride=1, padding=0):
-    """Reference cross-correlation via seven nested loops."""
+def conv2d_naive(x, w, b, stride=1, padding=0, skip=None):
+    """Reference cross-correlation via seven nested loops, plus ``skip``
+    (an array of the output's shape) when that is given."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -28,6 +29,8 @@ def conv2d_naive(x, w, b, stride=1, padding=0):
                         for i in range(k):
                             for j in range(k):
                                 acc += w[co, ci, i, j] * xp[nn, ci, y * stride + i, xx * stride + j]
+                    if skip is not None:
+                        acc += skip[nn, co, y, xx]
                     out[nn, co, y, xx] = acc
     return out
 

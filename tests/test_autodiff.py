@@ -20,7 +20,6 @@ from cenet.tensor import (
     Tape,
     Tensor,
     _TapeNode,
-    add,
     backward,
     conv2d,
     l1_loss,
@@ -38,6 +37,14 @@ def t4(data, dtype=np.float32):
 def total(x):
     """Sum of all elements, as a scalar tensor on the tape."""
     return weighted_sum(x, np.ones(x.shape))
+
+
+def plus(a, b):
+    """``a + b`` on the tape: a 1x1 identity convolution of ``a`` that adds
+    ``b`` as its skip."""
+    c = a.shape[1]
+    return conv2d(a, t4(np.eye(c).reshape(c, c, 1, 1), a.dtype),
+                  t4(np.zeros((1, c, 1, 1)), a.dtype), skip=b)
 
 
 class TestBackward:
@@ -58,7 +65,7 @@ class TestBackward:
     def test_accumulation_over_two_consumers(self):
         with Tape():
             y = t4(np.ones((1, 1, 2, 2)))
-            loss = add(total(y), total(y))
+            loss = plus(total(y), total(y))
             backward(loss)
         npt.assert_array_equal(y.grad, np.full((1, 1, 2, 2), 2.0))
 
@@ -67,7 +74,7 @@ class TestBackward:
         data = rng.uniform(-1, 1, (1, 2, 3, 3)).astype(np.float32)
         with Tape():
             y = Tensor(data.copy())
-            loss = add(total(y), total(y))
+            loss = plus(total(y), total(y))
             backward(loss)
         with Tape():
             z = Tensor(data.copy())
@@ -76,17 +83,18 @@ class TestBackward:
         npt.assert_allclose(y.grad, z.grad, rtol=1e-6)
 
     def test_first_gradients_do_not_share_the_upstream_array(self):
-        # add's backward hands one upstream array to both inputs; total(a)
-        # is recorded first, so it adds into a's gradient after both were set
+        # conv2d's backward hands its upstream array, here the loss's
+        # gradient, to its skip s; total(s) is recorded first, so it adds
+        # into s's gradient after the conv's rule set it
         with Tape():
-            a, b = t4(np.ones((1, 1, 2, 2))), t4(np.ones((1, 1, 2, 2)))
-            first = total(a)
-            c = add(a, b)
-            backward(add(total(c), first))
-        assert not np.shares_memory(a.grad, b.grad)
-        npt.assert_array_equal(a.grad, np.full((1, 1, 2, 2), 2.0))
-        npt.assert_array_equal(b.grad, np.ones((1, 1, 2, 2)))
-        assert c.grad is None  # released with its node once add's rule ran
+            s = t4(np.ones((1, 1, 1, 1)))
+            first = total(s)
+            loss = plus(first, s)
+            backward(loss)
+            assert not np.shares_memory(s.grad, loss.grad)
+            npt.assert_array_equal(loss.grad, np.ones((1, 1, 1, 1)))
+        npt.assert_array_equal(s.grad, np.full((1, 1, 1, 1), 2.0))
+        assert first.grad is None  # released with its node once its rule ran
 
     def test_first_gradients_take_their_tensors_layout(self):
         # C order for inputs and for a weight given in C order; tap order,
@@ -95,7 +103,7 @@ class TestBackward:
         x, w = t4(rng.uniform(-1, 1, (2, 3, 5, 4))), t4(rng.uniform(-1, 1, (2, 3, 3, 3)))
         conv = Conv("c", 3, 2, 3, seed=0)
         with Tape():
-            backward(add(total(conv2d(x, w, t4(np.zeros((1, 2, 1, 1))))), total(conv.forward(x))))
+            backward(plus(total(conv2d(x, w, t4(np.zeros((1, 2, 1, 1))))), total(conv.forward(x))))
         assert x.grad.flags.c_contiguous and w.grad.flags.c_contiguous
         assert conv.weight.data.transpose(2, 3, 0, 1).flags.c_contiguous
         assert conv.weight.grad.transpose(2, 3, 0, 1).flags.c_contiguous
@@ -132,7 +140,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         with Tape():
             x = t4(np.ones((1, 1, 2, 2)))
-            y = add(x, x)
+            y = plus(x, x)
             with pytest.raises(ContractError):
                 backward(y)
 
@@ -151,14 +159,14 @@ class TestBackward:
 
     def test_ops_outside_tape_do_not_record(self):
         x = t4(np.ones((1, 1, 1, 1)))
-        y = add(x, x)
+        y = plus(x, x)
         assert y.tape_node is None
 
     def test_tape_and_census_are_per_thread(self):
         # an op in a second thread sees neither this thread's tape nor its census
         x = t4(np.ones((1, 1, 1, 1)))
         outs = []
-        worker = threading.Thread(target=lambda: outs.append(add(x, x)))
+        worker = threading.Thread(target=lambda: outs.append(plus(x, x)))
         with Tape() as tape, op_census() as counts:
             worker.start()
             worker.join(timeout=10)
@@ -219,7 +227,7 @@ class TestTapeRelease:
         def failing_step():
             with Tape():
                 loss = l1_loss(network.forward(x), target)
-                add(loss, t4(np.full(loss.shape, np.inf)))
+                plus(loss, t4(np.full(loss.shape, np.inf)))
 
         with cyclic_garbage() as garbage:
             with pytest.raises(ContractError, match="non-finite"):
@@ -381,12 +389,12 @@ class TestGradcheckHarness:
     def test_rejects_float32_inputs(self):
         x = t4(np.ones((1, 1, 1, 1)))
         with pytest.raises(ContractError):
-            gradcheck(lambda: add(x, x), [x])
+            gradcheck(lambda: total(x), [x])
 
     def test_reports_every_input(self):
         x = Tensor(np.ones((1, 1, 2, 2)))
         y = Tensor(np.ones((1, 1, 2, 2)))
-        result = gradcheck(lambda: add(x, y), [x, y], name="add")
+        result = gradcheck(lambda: plus(x, y), [x, y], name="plus")
         assert len(result.per_input) == 2
         assert result.passed
 
@@ -406,25 +414,29 @@ class TestGradcheckHarness:
 
     def test_conv2d_case_checks_both_paths(self, monkeypatch):
         # over the gradcheck command's default five trials, some conv2d
-        # cases fuse a PReLU and some do not, and some read a half-extent
-        # input (a decoder join) and some do not
-        fused, halved, paths, joins = [], [], set(), set()
+        # cases fuse a PReLU and some do not, some read a half-extent input
+        # (a decoder join) and some do not, and some add a skip (a residual
+        # sum) and some do not
+        fused, halved, summed, paths, joins, sums = [], [], [], set(), set(), set()
         plain_conv2d = tensor.conv2d
 
-        def recorded(x, weight, bias, slope=None):
+        def recorded(x, weight, bias, slope=None, skip=None):
             fused.append(slope is not None)
             halved.append(len({t.shape[2:] for t in x}) > 1)
-            return plain_conv2d(x, weight, bias, slope)
+            summed.append(skip is not None)
+            return plain_conv2d(x, weight, bias, slope, skip)
 
         monkeypatch.setattr(tensor, "conv2d", recorded)
         for trial in range(5):
             cases = {name: fn for name, fn, _, _ in op_cases(0, trial)}
             fused.clear()
             halved.clear()
+            summed.clear()
             cases["conv2d"]()
             paths.update(fused)
             joins.update(halved)
-        assert paths == joins == {False, True}
+            sums.update(summed)
+        assert paths == joins == sums == {False, True}
 
     def test_case_draws_do_not_depend_on_earlier_checks(self, monkeypatch):
         # every case draws from its own generator, so its inputs and probe
@@ -454,10 +466,10 @@ class TestCensus:
     def test_counts_ops(self):
         with op_census() as counts:
             x = t4(np.ones((1, 1, 2, 2)))
-            add(x, x)
-            add(x, x)
+            maxpool2d(x)
+            maxpool2d(x)
             total(x)
-        assert counts["add"] == 2
+        assert counts["maxpool2d"] == 2
         assert counts["weighted_sum"] == 1
         assert "conv2d" not in counts
 

@@ -38,12 +38,29 @@ def rand4(shape, seed=0, lo=0.0, hi=1.0):
 
 
 def multi_input_convs(tape: Tape) -> list[int]:
-    """The input-tensor count of each conv2d on ``tape`` that reads more than
-    one tensor (a node's inputs are the tensors, then its parameters: weight,
-    bias and, with a fused PReLU, slope)."""
-    counts = [sum(not isinstance(t, Parameter) for t in n.inputs)
+    """The input-tensor count of each conv2d on ``tape`` that convolves more
+    than one tensor (a node's inputs are the tensors it convolves, then its
+    parameters: weight, bias and, with a fused PReLU, slope, then the skip
+    it adds, if any)."""
+    counts = [next(i for i, t in enumerate(n.inputs) if isinstance(t, Parameter))
               for n in tape.nodes if n.op_name == "conv2d"]
     return [c for c in counts if c > 1]
+
+
+def taped_forward(block, x: Tensor) -> tuple[int, list[str]]:
+    """The traced bytes a taped ``block.forward(x)`` leaves held, and the op
+    names on its tape."""
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = block.forward(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+            ops = [node.op_name for node in tape.nodes]
+            del out
+    finally:
+        tracemalloc.stop()
+    return held, ops
 
 
 def attention_probs(block: NonLocalBlock, z: Tensor) -> np.ndarray:
@@ -124,20 +141,20 @@ class TestDenseResidualBlock:
         npt.assert_allclose(out.data, x.data + y3, rtol=1e-4, atol=1e-5)
 
     def test_tape_holds_no_concatenation(self):
-        # The tape keeps six 8-channel outputs and two PReLU masks of a
-        # quarter of that each: 6.5x the input. A 16- or 24-channel
-        # concatenation would add 2x or 3x.
-        block = DenseResidualBlock("d", 8, seed=0)
+        # The tape keeps three 8-channel outputs and two pre-activations:
+        # 5x the input. A 16- or 24-channel concatenation would add 2x or 3x.
         x = rand4((1, 8, 128, 128), lo=-1)
-        tracemalloc.start()
-        try:
-            with Tape():
-                before = tracemalloc.get_traced_memory()[0]
-                block.forward(x)
-                held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        held, _ = taped_forward(DenseResidualBlock("d", 8, seed=0), x)
         assert held < 7 * x.data.nbytes
+
+    def test_tape_holds_three_convolutions_and_no_branch_output(self):
+        # the last layer adds the block input as it writes its output, so the
+        # tape holds two layer outputs, two pre-activations and the block
+        # output, and no fourth activation: the unsummed branch output
+        x = rand4((1, 8, 128, 128), lo=-1)
+        held, ops = taped_forward(DenseResidualBlock("d", 8, seed=0), x)
+        assert ops == ["conv2d"] * 3
+        assert 5 * x.data.nbytes < held < 5.1 * x.data.nbytes
 
 
 class TestNonLocalBlock:
@@ -146,6 +163,13 @@ class TestNonLocalBlock:
         x = rand4((2, 8, 4, 6), lo=-1)
         out = block.forward(x)
         npt.assert_array_equal(out.data, x.data)
+
+    def test_tape_holds_no_branch_output(self):
+        # q, k, v and the attention output at half width, and the block output
+        x = rand4((1, 8, 32, 32), lo=-1)
+        held, ops = taped_forward(NonLocalBlock("a", 8, seed=0), x)
+        assert ops == ["conv2d"] * 3 + ["attention", "conv2d"]
+        assert 3 * x.data.nbytes < held < 3.5 * x.data.nbytes
 
     def test_single_position_hand_value(self):
         # one spatial position: attention is [[1]]; with value weight 3 and
@@ -308,7 +332,7 @@ class TestNetwork:
                      and not isinstance(n.inputs[1], Parameter)
                      and n.inputs[0].shape[2:] != n.inputs[1].shape[2:]]
             outputs = {id(n.output) for n in tape.nodes}
-        assert set(counts) <= {"conv2d", "maxpool2d", "add", "attention"}
+        assert set(counts) <= {"conv2d", "maxpool2d", "attention"}
         assert counts["maxpool2d"] == len(joins) == m
         for half, skip in joins:
             assert id(half) in outputs
@@ -389,10 +413,10 @@ class TestNetwork:
         joins, entries = [], []
         dense_forward = DenseResidualBlock.forward
 
-        def recorded_conv(x, weight, bias, slope=None):
+        def recorded_conv(x, weight, bias, slope=None, skip=None):
             if isinstance(x, tuple) and x[0].shape[2:] != x[-1].shape[2:]:
                 joins.append([weakref.ref(t.data) for t in x])
-            return conv2d(x, weight, bias, slope)
+            return conv2d(x, weight, bias, slope, skip)
 
         def checked_dense(block, f):
             assert network_input() is None, "the network input is still alive"

@@ -90,6 +90,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^seed must be non-negative, got {seed}$"):
             config.validate()
 
+    @pytest.mark.parametrize("key,value", [
+        ("data_root", "data/set#2"), ("output_dir", "run\nlr = 5"), ("output_dir", "run\r"),
+        ("eval_data_root", "a\u2028lr = 5"), ("data_root", " data"), ("output_dir", "run\t"),
+    ])
+    def test_string_the_config_format_cannot_hold_names_key(self, key, value):
+        # it would read back otherwise: cut at '#', split into lines, stripped
+        config = desk_preset()
+        config.data_root = "data"
+        setattr(config, key, value)
+        assert parse_config(format_config(config)) != config
+        with pytest.raises(ConfigError, match=f"^{key} must not contain"):
+            config.validate()
+
     def test_zero_seed_is_valid(self):
         parse_config("data_root = data\nseed = 0").validate()
 

@@ -16,7 +16,6 @@ from cenet.tensor import (
     DimensionError,
     Tape,
     Tensor,
-    add,
     attention,
     backward,
     conv2d,
@@ -405,6 +404,84 @@ class TestConvPrelu:
                    t4(np.zeros((1, 2, 1, 1))), t4(np.zeros((1, 1, 1, 1))))
 
 
+class TestConvSkip:
+    """``conv2d`` with a ``skip``: a residual sum in each band's epilogue."""
+
+    @pytest.mark.parametrize("n,widths,cout,k,h,w", [
+        (1, (2,), 3, 3, 4, 5),
+        (2, (1, 2), 2, 3, 5, 3),
+        (1, (2, 1, 1), 3, 1, 3, 4),
+        (2, (1,), 2, 5, 2, 3),
+    ])
+    def test_matches_naive_oracle(self, n, widths, cout, k, h, w):
+        rng = np.random.default_rng(sum(widths) * 10 + k + 1)
+        xs = [Tensor(rng.uniform(-1, 1, (n, c, h, w))) for c in widths]
+        wt, b, skip = (Tensor(rng.uniform(-1, 1, shape)) for shape in (
+            (cout, sum(widths), k, k), (1, cout, 1, 1), (n, cout, h, w)))
+        probe = rng.standard_normal((n, cout, h, w))
+        out, *d_xs, d_w, d_b, d_skip = taped_grads(
+            lambda: conv2d(tuple(xs), wt, b, skip=skip), [*xs, wt, b, skip], probe)
+        whole = np.concatenate([x.data for x in xs], axis=1)
+        npt.assert_allclose(out, conv2d_naive(whole, wt.data, b.data, 1, k // 2, skip.data),
+                            rtol=1e-12, atol=1e-12)
+        want_x, want_w = conv2d_grads_naive(whole, wt.data, probe, k // 2)
+        for got, want in zip(d_xs, np.split(want_x, np.cumsum(widths)[:-1], axis=1)):
+            npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(d_w, want_w, rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(d_b, probe.sum(axis=(0, 2, 3)).reshape(b.shape), rtol=1e-12)
+        npt.assert_array_equal(d_skip, probe)
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["linear", "prelu"])
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_is_bitwise_the_skip_plus_the_convolution(self, monkeypatch, fused, rows):
+        # float32, ragged bands, a half-extent input and, with ``fused``, a
+        # PReLU: the output is skip + conv2d(...) and every gradient is the
+        # unsummed conv's, bit for bit; the skip's is the upstream gradient
+        n, h, w, cout = 2, 10, 12, 4
+        monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", rows * (5 + cout) * (w + 2) * 4)
+        rng = np.random.default_rng(rows + 10 * fused)
+        coarse = t4(rng.uniform(-1, 1, (n, 3, h // 2, w // 2)))
+        full = t4(rng.uniform(-1, 1, (n, 2, h, w)))
+        wt, b, slope = (t4(rng.uniform(-1, 1, shape))
+                        for shape in ((cout, 5, 3, 3), (1, cout, 1, 1), (1, cout, 1, 1)))
+        skip = t4(rng.uniform(-1, 1, (n, cout, h, w)))
+        slope = slope if fused else None
+        params = [wt, b] + ([slope] if fused else [])
+        probe = rng.standard_normal((n, cout, h, w)).astype(np.float32)
+        summed = taped_grads(lambda: conv2d((coarse, full), wt, b, slope, skip),
+                             [coarse, full, *params, skip], probe)
+        want = taped_grads(lambda: conv2d((coarse, full), wt, b, slope),
+                           [coarse, full, *params], probe)
+        want[0] = skip.data + want[0]
+        want.append(probe)
+        assert len(summed) == len(want)
+        for got, ref in zip(summed, want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        untaped = conv2d((coarse, full), wt, b, slope, skip).data
+        assert untaped.tobytes() == summed[0].tobytes()
+
+    def test_skip_that_is_also_an_input_gets_both_gradients(self):
+        # a dense residual block's last layer reads f and adds it: f's
+        # gradient is its slice of the input gradient plus the upstream
+        # gradient, bit for bit
+        rng = np.random.default_rng(2)
+        f, g = (t4(rng.uniform(-1, 1, (1, c, 6, 5))) for c in (3, 2))
+        wt, b = t4(rng.uniform(-1, 1, (3, 5, 3, 3))), t4(rng.uniform(-1, 1, (1, 3, 1, 1)))
+        probe = rng.standard_normal(f.shape).astype(np.float32)
+        d_f = taped_grads(lambda: conv2d((f, g), wt, b, skip=f), [f], probe)[1]
+        want = taped_grads(lambda: conv2d((f, g), wt, b), [f], probe)[1] + probe
+        assert d_f.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 2, 4, 4), (1, 3, 4, 5), (2, 3, 4, 4), (1, 3, 2, 2)],
+                             ids=["channels", "width", "batch", "half-extent"])
+    def test_skip_shape_checked(self, shape):
+        # the output's exact shape: a half-extent skip is never read as its upsample
+        with pytest.raises(DimensionError, match=re.escape(
+                f"skip must have the output's shape (1, 3, 4, 4), got {shape}")):
+            conv2d(t4(np.zeros((1, 1, 4, 4))), t4(np.zeros((3, 1, 3, 3))),
+                   t4(np.zeros((1, 3, 1, 1))), skip=t4(np.zeros(shape)))
+
+
 class TestMaxpool2d:
     def test_single_window(self):
         out = maxpool2d(t4([[[[1.0, 2.0], [3.0, 4.0]]]]))
@@ -635,15 +712,6 @@ class TestAttention:
                       t4(np.zeros((1, 3, 2, 2))))
 
 
-class TestElementwise:
-    def test_add_zero(self):
-        x = t4(np.random.default_rng(0).uniform(size=(1, 2, 3, 3)))
-        npt.assert_array_equal(add(x, t4(np.zeros_like(x.data))).data, x.data)
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            add(t4(np.zeros((1, 1, 2, 2))), t4(np.zeros((1, 2, 2, 2))))
-
 class TestL1Loss:
     def test_mean_of_abs(self):
         loss = l1_loss(t4(np.array([1.0, 2.0]).reshape(1, 1, 1, 2)),
@@ -659,36 +727,44 @@ class TestL1Loss:
             l1_loss(t4(np.zeros((1, 1, 2, 2))), t4(np.zeros((1, 1, 2, 3))))
 
 
+def passed_through(x: Tensor) -> Tensor:
+    """``x`` as an op's output: a 1x1 zero convolution that adds ``x`` as
+    its skip, bit for bit but for -0.0, which becomes +0.0."""
+    n, c = x.shape[:2]
+    zeros = [t4(np.zeros(shape), x.dtype) for shape in ((n, 1) + x.shape[2:], (c, 1, 1, 1),
+                                                       (1, c, 1, 1))]
+    return conv2d(*zeros, skip=x)
+
+
 class TestFiniteGuard:
     def test_overflow_is_an_error(self):
         x = t4(np.full((1, 1, 1, 1), 3e38))
         with np.errstate(over="ignore"), pytest.raises(ContractError):
-            add(x, x)
+            conv2d(x, t4(np.ones((1, 1, 1, 1))), t4(np.zeros((1, 1, 1, 1))), skip=x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_non_finite_element_names_the_op(self, bad, dtype):
         x = np.random.default_rng(0).uniform(-1, 1, (2, 3, 17, 19)).astype(dtype)
         x[1, 2, 16, 5] = bad
-        with pytest.raises(ContractError, match="^add produced non-finite values$"):
-            add(t4(x, dtype), t4(np.zeros_like(x), dtype))
+        with pytest.raises(ContractError, match="^conv2d produced non-finite values$"):
+            passed_through(t4(x, dtype))
 
     def test_finite_output_whose_sum_of_squares_overflows_passes_silently(self):
         # 1e30 squared overflows float32, so the elementwise check decides
         x = t4(np.full((1, 2, 8, 8), 1e30))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = add(x, t4(np.zeros(x.shape)))
+            out = passed_through(x)
         assert out.data.tobytes() == x.data.tobytes()
 
     def test_check_makes_no_output_sized_temporary(self):
         # an isfinite mask of the output is a quarter of its float32 bytes
-        rng = np.random.default_rng(1)
-        a, b = (t4(rng.uniform(-1, 1, (1, 8, 128, 128))) for _ in range(2))
+        out = np.random.default_rng(1).uniform(-1, 1, (1, 8, 128, 128)).astype(np.float32)
         tracemalloc.start()
         try:
-            out = add(a, b)
+            assert tensor._all_finite(out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < out.data.nbytes + out.data.size // 8
+        assert peak < out.size // 8
