@@ -7,6 +7,7 @@ validation rejects string values the format cannot hold, and is written
 alongside every checkpoint for provenance.
 """
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +39,18 @@ class RunConfig:
             value = getattr(*_field(self, key))
             if not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        # lr_at is monotone in the iteration, so the run's two ends bound every lr
+        schedule = self.schedule
+        for key, i in (("lr", 0), ("lr_decay_factor", schedule.total_iters - 1)):
+            try:
+                lr = schedule.lr_at(i)
+            except OverflowError:  # decay_factor ** n past the largest float
+                lr = 0.0
+            except ZeroDivisionError:  # decay_factor ** n below the smallest
+                lr = math.inf
+            if not 0 < lr < math.inf:
+                raise ConfigError(f"{key} {getattr(*_field(self, key))} gives learning rate "
+                                  f"{lr} at iteration {i}; it must be finite and positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for key in _STRING_KEYS:

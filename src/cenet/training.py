@@ -14,7 +14,7 @@ from .blocks import EnhancementNetwork, NetworkConfig
 from .checkpoint import Checkpoint, CheckpointError, load, save, write_atomic
 from .config import RunConfig, format_config
 from .dataset import SampleStream, scan_dataset
-from .optim import Adam, copy_in_layout
+from .optim import Adam
 from .tensor import ContractError, Tape, Tensor, backward, l1_loss
 
 log = logging.getLogger(__name__)
@@ -34,10 +34,8 @@ class TrainResult:
 def snapshot(network: EnhancementNetwork, optimizer: Adam, iteration: int) -> Checkpoint:
     """Parameter records, then Adam's ``m.<param>`` and ``v.<param>`` records."""
     tensors = {name: p.data for name, p in network.named_parameters().items()}
-    moments = {f"m.{name}": buf for name, buf in optimizer.m.items()}
-    moments |= {f"v.{name}": buf for name, buf in optimizer.v.items()}
     return Checkpoint(iteration, tensors, optimizer_step=optimizer.step_count,
-                      optimizer_tensors=moments)
+                      optimizer_tensors=optimizer.moments())
 
 
 def _check_records(records: dict, shapes: dict[str, tuple[int, ...]], what: str):
@@ -60,8 +58,8 @@ def restore(ckpt: Checkpoint, network: EnhancementNetwork,
     its optimizer state into ``optimizer``, once every record matches the
     parameter census. A checkpoint without optimizer state loads weights
     only; resuming from one would restart Adam, so that is refused.
-    Parameters are overwritten in place and moments copied in their
-    parameter's layout, so a conv weight keeps its tap order."""
+    Parameters and moments are overwritten in place, in ``optimizer``'s
+    arena when it holds them, so a conv weight keeps its tap order."""
     params = network.named_parameters()
     shapes = {name: p.data.shape for name, p in params.items()}
     _check_records(ckpt.tensors, shapes, "parameter")
@@ -72,9 +70,8 @@ def restore(ckpt: Checkpoint, network: EnhancementNetwork,
                 "so training cannot continue from it exactly")
         _check_records(ckpt.optimizer_tensors, {f"{moment}.{name}": shape for moment in "mv"
                                                 for name, shape in shapes.items()}, "optimizer")
-        optimizer.m, optimizer.v = (
-            {name: copy_in_layout(ckpt.optimizer_tensors[f"{moment}.{name}"], param.data)
-             for name, param in params.items()} for moment in "mv")
+        for name, view in optimizer.moments().items():
+            view[...] = ckpt.optimizer_tensors[name]
         optimizer.step_count = ckpt.optimizer_step
     for name, param in params.items():
         param.data[...] = ckpt.tensors[name]  # in place, so each keeps its layout
@@ -117,7 +114,8 @@ def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     network = EnhancementNetwork(config.network, seed=config.seed)
-    optimizer = Adam()
+    params = network.parameters()
+    optimizer = Adam(params)
     start = 0
     if resume is not None:
         ckpt = load(resume)
@@ -135,7 +133,6 @@ def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
     loss_rows: list[tuple[int, float, float]] = []
 
     with open(loss_path, "a") as loss_file:
-        params = network.parameters()
         for i in range(start, total):
             inputs, targets = stream.batch(i)
             lr = config.schedule.lr_at(i)

@@ -140,11 +140,11 @@ def test_criterion_5_overfit(tmp_path):
 
     config = NetworkConfig(num_stages=2, base_channels=8)
     net = EnhancementNetwork(config, seed=0)
-    optimizer = Adam()
+    params = net.parameters()
+    optimizer = Adam(params)
     schedule = StepDecaySchedule(initial_lr=1e-3, decay_every=10_000, total_iters=2000)
     spec = AugmentSpec(crop_size=64, enable_flip=False, enable_rotation=False)
     stream = SampleStream(scan_dataset(data_root), spec, seed=0)
-    params = net.parameters()
 
     reached_at = None
     for i in range(2000):
@@ -183,14 +183,16 @@ def test_criterion_6_optimizer():
     lr = 1e-4
     for g in (0.05, -0.05, 0.1, -0.5, 1.0, -3.0, 10.0):
         p = Parameter("p", np.zeros((1, 1, 1, 1), dtype=np.float32))
-        p.grad = np.full((1, 1, 1, 1), g, dtype=np.float32)
-        Adam().step([p], lr=lr)
+        optimizer = Adam([p])
+        p.grad[...] = g
+        optimizer.step([p], lr=lr)
         delta = float(p.data.ravel()[0])
         assert abs(delta - (-lr * np.sign(g))) / lr < 1e-6, f"g={g}: delta={delta}"
     for g in (1e-3, -1e-3, 1e-2):
         p = Parameter("p", np.zeros((1, 1, 1, 1), dtype=np.float32))
-        p.grad = np.full((1, 1, 1, 1), g, dtype=np.float32)
-        Adam().step([p], lr=lr)
+        optimizer = Adam([p])
+        p.grad[...] = g
+        optimizer.step([p], lr=lr)
         delta = float(p.data.ravel()[0])
         exact = -lr * g / (abs(g) + 1e-8)
         assert delta == pytest.approx(exact, rel=1e-5)

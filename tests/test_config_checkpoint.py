@@ -77,6 +77,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be positive"):
             config.validate()
 
+    @pytest.mark.parametrize("text,key,lr", [
+        ("lr = inf", "lr", "inf"),
+        ("lr_decay_factor = inf\nlr_decay_every = 10\niterations = 20", "lr_decay_factor", "0.0"),
+        ("lr_decay_factor = 1e300\nlr_decay_every = 1\niterations = 3", "lr_decay_factor", "0.0"),
+        ("lr_decay_factor = 0.5\nlr_decay_every = 1\niterations = 3001", "lr_decay_factor", "inf"),
+    ], ids=["infinite-lr", "infinite-factor", "overflowing-decay", "underflowing-decay"])
+    def test_schedule_leaving_the_finite_positive_lrs_names_key(self, text, key, lr):
+        # each passed validation before and failed mid-run: a non-finite
+        # forward, an Adam contract error, an OverflowError, a ZeroDivisionError
+        config = parse_config(f"data_root = data\n{text}")
+        with pytest.raises(ConfigError, match=f"^{key} .* gives learning rate {lr} at iteration"):
+            config.validate()
+
     def test_missing_data_root_names_key(self):
         config = parse_config("stages = 2\ncrop_size = 16")
         with pytest.raises(ConfigError, match="^data_root is not set"):
@@ -115,7 +128,7 @@ class TestConfig:
 def trained_network(seed=0, steps=3):
     config = NetworkConfig(num_stages=1, base_channels=2)
     net = EnhancementNetwork(config, seed=seed)
-    opt = Adam()
+    opt = Adam(net.parameters())
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         with Tape():
@@ -144,10 +157,8 @@ class TestCheckpoint:
         _, fresh, fresh_opt = trained_network(seed=1, steps=0)
         training.restore(again, fresh, fresh_opt)
         assert fresh_opt.step_count == opt.step_count
-        for moments, restored in ((opt.m, fresh_opt.m), (opt.v, fresh_opt.v)):
-            assert list(restored) == list(moments)
-            for name, arr in moments.items():
-                npt.assert_array_equal(restored[name], arr)
+        npt.assert_array_equal(fresh_opt.m, opt.m)
+        npt.assert_array_equal(fresh_opt.v, opt.v)
 
     def test_serialize_is_deterministic(self):
         _, net, _ = trained_network()
@@ -221,7 +232,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"^checkpoint (optimizer|tensor) .*{message}"):
             training.restore(ckpt, fresh, fresh_opt)
         # nothing was loaded
-        assert fresh_opt.step_count == 0 and not fresh_opt.m
+        assert fresh_opt.step_count == 0 and not fresh_opt.m.any() and not fresh_opt.v.any()
         for name, param in fresh.named_parameters().items():
             npt.assert_array_equal(param.data, before[name])
 
@@ -325,10 +336,10 @@ class TestCodec:
         # moment records; Adam is elementwise, so no BLAS rounding enters
         net = EnhancementNetwork(NetworkConfig(2, 8), seed=0)
         params = net.parameters()
+        adam = Adam(params)
         rng = np.random.default_rng(0)
         for p in params:
-            p.grad = rng.standard_normal(p.shape, dtype=np.float32)
-        adam = Adam()
+            p.grad[...] = rng.standard_normal(p.shape, dtype=np.float32)
         adam.step(params, 1e-3)
         digest = hashlib.sha256(serialize(training.snapshot(net, adam, 1))).hexdigest()
         assert digest == "aeaa5565978f883eda3a9c28cc61b1193c4f2b44aa720e7c8f660238edb4944a"
@@ -352,9 +363,9 @@ class TestCodec:
     def test_saving_view_records_copies_none_whole(self, tmp_path):
         net = EnhancementNetwork(NetworkConfig(2, 8), seed=0)
         params = net.parameters()
+        adam = Adam(params)
         for p in params:
-            p.grad = np.ones(p.shape, dtype=np.float32)
-        adam = Adam()
+            p.grad[...] = 1
         adam.step(params, 1e-3)
         ckpt = training.snapshot(net, adam, 1)
         records = [*ckpt.tensors.values(), *ckpt.optimizer_tensors.values()]
@@ -416,7 +427,6 @@ class TestCodec:
         assert not any(arr.flags.writeable for arr in arrays)
         _, fresh, fresh_opt = trained_network(seed=1, steps=0)
         training.restore(ckpt, fresh, fresh_opt)
-        restored = ([p.data for p in fresh.parameters()]
-                    + list(fresh_opt.m.values()) + list(fresh_opt.v.values()))
+        restored = [p.data for p in fresh.parameters()] + list(fresh_opt.moments().values())
         assert len(restored) == len(arrays)
         assert all(arr.flags.writeable for arr in restored)

@@ -90,7 +90,8 @@ def float64_trajectory(steps: int) -> tuple[list[float], float]:
     out_w.data = rng.uniform(-0.5, 0.5, out_w.shape)
     dark = rng.uniform(0.0, 0.25, (2, 3, 32, 32))
     inputs, targets = Tensor(dark), Tensor(np.sqrt(dark))
-    optimizer, params = Adam(), network.parameters()
+    params = network.parameters()
+    optimizer = Adam(params)
     losses = []
     for _ in range(steps):
         with Tape():
