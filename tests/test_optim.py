@@ -121,8 +121,8 @@ class TestAdam:
         assert_matches_plain_update(params, opt, ref)
 
     def test_sliced_update_matches_plain_formula(self, monkeypatch):
-        # 16-element slices of the 148-element arena: every parameter spans
-        # several, most slices cross a parameter boundary, the last is ragged
+        # 16-element slices of the 148-element arena: the first parameter
+        # spans nine, one slice holds parts of all three, the last is ragged
         monkeypatch.setattr(optim, "_SLICE_ELEMENTS", 16)
         rng = np.random.default_rng(7)
         params = [Parameter(f"p{i}", rng.standard_normal(shape).astype(np.float32))
@@ -139,9 +139,9 @@ class TestAdam:
 
     def test_restored_arena_steps_bitwise_like_the_uninterrupted_run(self):
         # a checkpoint round trip of the state after one step, restored into
-        # a fresh network and arena, then two more steps on both
-        def network():
-            return EnhancementNetwork(NetworkConfig(num_stages=1, base_channels=4), seed=0)
+        # a fresh network (of another seed) and arena, then two more steps on both
+        def network(seed):
+            return EnhancementNetwork(NetworkConfig(num_stages=1, base_channels=4), seed=seed)
 
         def steps(net, opt, grads):
             for step_grads in grads:
@@ -150,13 +150,13 @@ class TestAdam:
                 opt.step(net.parameters(), lr=1e-2)
 
         rng = np.random.default_rng(3)
-        run = network()
+        run = network(0)
         run_opt = Adam(run.parameters())
         grads = [[rng.standard_normal(p.shape).astype(np.float32) for p in run.parameters()]
                  for _ in range(3)]
         steps(run, run_opt, grads[:1])
         ckpt = deserialize(serialize(training.snapshot(run, run_opt, 1)))
-        restored = network()
+        restored = network(1)
         restored_opt = Adam(restored.parameters())
         training.restore(ckpt, restored, restored_opt)
         steps(run, run_opt, grads[1:])
