@@ -10,6 +10,14 @@ head maps back to RGB. A feature block is a basic block of two 3x3
 convolutions, optionally followed by a dense residual block (local
 context). The dense residual block and the non-local block each end in a
 skip sum, which their last convolution adds as it writes its output.
+
+Under a tape, each block evicts (``tensor.evict``) the PReLU outputs it
+made once its own forward has read them for the last time: the basic
+block its first convolution's, the dense residual block its first two
+layers', and the feature block its basic block's when a dense block
+follows. The tape then keeps each of them once, as the pre-activation its
+convolution holds, and the backward rebuilds them from it. No block evicts
+a tensor it was handed or returns.
 """
 
 import math
@@ -23,6 +31,7 @@ from .tensor import (
     Tensor,
     attention,
     conv2d,
+    evict,
     maxpool2d,
 )
 # perfbench's tracer patches these names, which no op has any more; ROADMAP item 1 deletes this.
@@ -98,7 +107,9 @@ class BasicBlock(Block):
     def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
         """A tuple ``f`` is read as its channel concatenation."""
         f = self.conv1.forward(f)  # releases a tuple's join before the second convolution
-        return self.conv2.forward(f)
+        out = self.conv2.forward(f)
+        evict(f)
+        return out
 
 
 class DenseResidualBlock(Block):
@@ -120,7 +131,9 @@ class DenseResidualBlock(Block):
         ys = (f,)
         for layer in self.layers[:-1]:
             ys += (layer.forward(ys),)
-        return self.layers[-1].forward(ys, skip=f)
+        out = self.layers[-1].forward(ys, skip=f)
+        evict(*ys[1:])
+        return out
 
 
 class NonLocalBlock(Block):
@@ -166,14 +179,18 @@ class FeatureBlock(Block):
     def forward(self, f: Tensor, skip: Tensor | None = None) -> Tensor:
         """With ``skip``, ``f`` is a decoder stage's half-resolution input and
         the basic block's first convolution reads the join (``f`` upsampled,
-        ``skip``) in its bands. Given the caller's last references, without
-        a tape ``f`` and ``skip`` are released when the basic block returns,
-        before the dense block."""
-        f = self.basic.forward(f if skip is None else (f, skip))
-        del skip
-        if self.dense is not None:
-            f = self.dense.forward(f)
-        return f
+        ``skip``) in its bands. The join goes to the basic block through the
+        one-element list ``held``, as its only reference, so given the
+        caller's last references, without a tape ``f`` and ``skip`` are
+        released when the first convolution returns, before the second."""
+        held = [f if skip is None else (f, skip)]
+        del f, skip
+        features = self.basic.forward(held.pop())
+        if self.dense is None:
+            return features
+        out = self.dense.forward(features)
+        evict(features)
+        return out
 
 
 @dataclass
@@ -239,12 +256,13 @@ class EnhancementNetwork(Block):
 
     def forward(self, f: Tensor) -> Tensor:
         """Given the caller's last reference to the input ``f``, without a
-        tape the input is released when the stem's basic block returns.
+        tape the input is released when the stem's first convolution
+        returns.
 
         Each stage gets its input through the one-element list ``held``, so
         the stage's argument is that input's only reference: a decoder
         stage's half-resolution input, like the network input, dies when the
-        stage's basic block returns, not when the stage does."""
+        stage's first convolution returns, not when the stage does."""
         h, w = f.shape[2:]
         div = self.config.divisor
         if h % div or w % div:

@@ -1,5 +1,6 @@
 """Adam optimizer and the step-decay learning-rate schedule."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ class Adam:
 
     # perfbench's tracer reads ``params`` (``args[1]``) to count the bytes a step moves
     def step(self, params: list[Parameter], lr: float):
-        if not lr > 0:  # NaN included
-            raise ContractError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < math.inf:  # NaN included
+            raise ContractError(f"learning rate must be finite and positive, got {lr}")
         if len(params) != len(self._slots):
             raise ContractError(f"Adam holds {len(self._slots)} parameters, got {len(params)}")
         for p, (held, _, data, grad) in zip(params, self._slots):

@@ -17,6 +17,10 @@ normally or through an exception: every recorded tensor's ``tape_node``
 is ``None`` afterwards, so a finished step is freed by reference counting
 alone, while the ``.grad`` of every parameter and input is kept. Run
 ``backward`` inside the block.
+
+``evict`` drops the values of taped PReLU ``conv2d`` outputs that the
+forward has read for the last time; the backward rebuilds them, bit for
+bit, from the pre-activation their node keeps anyway.
 """
 
 import itertools
@@ -91,7 +95,11 @@ class Parameter(Tensor):
 
 
 class _TapeNode:
-    __slots__ = ("tape", "op_name", "inputs", "output", "backward_fn")
+    """One recorded op. ``rebuild``, set by a PReLU ``conv2d`` without a
+    skip, recomputes the output's values from what the node keeps, which
+    lets ``evict`` drop them in between."""
+
+    __slots__ = ("tape", "op_name", "inputs", "output", "backward_fn", "rebuild")
 
     def __init__(self, tape, op_name, inputs, output, backward_fn):
         self.tape = tape
@@ -99,6 +107,7 @@ class _TapeNode:
         self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
+        self.rebuild = None
 
 
 class Tape:
@@ -182,6 +191,39 @@ def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
         tape.nodes.append(node)
         out.tape_node = node
     return out
+
+
+# What an evicted tensor's ``data`` views, per dtype: one read-only NaN, so
+# its shape and dtype stay readable and any op that reads it fails its check.
+_EVICTED = {np.dtype(t): np.full((), np.nan, dtype=t) for t in (np.float32, np.float64)}
+
+
+def evict(*tensors: Tensor):
+    """Drop the values of taped PReLU ``conv2d`` outputs the forward no longer reads.
+
+    Without a tape this does nothing. Under one, each tensor's ``data``
+    becomes a zero-strided view of one NaN of its shape and dtype, and its
+    array is freed unless something else holds it. The backward rules that
+    read input values (``conv2d``'s weight gradient, ``maxpool2d``) take
+    them through ``_values``, which has the producing node rebuild them
+    once, bit for bit, from the pre-activation it keeps anyway; the rebuilt
+    array is released with that node. Only an output of a ``conv2d`` with
+    a slope and no skip, recorded on an open tape, can be evicted.
+    """
+    if not _LOCAL.tape_stack:
+        return
+    for t in tensors:
+        if t.tape_node is None or t.tape_node.rebuild is None:
+            raise ContractError(
+                "evict takes only taped outputs of a conv2d with a slope and no skip")
+        t.data = np.broadcast_to(_EVICTED[t.dtype], t.shape)
+
+
+def _values(t: Tensor) -> np.ndarray:
+    """``t.data``, first rebuilt by its producing node if ``evict`` dropped it."""
+    if np.may_share_memory(t.data, _EVICTED[t.dtype]):
+        t.data = t.tape_node.rebuild()
+    return t.data
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray):
@@ -317,9 +359,14 @@ def _prelu_gain(neg: np.ndarray, slope: np.ndarray) -> np.ndarray:
     Branch-free, so mixed signs cost no more than one sign: ``neg * slope``
     minus ``neg - 1``. Where ``neg`` that subtracts +0.0, which keeps every
     slope's bits, -0.0 included (adding ``~neg`` would turn it into +0.0).
+    ``neg`` is cast to floats once, up front: a bool operand of a
+    broadcast product is cast in the product's buffered loop, which took
+    up to 1.7x as long.
     """
-    gain = neg * slope
-    gain -= neg - gain.dtype.type(1)
+    gain = neg.astype(slope.dtype)
+    off = gain - 1
+    gain *= slope
+    gain -= off
     return gain
 
 
@@ -388,23 +435,27 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     pre-activation ``pre = conv2d(x, weight, bias)``, bit for bit
     ``where(pre < 0, slope * pre, pre)``, applied to each band while it is
     in cache; the pre-activation is kept only while a tape records, for
-    the backward. With a ``skip`` of the output's exact (N, Cout, H, W),
+    the backward. Without a ``skip``, ``evict`` may then drop the output,
+    which ``_values`` rebuilds from it as ``gain * pre``: the forward's own
+    elementwise product, so bit for bit. With a ``skip`` of the output's
+    exact (N, Cout, H, W),
     each band's rows of it are added as the band is written out, after
     the bias and the PReLU: the output is bit for bit ``skip`` plus the
     convolution, a residual sum for which no unsummed output is built or
     kept on the tape. The work runs in bands of output rows, each stacking
     and padding only its own input rows, so no padded copy, upsample or
     concatenation of the inputs exists whole and the tape keeps only the
-    inputs themselves. The GEMMs read the weight as (k, k, Cout, Cin) tap
-    matrices: a weight held in that order (``blocks.Conv``'s) is read and
-    kept on the tape as it is, any other is copied into it. The backward
-    rule yields a gradient for each input, the bias, the slope and the
-    skip, which takes the upstream gradient unchanged, and sums the
-    weight's straight into ``weight.grad``, which starts as zeros in
-    the weight's layout; the input gradient is the same convolution of the
-    upstream gradient with the kernel flipped in space and its channel axes
-    swapped, summed over 2x2 blocks for a half-extent input (column pairs
-    first, then row pairs).
+    inputs themselves; the backward reads their values through
+    ``_values``, so an evicted input is rebuilt there. The GEMMs read the
+    weight as (k, k, Cout, Cin) tap matrices: a weight held in that order
+    (``blocks.Conv``'s) is read and kept on the tape as it is, any other is
+    copied into it. The backward rule yields a gradient for each input, the
+    bias, the slope and the skip, which takes the upstream gradient
+    unchanged, and sums the weight's straight into ``weight.grad``, which
+    starts as zeros in the weight's layout; the input gradient is the same
+    convolution of the upstream gradient with the kernel flipped in space
+    and its channel axes swapped, summed over 2x2 blocks for a half-extent
+    input (column pairs first, then row pairs).
     """
     xs = (x,) if isinstance(x, Tensor) else tuple(x)
     if not xs:
@@ -455,7 +506,7 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         d_w = weight.grad.transpose(2, 3, 0, 1)
         d_taps = [d_w[dy, dx] for dy in range(k) for dx in range(k)]
         product = np.empty_like(taps[0])  # one tap's GEMM of one band
-        for i, r0, r1, windows in _bands(data, cout, k):
+        for i, r0, r1, windows in _bands([_values(t) for t in xs], cout, k):
             up_band = np.zeros((cout, windows[0].shape[1]), dtype=up.dtype)
             up_band.reshape(cout, r1 - r0, -1)[:, :, :w] = up[i, :, r0:r1]
             for d, window in zip(d_taps, windows):
@@ -470,7 +521,15 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         return grads if skip is None else (*grads, d_skip)
 
     extra = tuple(t for t in (slope, skip) if t is not None)
-    return _emit("conv2d", out, (*xs, weight, bias, *extra), backward_fn)
+    result = _emit("conv2d", out, (*xs, weight, bias, *extra), backward_fn)
+    if pre is not None and skip is None:
+        def rebuild():
+            gain = _prelu_gain(pre < 0, slope.data)
+            gain *= pre  # the forward's product with its operands swapped, so bit for bit
+            return gain
+
+        result.tape_node.rebuild = rebuild
+    return result
 
 
 def _window_views(a: np.ndarray) -> list[np.ndarray]:
@@ -502,7 +561,7 @@ def maxpool2d(x: Tensor) -> Tensor:
         # +0.0 elsewhere
         bits = up.view(f"u{up.itemsize}")
         free = np.ones(out.shape, dtype=bool)
-        for view, d in zip(_window_views(x.data), _window_views(d_x.view(bits.dtype))):
+        for view, d in zip(_window_views(_values(x)), _window_views(d_x.view(bits.dtype))):
             hit = view == out
             hit &= free
             free ^= hit

@@ -6,6 +6,7 @@ checkpoints capture parameters plus optimizer state bit-exactly, so a
 resumed run reproduces the loss sequence of an uninterrupted one.
 """
 
+import ctypes
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,9 +104,40 @@ def _reset_loss_log(path: Path, iteration: int):
     write_atomic(path, ("iteration,lr,loss\n" + "".join(kept)).encode())
 
 
+# glibc's mallopt parameters, and the largest block its heap serves; its
+# own dynamic thresholds stop at these values
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_BLOCK_BYTES = 32 * 2 ** 20
+
+
+def _keep_freed_memory():
+    """Have the C library's malloc keep the memory a step frees for the next.
+
+    glibc's returns the top of its heap to the system whenever a free leaves
+    more there than its trim threshold, twice the largest block it has
+    unmapped so far, and each step then faults those pages back in: about
+    850 page faults per desk iteration, and 2000 once PReLU outputs are
+    evicted mid-forward. Here blocks up to 32 MiB come from the heap, which
+    keeps up to 64 MiB free at its top: the ceilings of glibc's own
+    thresholds, set from the start. The refaulting stops; the peak moves
+    little (+0.3 MiB on a desk run). Does nothing where the C library has
+    no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_BLOCK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_BLOCK_BYTES)
+
+
 def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
-    """Run (or continue) a training run; returns the final checkpoint path."""
+    """Run (or continue) a training run; returns the final checkpoint path.
+
+    The process's malloc keeps freed memory from then on
+    (``_keep_freed_memory``)."""
     config.validate()
+    _keep_freed_memory()
     data_root = Path(config.data_root)
     if not data_root.is_dir():
         raise TrainingError(f"data_root {data_root} is not a directory")

@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cenet import tensor, verify
+from cenet import blocks, tensor, verify
 from cenet.blocks import BasicBlock, Conv, EnhancementNetwork
 from cenet.config import desk_preset
 from cenet.tensor import (
@@ -22,6 +22,7 @@ from cenet.tensor import (
     _TapeNode,
     backward,
     conv2d,
+    evict,
     l1_loss,
     maxpool2d,
     op_census,
@@ -304,6 +305,91 @@ class TestTapeRelease:
                     backward(loss)
             del loss
         assert garbage == []
+
+
+def desk_step(network, crop=64):
+    """One taped float32 desk step's loss, and the traced bytes its forward
+    leaves held."""
+    rng = np.random.default_rng(0)
+    x, target = rng.uniform(0, 1, (2, 1, 3, crop, crop)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape():
+            base = tracemalloc.get_traced_memory()[0]
+            loss = l1_loss(network.forward(Tensor(x)), Tensor(target))
+            held = tracemalloc.get_traced_memory()[0] - base
+            backward(loss)
+    finally:
+        tracemalloc.stop()
+    return loss, held
+
+
+class TestEvict:
+    """PReLU outputs dropped from the tape and rebuilt from their pre-activations."""
+
+    @pytest.fixture
+    def prelu_conv(self):
+        rng = np.random.default_rng(1)
+        x = t4(rng.uniform(-1, 1, (2, 3, 6, 5)))
+        w = t4(rng.uniform(-1, 1, (4, 3, 3, 3)))
+        b = t4(rng.uniform(-1, 1, (1, 4, 1, 1)))
+        slope = t4(np.array([-0.0, 0.0, -1.5, 0.25]).reshape(1, 4, 1, 1))
+        return x, w, b, slope
+
+    def test_desk_step_gradients_bitwise_equal_without_eviction(self, monkeypatch):
+        evicting = EnhancementNetwork(desk_preset().network, seed=0)
+        loss, _ = desk_step(evicting)
+        monkeypatch.setattr(blocks, "evict", lambda *tensors: None)
+        keeping = EnhancementNetwork(desk_preset().network, seed=0)
+        twin_loss, _ = desk_step(keeping)
+        assert loss.item() == twin_loss.item()
+        for p, q in zip(evicting.parameters(), keeping.parameters()):
+            npt.assert_array_equal(p.grad, q.grad, err_msg=p.name)
+
+    def test_taped_desk_forward_holds_under_062_of_its_no_evict_twin(self, monkeypatch):
+        # four of a stage's five convolutions end in a PReLU; each output is
+        # held once, as its pre-activation, instead of twice
+        desk_step(EnhancementNetwork(desk_preset().network, seed=0))  # first-call allocations
+        _, held = desk_step(EnhancementNetwork(desk_preset().network, seed=0))
+        monkeypatch.setattr(blocks, "evict", lambda *tensors: None)
+        _, twin_held = desk_step(EnhancementNetwork(desk_preset().network, seed=0))
+        assert held <= 2.5e6 and held <= 0.62 * twin_held, (held, twin_held)
+
+    def test_evicted_output_keeps_its_shape_and_is_rebuilt_bitwise(self, prelu_conv):
+        x, w, b, slope = prelu_conv
+        with Tape():
+            out = conv2d(x, w, b, slope)
+            values = out.data.copy()
+            evict(out)
+            assert out.shape == values.shape and out.dtype == values.dtype
+            assert not out.data.flags.writeable and np.isnan(out.data).all()
+            rebuilt = tensor._values(out)
+            assert tensor._values(out) is rebuilt is out.data  # rebuilt once
+        npt.assert_array_equal(rebuilt.view(np.uint32), values.view(np.uint32))
+
+    def test_forward_reading_an_evicted_output_fails(self, prelu_conv):
+        x, w, b, slope = prelu_conv
+        with Tape():
+            out = conv2d(x, w, b, slope)
+            evict(out)
+            with pytest.raises(ContractError, match="non-finite"):
+                conv2d(out, t4(np.ones((1, 4, 1, 1))), t4(np.zeros((1, 1, 1, 1))))
+
+    def test_refuses_what_it_cannot_rebuild(self, prelu_conv):
+        x, w, b, slope = prelu_conv
+        with Tape():
+            linear = conv2d(x, w, b)
+            summed = conv2d(x, w, b, slope, skip=linear)
+            for t in (x, linear, summed):
+                with pytest.raises(ContractError, match="slope and no skip"):
+                    evict(t)
+
+    def test_does_nothing_without_a_tape(self, prelu_conv):
+        x, w, b, slope = prelu_conv
+        out = conv2d(x, w, b, slope)
+        data = out.data
+        evict(out, x)
+        assert out.data is data and data.flags.writeable
 
 
 class TestBackwardRules:

@@ -225,6 +225,15 @@ class TestAdam:
             opt.step([p], lr=lr)
         assert float(p.data.ravel()[0]) == 0.5
 
+    def test_infinite_lr_rejected_leaving_the_arena(self):
+        # an infinite lr once wrote -inf and nan into the weights
+        p, opt = make_param(0.5, grad=1.0)
+        values = opt.values.copy()
+        with pytest.raises(ContractError, match="finite and positive, got inf"):
+            opt.step([p], lr=float("inf"))
+        npt.assert_array_equal(opt.values, values)
+        assert opt.step_count == 0
+
 
 class TestSchedule:
     def test_paper_values(self):

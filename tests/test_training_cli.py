@@ -1,7 +1,9 @@
 """End-to-end training, persistence, inference, and CLI behavior."""
 
 import os
+import platform
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cenet import blocks, cli
+from cenet import blocks, cli, training
 from cenet.blocks import EnhancementNetwork, FeatureBlock, NetworkConfig
 from cenet.checkpoint import Checkpoint, load, save
 from cenet.config import RunConfig, desk_preset, format_config
@@ -205,6 +207,17 @@ class TestTraining:
         config = tiny_config(tmp_path / "nope", tmp_path / "out")
         with pytest.raises(TrainingError):
             train(config)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+    def test_freed_memory_is_kept_for_the_next_step(self):
+        # 8 MiB allocated, freed and allocated again; with glibc's default
+        # thresholds it is unmapped and faulted back in, about 500 page
+        # faults (numpy asks for huge pages for an array this large)
+        training._keep_freed_memory()
+        np.ones(2 ** 21, np.float32)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.ones(2 ** 21, np.float32)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 class TestInference:
