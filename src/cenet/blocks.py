@@ -11,13 +11,8 @@ convolutions, optionally followed by a dense residual block (local
 context). The dense residual block and the non-local block each end in a
 skip sum, which their last convolution adds as it writes its output.
 
-Under a tape, each block evicts (``tensor.evict``) the PReLU outputs it
-made once its own forward has read them for the last time: the basic
-block its first convolution's, the dense residual block its first two
-layers', and the feature block its basic block's when a dense block
-follows. The tape then keeps each of them once, as the pre-activation its
-convolution holds, and the backward rebuilds them from it. No block evicts
-a tensor it was handed or returns.
+What a taped forward keeps of each activation is the tape's rule
+(``cenet.tensor``); the blocks only drop their own references early.
 """
 
 import math
@@ -31,7 +26,6 @@ from .tensor import (
     Tensor,
     attention,
     conv2d,
-    evict,
     maxpool2d,
 )
 # perfbench's tracer patches these names, which no op has any more; ROADMAP item 1 deletes this.
@@ -107,9 +101,7 @@ class BasicBlock(Block):
     def forward(self, f: Tensor | tuple[Tensor, ...]) -> Tensor:
         """A tuple ``f`` is read as its channel concatenation."""
         f = self.conv1.forward(f)  # releases a tuple's join before the second convolution
-        out = self.conv2.forward(f)
-        evict(f)
-        return out
+        return self.conv2.forward(f)
 
 
 class DenseResidualBlock(Block):
@@ -131,9 +123,7 @@ class DenseResidualBlock(Block):
         ys = (f,)
         for layer in self.layers[:-1]:
             ys += (layer.forward(ys),)
-        out = self.layers[-1].forward(ys, skip=f)
-        evict(*ys[1:])
-        return out
+        return self.layers[-1].forward(ys, skip=f)
 
 
 class NonLocalBlock(Block):
@@ -186,11 +176,7 @@ class FeatureBlock(Block):
         held = [f if skip is None else (f, skip)]
         del f, skip
         features = self.basic.forward(held.pop())
-        if self.dense is None:
-            return features
-        out = self.dense.forward(features)
-        evict(features)
-        return out
+        return features if self.dense is None else self.dense.forward(features)
 
 
 @dataclass

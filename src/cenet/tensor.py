@@ -18,14 +18,17 @@ is ``None`` afterwards, so a finished step is freed by reference counting
 alone, while the ``.grad`` of every parameter and input is kept. Run
 ``backward`` inside the block.
 
-``evict`` drops the values of taped PReLU ``conv2d`` outputs that the
-forward has read for the last time; the backward rebuilds them, bit for
-bit, from the pre-activation their node keeps anyway.
+Of a ``conv2d`` that ends in a PReLU without a skip, the tape keeps the
+pre-activation alone: its node records a twin of the returned tensor,
+with its shape and dtype and no values, so the forward's own references
+decide when the returned array dies, as without a tape. The backward
+rebuilds the twin's values once, bit for bit, from the pre-activation.
 """
 
 import itertools
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,7 +51,7 @@ class ContractError(RuntimeError):
 class Tensor:
     """A dense (N, C, H, W) array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "tape_node")
+    __slots__ = ("data", "grad", "tape_node", "__weakref__")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -95,19 +98,29 @@ class Parameter(Tensor):
 
 
 class _TapeNode:
-    """One recorded op. ``rebuild``, set by a PReLU ``conv2d`` without a
-    skip, recomputes the output's values from what the node keeps, which
-    lets ``evict`` drop them in between."""
+    """One recorded op. ``output`` is the tensor the tape holds for the
+    op's result, ``returned`` a weak reference to the one the op returned.
+    They are one tensor unless ``rebuild`` is set: then ``output`` is a
+    twin without values, which ``rebuild`` recomputes from what the node
+    keeps."""
 
-    __slots__ = ("tape", "op_name", "inputs", "output", "backward_fn", "rebuild")
+    __slots__ = ("tape", "op_name", "inputs", "output", "backward_fn", "returned", "rebuild")
 
-    def __init__(self, tape, op_name, inputs, output, backward_fn):
+    def __init__(self, tape, op_name, inputs, output, backward_fn, returned, rebuild):
         self.tape = tape
         self.op_name = op_name
         self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
-        self.rebuild = None
+        self.returned = returned
+        self.rebuild = rebuild
+
+    def release(self):
+        """Detach the recorded and the returned tensor from this node."""
+        self.output.tape_node = None
+        returned = self.returned()
+        if returned is not None:
+            returned.tape_node = None
 
 
 class Tape:
@@ -120,9 +133,9 @@ class Tape:
     ``backward`` overwrites each node it has finished with ``None`` in
     place, so the list keeps its length. Leaving the ``with`` block,
     normally or through an exception, releases the rest of the graph: each
-    remaining output's ``tape_node`` becomes ``None`` and the node list is
-    emptied, which breaks the tensor <-> node reference cycles. Gradients
-    already accumulated into ``.grad`` are kept.
+    remaining node releases its tensors (``_TapeNode.release``) and the
+    node list is emptied, which breaks the tensor <-> node reference
+    cycles. Gradients already accumulated into ``.grad`` are kept.
     """
 
     def __init__(self):
@@ -140,7 +153,7 @@ class Tape:
         stack.pop()
         for node in self.nodes:
             if node is not None:
-                node.output.tape_node = None
+                node.release()
         self.nodes.clear()
         return False
 
@@ -178,8 +191,24 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(squares) or bool(np.isfinite(a).all())
 
 
-def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
-    """Wrap an op result in a Tensor and record it on the active tape."""
+# What a twin's ``data`` views, per dtype: one NaN, broadcast read-only to
+# the twin's shape, so its shape and dtype stay readable without values.
+_EVICTED = {np.dtype(t): np.full((1, 1, 1, 1), np.nan, dtype=t) for t in (np.float32, np.float64)}
+
+
+def _recorded(t: Tensor) -> Tensor:
+    """The tensor the tape holds for ``t``: its node's output, or ``t`` itself."""
+    return t if t.tape_node is None else t.tape_node.output
+
+
+def _emit(op_name, out_data, inputs, backward_fn, rebuild=None) -> Tensor:
+    """Wrap an op result in a Tensor and record it on the active tape.
+
+    The node records each input as ``_recorded`` gives it. With a
+    ``rebuild``, the node's output is a twin of the result whose ``data``
+    views ``_EVICTED``, so the tape holds no reference to the result's
+    values; ``_values`` has ``rebuild`` recompute them in the backward.
+    """
     if not _all_finite(out_data):
         raise ContractError(f"{op_name} produced non-finite values")
     out = Tensor(out_data)
@@ -187,40 +216,21 @@ def _emit(op_name, out_data, inputs, backward_fn) -> Tensor:
         counts[op_name] = counts.get(op_name, 0) + 1
     if _LOCAL.tape_stack:
         tape = _LOCAL.tape_stack[-1]
-        node = _TapeNode(tape, op_name, inputs, out, backward_fn)
+        output = out
+        if rebuild is not None:
+            output = Tensor(_EVICTED[out.dtype])
+            output.data = np.broadcast_to(output.data, out.shape)
+        # lists: a tuple built from an iterator is resized, and freeing it grows
+        # the free list of its new size, which held 0.7 MiB more over a desk run
+        node = _TapeNode(tape, op_name, [_recorded(t) for t in inputs], output, backward_fn,
+                         weakref.ref(out), rebuild)
         tape.nodes.append(node)
-        out.tape_node = node
+        out.tape_node = output.tape_node = node
     return out
 
 
-# What an evicted tensor's ``data`` views, per dtype: one read-only NaN, so
-# its shape and dtype stay readable and any op that reads it fails its check.
-_EVICTED = {np.dtype(t): np.full((), np.nan, dtype=t) for t in (np.float32, np.float64)}
-
-
-def evict(*tensors: Tensor):
-    """Drop the values of taped PReLU ``conv2d`` outputs the forward no longer reads.
-
-    Without a tape this does nothing. Under one, each tensor's ``data``
-    becomes a zero-strided view of one NaN of its shape and dtype, and its
-    array is freed unless something else holds it. The backward rules that
-    read input values (``conv2d``'s weight gradient, ``maxpool2d``) take
-    them through ``_values``, which has the producing node rebuild them
-    once, bit for bit, from the pre-activation it keeps anyway; the rebuilt
-    array is released with that node. Only an output of a ``conv2d`` with
-    a slope and no skip, recorded on an open tape, can be evicted.
-    """
-    if not _LOCAL.tape_stack:
-        return
-    for t in tensors:
-        if t.tape_node is None or t.tape_node.rebuild is None:
-            raise ContractError(
-                "evict takes only taped outputs of a conv2d with a slope and no skip")
-        t.data = np.broadcast_to(_EVICTED[t.dtype], t.shape)
-
-
 def _values(t: Tensor) -> np.ndarray:
-    """``t.data``, first rebuilt by its producing node if ``evict`` dropped it."""
+    """``t.data``, first rebuilt, once, by its producing node if ``t`` is a twin."""
     if np.may_share_memory(t.data, _EVICTED[t.dtype]):
         t.data = t.tape_node.rebuild()
     return t.data
@@ -251,9 +261,9 @@ def backward(loss: Tensor):
 
     Once a node's rule has run, every consumer of its output has run
     before it, so nothing later reads the node, its saved arrays or its
-    output's gradient. Each is released there: the output loses ``.grad``
-    and ``tape_node``, and the node's list entry becomes ``None``. So a
-    step's backward peaks near its forward, not at the sum of every
+    output's gradient. Each is released there: the output loses ``.grad``,
+    the node releases its tensors and its list entry becomes ``None``. So
+    a step's backward peaks near its forward, not at the sum of every
     activation and every intermediate gradient. The loss keeps its node
     and its gradient until the tape exits.
     """
@@ -262,7 +272,7 @@ def backward(loss: Tensor):
         raise ContractError("backward() requires a loss recorded on an active tape")
     if loss.data.size != 1:
         raise ContractError(f"backward() requires a scalar loss, got shape {loss.shape}")
-    tape = node.tape
+    loss, tape = node.output, node.tape  # a PReLU conv2d's loss is seeded on its twin
     if tape.consumed:
         raise ContractError("tape already consumed; build a new tape for another backward pass")
     tape.consumed = True
@@ -274,7 +284,8 @@ def backward(loss: Tensor):
         if out.grad is not None:
             _run_rule(node, out.grad)
         if out is not loss:
-            out.grad = out.tape_node = nodes[i] = None
+            node.release()
+            out.grad = nodes[i] = None
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +446,18 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     pre-activation ``pre = conv2d(x, weight, bias)``, bit for bit
     ``where(pre < 0, slope * pre, pre)``, applied to each band while it is
     in cache; the pre-activation is kept only while a tape records, for
-    the backward. Without a ``skip``, ``evict`` may then drop the output,
-    which ``_values`` rebuilds from it as ``gain * pre``: the forward's own
-    elementwise product, so bit for bit. With a ``skip`` of the output's
-    exact (N, Cout, H, W),
+    the backward. Without a ``skip``, the tape then records a twin of the
+    output (``_emit``), which ``_values`` rebuilds from it as
+    ``gain * pre``: the forward's own elementwise product, so bit for bit.
+    With a ``skip`` of the output's exact (N, Cout, H, W),
     each band's rows of it are added as the band is written out, after
     the bias and the PReLU: the output is bit for bit ``skip`` plus the
     convolution, a residual sum for which no unsummed output is built or
     kept on the tape. The work runs in bands of output rows, each stacking
     and padding only its own input rows, so no padded copy, upsample or
     concatenation of the inputs exists whole and the tape keeps only the
-    inputs themselves; the backward reads their values through
-    ``_values``, so an evicted input is rebuilt there. The GEMMs read the
+    inputs themselves; the backward reads the recorded inputs' values
+    through ``_values``, so a twin is rebuilt there. The GEMMs read the
     weight as (k, k, Cout, Cin) tap matrices: a weight held in that order
     (``blocks.Conv``'s) is read and kept on the tape as it is, any other is
     copied into it. The backward rule yields a gradient for each input, the
@@ -492,6 +503,8 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     out = _same_conv(data, taps, k, bias.data.reshape(cout, 1),
                      None if slope is None else slope.data.reshape(cout, 1), pre,
                      None if skip is None else skip.data)
+    # the backward reads the tape's tensors for the inputs and keeps no skip
+    xs, has_skip = [_recorded(t) for t in xs], skip is not None
 
     def backward_fn(up):
         d_skip = up
@@ -518,18 +531,16 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         grads = (*d_xs, None, d_bias)
         if slope is not None:
             grads += (d_slope,)
-        return grads if skip is None else (*grads, d_skip)
+        return (*grads, d_skip) if has_skip else grads
+
+    def rebuild():
+        gain = _prelu_gain(pre < 0, slope.data)
+        gain *= pre  # the forward's product with its operands swapped, so bit for bit
+        return gain
 
     extra = tuple(t for t in (slope, skip) if t is not None)
-    result = _emit("conv2d", out, (*xs, weight, bias, *extra), backward_fn)
-    if pre is not None and skip is None:
-        def rebuild():
-            gain = _prelu_gain(pre < 0, slope.data)
-            gain *= pre  # the forward's product with its operands swapped, so bit for bit
-            return gain
-
-        result.tape_node.rebuild = rebuild
-    return result
+    return _emit("conv2d", out, (*xs, weight, bias, *extra), backward_fn,
+                 rebuild if pre is not None and not has_skip else None)
 
 
 def _window_views(a: np.ndarray) -> list[np.ndarray]:
@@ -554,9 +565,10 @@ def maxpool2d(x: Tensor) -> Tensor:
         raise DimensionError(f"maxpool2d requires even spatial extents, got {h}x{w}")
     v = _window_views(x.data)
     out = np.maximum(np.maximum(v[3], v[2]), np.maximum(v[1], v[0]))
+    x = _recorded(x)
 
     def backward_fn(up):
-        d_x = np.empty_like(x.data)
+        d_x = np.empty(x.shape, dtype=x.dtype)
         # the gradient's bit patterns times a mask: exact where it is set,
         # +0.0 elsewhere
         bits = up.view(f"u{up.itemsize}")

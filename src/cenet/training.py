@@ -69,9 +69,10 @@ def restore(ckpt: Checkpoint, network: EnhancementNetwork,
             raise CheckpointError(
                 "checkpoint has no optimizer state (Adam step and m./v. records), "
                 "so training cannot continue from it exactly")
-        _check_records(ckpt.optimizer_tensors, {f"{moment}.{name}": shape for moment in "mv"
-                                                for name, shape in shapes.items()}, "optimizer")
-        for name, view in optimizer.moments().items():
+        moments = optimizer.moments()
+        _check_records(ckpt.optimizer_tensors,
+                       {name: view.shape for name, view in moments.items()}, "optimizer")
+        for name, view in moments.items():
             view[...] = ckpt.optimizer_tensors[name]
         optimizer.step_count = ckpt.optimizer_step
     for name, param in params.items():
@@ -117,7 +118,7 @@ def _keep_freed_memory():
     more there than its trim threshold, twice the largest block it has
     unmapped so far, and each step then faults those pages back in: about
     850 page faults per desk iteration, and 2000 once PReLU outputs are
-    evicted mid-forward. Here blocks up to 32 MiB come from the heap, which
+    freed mid-forward. Here blocks up to 32 MiB come from the heap, which
     keeps up to 64 MiB free at its top: the ceilings of glibc's own
     thresholds, set from the start. The refaulting stops; the peak moves
     little (+0.3 MiB on a desk run). Does nothing where the C library has

@@ -6,13 +6,14 @@ import gc
 import threading
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cenet import blocks, tensor, verify
+from cenet import tensor, verify
 from cenet.blocks import BasicBlock, Conv, EnhancementNetwork
 from cenet.config import desk_preset
 from cenet.tensor import (
@@ -22,7 +23,6 @@ from cenet.tensor import (
     _TapeNode,
     backward,
     conv2d,
-    evict,
     l1_loss,
     maxpool2d,
     op_census,
@@ -157,6 +157,16 @@ class TestBackward:
         loss = total(t4(np.ones((1, 1, 1, 1))))
         with pytest.raises(ContractError):
             backward(loss)
+
+    def test_tape_exited_out_of_order_is_an_error(self):
+        outer, inner = Tape(), Tape()
+        with outer:
+            inner.__enter__()
+            try:
+                with pytest.raises(ContractError, match="^tape context exited out of order$"):
+                    outer.__exit__(None, None, None)
+            finally:
+                inner.__exit__(None, None, None)
 
     def test_ops_outside_tape_do_not_record(self):
         x = t4(np.ones((1, 1, 1, 1)))
@@ -324,8 +334,17 @@ def desk_step(network, crop=64):
     return loss, held
 
 
+def without_twins(monkeypatch):
+    """Record every op's returned tensor on the tape, as if no output could
+    be rebuilt: the tape then holds each PReLU output beside its
+    pre-activation."""
+    emit = tensor._emit
+    monkeypatch.setattr(tensor, "_emit", lambda *args, rebuild=None: emit(*args[:4]))
+
+
 class TestEvict:
-    """PReLU outputs dropped from the tape and rebuilt from their pre-activations."""
+    """The tape holds a PReLU conv2d output without a skip as a twin with no
+    values, rebuilt from the pre-activation its node keeps."""
 
     @pytest.fixture
     def prelu_conv(self):
@@ -339,10 +358,10 @@ class TestEvict:
     def test_desk_step_gradients_bitwise_equal_without_eviction(self, monkeypatch):
         evicting = EnhancementNetwork(desk_preset().network, seed=0)
         loss, _ = desk_step(evicting)
-        monkeypatch.setattr(blocks, "evict", lambda *tensors: None)
+        without_twins(monkeypatch)
         keeping = EnhancementNetwork(desk_preset().network, seed=0)
-        twin_loss, _ = desk_step(keeping)
-        assert loss.item() == twin_loss.item()
+        twinless_loss, _ = desk_step(keeping)
+        assert loss.item() == twinless_loss.item()
         for p, q in zip(evicting.parameters(), keeping.parameters()):
             npt.assert_array_equal(p.grad, q.grad, err_msg=p.name)
 
@@ -351,45 +370,67 @@ class TestEvict:
         # held once, as its pre-activation, instead of twice
         desk_step(EnhancementNetwork(desk_preset().network, seed=0))  # first-call allocations
         _, held = desk_step(EnhancementNetwork(desk_preset().network, seed=0))
-        monkeypatch.setattr(blocks, "evict", lambda *tensors: None)
-        _, twin_held = desk_step(EnhancementNetwork(desk_preset().network, seed=0))
-        assert held <= 2.5e6 and held <= 0.62 * twin_held, (held, twin_held)
+        without_twins(monkeypatch)
+        _, twinless_held = desk_step(EnhancementNetwork(desk_preset().network, seed=0))
+        assert held <= 2.5e6 and held <= 0.62 * twinless_held, (held, twinless_held)
+
+    def test_taped_desk_forward_without_local_context_holds_no_stage_output(self):
+        # each stage ends in a PReLU convolution, whose output the forward
+        # drops at its last reader; 1.50 MB while the tape held them all
+        config = replace(desk_preset().network, use_local_context=False)
+        desk_step(EnhancementNetwork(config, seed=0))  # first-call allocations
+        _, held = desk_step(EnhancementNetwork(config, seed=0))
+        assert held <= 0.8 * 1.50e6, held
 
     def test_evicted_output_keeps_its_shape_and_is_rebuilt_bitwise(self, prelu_conv):
         x, w, b, slope = prelu_conv
         with Tape():
             out = conv2d(x, w, b, slope)
-            values = out.data.copy()
-            evict(out)
-            assert out.shape == values.shape and out.dtype == values.dtype
-            assert not out.data.flags.writeable and np.isnan(out.data).all()
-            rebuilt = tensor._values(out)
-            assert tensor._values(out) is rebuilt is out.data  # rebuilt once
-        npt.assert_array_equal(rebuilt.view(np.uint32), values.view(np.uint32))
-
-    def test_forward_reading_an_evicted_output_fails(self, prelu_conv):
-        x, w, b, slope = prelu_conv
-        with Tape():
-            out = conv2d(x, w, b, slope)
-            evict(out)
-            with pytest.raises(ContractError, match="non-finite"):
-                conv2d(out, t4(np.ones((1, 4, 1, 1))), t4(np.zeros((1, 1, 1, 1))))
+            twin = tensor._recorded(out)
+            assert twin is not out and twin.tape_node is out.tape_node is not None
+            assert twin.shape == out.shape and twin.dtype == out.dtype
+            assert not twin.data.flags.writeable and np.isnan(twin.data).all()
+            rebuilt = tensor._values(twin)
+            assert tensor._values(twin) is rebuilt is twin.data  # rebuilt once
+        npt.assert_array_equal(rebuilt.view(np.uint32), out.data.view(np.uint32))
 
     def test_refuses_what_it_cannot_rebuild(self, prelu_conv):
+        # only a PReLU output without a skip is rebuilt from a pre-activation
         x, w, b, slope = prelu_conv
         with Tape():
             linear = conv2d(x, w, b)
             summed = conv2d(x, w, b, slope, skip=linear)
-            for t in (x, linear, summed):
-                with pytest.raises(ContractError, match="slope and no skip"):
-                    evict(t)
+            pooled = maxpool2d(t4(x.data[..., :4]))
+            for t in (x, linear, summed, pooled):
+                assert tensor._recorded(t) is t
 
     def test_does_nothing_without_a_tape(self, prelu_conv):
         x, w, b, slope = prelu_conv
         out = conv2d(x, w, b, slope)
-        data = out.data
-        evict(out, x)
-        assert out.data is data and data.flags.writeable
+        assert out.tape_node is None and tensor._recorded(out) is out
+        assert out.data.flags.writeable and np.isfinite(out.data).all()
+
+    def test_a_prelu_output_as_the_loss_seeds_its_twin(self):
+        # a 1x1 sum of three channels below zero, so the gain is the slope
+        x = t4(np.array([-1.0, 0.5, -2.0]).reshape(1, 3, 1, 1))
+        ones, zero, slope = t4(np.ones((1, 3, 1, 1))), t4(np.zeros((1, 1, 1, 1))), t4(
+            np.full((1, 1, 1, 1), 0.25))
+        with Tape():
+            backward(conv2d(x, ones, zero, slope))
+        npt.assert_array_equal(x.grad, np.full(x.shape, 0.25, np.float32))
+        npt.assert_array_equal(slope.grad, np.full(slope.shape, -2.5, np.float32))
+
+    def test_output_kept_past_its_tape_is_a_leaf_on_a_new_tape(self, prelu_conv):
+        x, w, b, slope = prelu_conv
+        with Tape():
+            out = conv2d(x, w, b, slope)
+            assert out.tape_node is not None
+        assert out.tape_node is None
+        probe = np.random.default_rng(2).standard_normal(out.shape)
+        with Tape():
+            backward(weighted_sum(out, probe))
+            assert out.tape_node is None
+        npt.assert_array_equal(out.grad, probe.astype(np.float32))
 
 
 class TestBackwardRules:

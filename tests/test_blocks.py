@@ -141,16 +141,15 @@ class TestDenseResidualBlock:
         npt.assert_allclose(out.data, x.data + y3, rtol=1e-4, atol=1e-5)
 
     def test_tape_holds_no_concatenation(self):
-        # The tape keeps three 8-channel outputs and two pre-activations:
-        # 5x the input. A 16- or 24-channel concatenation would add 2x or 3x.
+        # The tape keeps two pre-activations and the block output: 3x the
+        # input. A 16- or 24-channel concatenation would add 2x or 3x.
         x = rand4((1, 8, 128, 128), lo=-1)
         held, _ = taped_forward(DenseResidualBlock("d", 8, seed=0), x)
         assert held < 7 * x.data.nbytes
 
     def test_tape_holds_three_convolutions_and_no_branch_output(self):
         # the last layer adds the block input as it writes its output, and the
-        # first two layers' outputs are evicted once it has read them, so the
-        # tape holds two pre-activations and the block output, and no layer
+        # tape records the first two layers' outputs as twins, so it holds two pre-activations and the block output, and no layer
         # output twice and no unsummed branch output
         x = rand4((1, 8, 128, 128), lo=-1)
         held, ops = taped_forward(DenseResidualBlock("d", 8, seed=0), x)

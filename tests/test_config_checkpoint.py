@@ -61,6 +61,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("flip = maybe")
 
+    @pytest.mark.parametrize("text,message", [
+        ("stages 3", r"line 1: expected 'key = value', got 'stages 3'"),
+        ("stages = 3\ncrop_size = 4\ndata_root = d",
+         "crop_size 4 is smaller than the network's required divisor 8"),
+    ], ids=["no-equals", "crop-below-divisor"])
+    def test_malformed_config_is_named(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(text).validate()
+
     def test_crop_divisor_validation(self):
         config = parse_config("stages = 3\ncrop_size = 12")
         with pytest.raises(ConfigError, match="divisible"):
@@ -300,6 +309,16 @@ class TestCheckpoint:
         assert path.read_bytes() == b"payload"
 
 
+def resealed(body: bytes) -> bytes:
+    """``body`` followed by its CRC, so only the checks after the CRC's see it."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# the body of a one-record checkpoint: a 20-byte header, the record's
+# 14-byte header at offset 20, its 12 value bytes at 34, the optimizer flag at 46
+ONE_RECORD = serialize(Checkpoint(1, {"w": np.zeros(3, dtype=np.float32)}))[:-4]
+
+
 def fixed_checkpoint(with_optimizer: bool) -> Checkpoint:
     tensors = {"enc0.conv.weight": np.arange(24, dtype=np.float32).reshape(2, 3, 1, 4) / 7,
                "enc0.conv.bias": np.array([-1.5, 0.25], dtype=np.float32),
@@ -394,6 +413,18 @@ class TestCodec:
         again = deserialize(serialize(ckpt))
         assert again.tensors["s"].shape == ()
         assert again.tensors["s"] == 2.0
+
+    @pytest.mark.parametrize("blob,message", [
+        (bytes(24), r"checkpoint too short \(24 bytes\)"),
+        (resealed(ONE_RECORD[:4] + struct.pack("<I", 2) + ONE_RECORD[8:]),
+         "unsupported checkpoint version 2"),
+        (resealed(ONE_RECORD + bytes(2)), "2 unexpected trailing bytes at offset 47"),
+        (resealed(ONE_RECORD[:-6]),
+         "truncated checkpoint: needed 12 bytes for values of 'w' at offset 34"),
+    ], ids=["too-short", "version", "trailing-bytes", "truncated-record"])
+    def test_malformed_file_is_named(self, blob, message):
+        with pytest.raises(CheckpointError, match=f"^{message}$"):
+            deserialize(blob)
 
     def test_duplicate_record_rejected(self):
         blob = serialize(Checkpoint(1, {"w": np.zeros(2, np.float32),

@@ -15,6 +15,7 @@ from cenet.dataset import (
     PairError,
     SampleStream,
     load_pair,
+    reflect_pad_to,
     sample_patch,
     sample_rng,
     scan_dataset,
@@ -53,6 +54,15 @@ class TestScan:
             records = scan_dataset(tmp_path)
         assert [r.identifier for r in records] == ["a"]
         assert "orphan" in caplog.text
+
+    def test_target_without_input_excluded_with_warning(self, tmp_path, caplog):
+        write_pair(tmp_path, "a")
+        (tmp_path / "target" / "orphan.png").write_bytes(
+            encode_png(Image.from_u8(np.zeros((4, 4, 3), dtype=np.uint8))))
+        with caplog.at_level("WARNING"):
+            records = scan_dataset(tmp_path)
+        assert [r.identifier for r in records] == ["a"]
+        assert "target/orphan.png has no matching input; skipping" in caplog.text
 
     def test_empty_dataset_is_an_error(self, tmp_path):
         (tmp_path / "input").mkdir()
@@ -270,6 +280,15 @@ class TestSampleStream:
             assert freed() is None
         finally:
             gc.enable()
+
+    def test_stream_without_pairs_is_an_error(self):
+        with pytest.raises(DatasetError, match="^sample stream needs at least one pair$"):
+            SampleStream([], AugmentSpec(), seed=0)
+
+    def test_reflect_pad_to_returns_what_needs_no_padding(self):
+        pixels = make_pair(h=6, w=5).input
+        assert reflect_pad_to(pixels, 6, 5) is pixels
+        assert reflect_pad_to(pixels, 3, 1) is pixels
 
     def test_batch_shape_is_nchw(self, tmp_path):
         write_pair(tmp_path, "a", size=(16, 16))

@@ -1,6 +1,7 @@
 """Codec round-trips, filter handling, and malformed-input rejection."""
 
 import itertools
+import re
 import struct
 import tracemalloc
 import zlib
@@ -322,6 +323,52 @@ class TestPng:
                 + png_chunk(b"IEND", b""))
         with pytest.raises(ImageParseError, match="compressed"):
             decode_png(blob)
+
+
+def ihdr(width=2, height=2, compression=0, filter_method=0):
+    return png_chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2,
+                                          compression, filter_method, 0))
+
+
+IDAT = png_chunk(b"IDAT", zlib.compress(bytes(14)))  # a 2x2 RGB stream
+IEND = png_chunk(b"IEND", b"")
+
+
+class TestMalformedInput:
+    def test_the_parts_make_a_valid_png(self):
+        assert decode_png(PNG_SIGNATURE + ihdr() + IDAT + IEND).to_u8().shape == (2, 2, 3)
+
+    @pytest.mark.parametrize("blob,message", [
+        (PNG_SIGNATURE + ihdr() + bytes(4), "truncated chunk header at byte offset 33"),
+        (PNG_SIGNATURE + png_chunk(b"IHDR", bytes(14)), "IHDR length 14 at byte offset 8"),
+        (PNG_SIGNATURE + ihdr(compression=1),
+         "invalid compression/filter method at byte offset 8"),
+        (PNG_SIGNATURE + ihdr(filter_method=1),
+         "invalid compression/filter method at byte offset 8"),
+        (PNG_SIGNATURE + ihdr(width=0), "zero image extent at byte offset 8"),
+        (PNG_SIGNATURE + IDAT + ihdr() + IEND, "IDAT before IHDR at byte offset 8"),
+        (PNG_SIGNATURE + IDAT + IEND, "IDAT before IHDR at byte offset 8"),
+        (PNG_SIGNATURE + IEND, "no IHDR chunk found"),
+        (PNG_SIGNATURE + ihdr() + IEND, "no IDAT chunks found"),
+    ], ids=["chunk-header", "ihdr-length", "compression", "filter-method", "zero-extent",
+            "idat-first", "idat-only", "no-ihdr", "no-idat"])
+    def test_png_names_the_fault(self, blob, message):
+        with pytest.raises(ImageParseError, match=f"^{message}$"):
+            decode_png(blob)
+
+    @pytest.mark.parametrize("blob,message", [
+        (b"PX 1 1 255\n\0\0\0", "missing P6 magic at byte offset 0"),
+        (b"P6 0 1 255\n", r"non-positive PPM extents at byte offset \d+"),
+        (b"P6 1 -2 255\n", r"non-positive PPM extents at byte offset \d+"),
+    ], ids=["magic", "zero-width", "negative-height"])
+    def test_ppm_names_the_fault(self, blob, message):
+        with pytest.raises(ImageParseError, match=f"^{message}$"):
+            decode_ppm(blob)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 4), (1, 2, 2, 3)])
+    def test_image_must_be_h_w_3(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"must be (H, W, 3), got {shape}")):
+            Image(np.zeros(shape, np.float32))
 
 
 class TestConversions:

@@ -165,6 +165,12 @@ class TestTraining:
         for name, arr in final.tensors.items():
             npt.assert_array_equal(arr, resumed.tensors[name])
 
+    def test_resume_from_a_finished_run_is_an_error(self, dataset, tmp_path):
+        config = tiny_config(dataset, tmp_path / "run", iters=5)
+        train(config)
+        with pytest.raises(TrainingError, match="^checkpoint is already at iteration 5 of 5$"):
+            train(config, resume=tmp_path / "run" / "checkpoint_final.ckpt")
+
     def test_resumed_run_does_not_hold_the_checkpoint(self, dataset, tmp_path):
         def traced_at_each_log(config, resume=None):
             seen = []
