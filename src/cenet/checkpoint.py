@@ -151,19 +151,14 @@ def deserialize(data) -> Checkpoint:
     return Checkpoint(iteration, tensors, opt_step, opt_tensors)
 
 
-def write_atomic(path, *chunks):
-    """Replace ``path`` with the concatenation of ``chunks`` (any buffers)
-    so that a crash leaves either the old file or the new one under that
-    name: write a sibling temp file, fsync it, ``os.replace`` it over
-    ``path``, then fsync the directory so the rename itself is durable. If
-    the write fails, the temp file is removed and the old file is
-    untouched; if the directory fsync fails, the new file is already in
-    place and the error propagates."""
-    _write_atomic(path, chunks)
-
-
-def _write_atomic(path, chunks):
-    """``write_atomic`` of an iterable of buffers, each written as it comes."""
+def write_atomic(path, chunks):
+    """Replace ``path`` with the concatenation of ``chunks``, an iterable of
+    buffers each written as it comes, so that a crash leaves either the old
+    file or the new one under that name: write a sibling temp file, fsync
+    it, ``os.replace`` it over ``path``, then fsync the directory so the
+    rename itself is durable. If the write fails, the temp file is removed
+    and the old file is untouched; if the directory fsync fails, the new
+    file is already in place and the error propagates."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -183,7 +178,7 @@ def _write_atomic(path, chunks):
 
 
 def save(ckpt: Checkpoint, path):
-    _write_atomic(path, _chunks(ckpt))
+    write_atomic(path, _chunks(ckpt))
 
 
 def load(path) -> Checkpoint:

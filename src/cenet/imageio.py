@@ -309,18 +309,18 @@ def decode_ppm(data: bytes) -> Image:
         if magic in (b"P1", b"P2", b"P3", b"P4", b"P5"):
             raise UnsupportedImageError(f"only binary PPM (P6) is supported, got {magic.decode('latin1')}")
         raise ImageParseError("missing P6 magic at byte offset 0")
-    fields = []
+    fields, starts = [], []
     for field_name in ("width", "height", "maxval"):
         token, pos = _ppm_token(data, pos)
+        starts.append(pos - len(token))
         try:
-            value = int(token)
+            fields.append(int(token))
         except ValueError:
-            raise ImageParseError(
-                f"invalid PPM {field_name} at byte offset {pos - len(token)}") from None
-        fields.append(value)
+            raise ImageParseError(f"invalid PPM {field_name} at byte offset {starts[-1]}") from None
     width, height, maxval = fields
-    if width <= 0 or height <= 0:
-        raise ImageParseError(f"non-positive PPM extents at byte offset {pos}")
+    for extent, start in zip((width, height), starts):
+        if extent <= 0:
+            raise ImageParseError(f"non-positive PPM extents at byte offset {start}")
     if maxval != 255:
         raise UnsupportedImageError(f"only maxval 255 PPM is supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval

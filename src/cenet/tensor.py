@@ -2,8 +2,10 @@
 
 Every tensor is an NCHW array of 32-bit floats (64-bit for verification
 runs), C-contiguous when built; a parameter may then be given another
-layout, as ``blocks.Conv`` gives its weight. Operators record themselves
-onto the active tape; ``backward`` replays the tape in reverse and
+layout, as ``blocks.Conv`` gives its weight. Four operators record
+themselves onto the active tape: ``conv2d``, ``maxpool2d``, ``attention``
+and ``l1_loss``. ``backward`` seeds an output's gradient, 1 for a scalar
+loss or a given array of its shape, replays the tape in reverse and
 accumulates gradients, each in its tensor's layout, into the tensors the
 tape did not produce: parameters and inputs. A tape lives
 for exactly one forward/backward pass and is confined to the thread that
@@ -252,38 +254,48 @@ def _run_rule(node: _TapeNode, upstream: np.ndarray):
             _accumulate(tensor, grad)
 
 
-def backward(loss: Tensor):
-    """Accumulate d(loss)/d(tensor) into every parameter and input of the
-    loss's tape: each tensor the tape used but did not produce.
+def backward(output: Tensor, grad=None):
+    """Accumulate the gradient of ``output`` into every parameter and input
+    of its tape: each tensor the tape used but did not produce.
 
-    The seed gradient is 1. Tensors feeding multiple consumers receive the
-    sum over all paths. The tape is consumed: a second call is an error.
+    ``grad``, an array of the output's shape, seeds the output's gradient,
+    so the call computes a vector-Jacobian product; it is copied into the
+    output's dtype, so the caller's array is never a tape gradient. Without
+    it the output must be a scalar loss, and the seed is 1. A PReLU
+    ``conv2d`` output is seeded on its twin. Tensors feeding multiple
+    consumers receive the sum over all paths. The tape is consumed: a
+    second call is an error.
 
     Once a node's rule has run, every consumer of its output has run
     before it, so nothing later reads the node, its saved arrays or its
     output's gradient. Each is released there: the output loses ``.grad``,
     the node releases its tensors and its list entry becomes ``None``. So
     a step's backward peaks near its forward, not at the sum of every
-    activation and every intermediate gradient. The loss keeps its node
-    and its gradient until the tape exits.
+    activation and every intermediate gradient. The seeded output keeps
+    its node and its gradient until the tape exits.
     """
-    node = loss.tape_node
+    node = output.tape_node
     if node is None:
         raise ContractError("backward() requires a loss recorded on an active tape")
-    if loss.data.size != 1:
-        raise ContractError(f"backward() requires a scalar loss, got shape {loss.shape}")
-    loss, tape = node.output, node.tape  # a PReLU conv2d's loss is seeded on its twin
+    if grad is None:
+        if output.size != 1:
+            raise ContractError(f"backward() requires a scalar loss, got shape {output.shape}")
+        grad = np.ones(output.shape)
+    elif np.shape(grad) != output.shape:
+        raise DimensionError(
+            f"backward() grad must have the output's shape {output.shape}, got {np.shape(grad)}")
+    seeded, tape = node.output, node.tape  # a PReLU conv2d's output is seeded on its twin
     if tape.consumed:
         raise ContractError("tape already consumed; build a new tape for another backward pass")
     tape.consumed = True
-    loss.grad = np.ones_like(loss.data)
+    seeded.grad = np.array(grad, dtype=seeded.dtype, order="C")
     nodes = tape.nodes
     for i in range(len(nodes) - 1, -1, -1):
         node = nodes[i]
         out = node.output
         if out.grad is not None:
             _run_rule(node, out.grad)
-        if out is not loss:
+        if out is not seeded:
             node.release()
             out.grad = nodes[i] = None
 
@@ -713,16 +725,3 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
         return g, None
 
     return _emit("l1_loss", out, (pred, target), backward_fn)
-
-
-def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
-    """Dot product with a constant weight array, as a scalar tensor."""
-    w = np.asarray(weights, dtype=x.dtype)
-    if w.shape != x.shape:
-        raise DimensionError(f"weighted_sum weights must match {x.shape}, got {w.shape}")
-    out = (x.data * w).sum().reshape(1, 1, 1, 1)
-
-    def backward_fn(up):
-        return (w * up.reshape(()),)
-
-    return _emit("weighted_sum", out, (x,), backward_fn)

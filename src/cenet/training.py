@@ -81,7 +81,7 @@ def restore(ckpt: Checkpoint, network: EnhancementNetwork,
 
 def _save_checkpoint(path: Path, network, optimizer, iteration, config):
     save(snapshot(network, optimizer, iteration), path)
-    write_atomic(f"{path}.cfg", format_config(config).encode())
+    write_atomic(f"{path}.cfg", (format_config(config).encode(),))
 
 
 def load_network(checkpoint) -> EnhancementNetwork:
@@ -102,7 +102,7 @@ def _reset_loss_log(path: Path, iteration: int):
     rows = path.read_text().splitlines(keepends=True)[1:] if iteration and path.exists() else []
     kept = [row for row in rows
             if row.endswith("\n") and int(row.split(",", 1)[0]) <= iteration]
-    write_atomic(path, ("iteration,lr,loss\n" + "".join(kept)).encode())
+    write_atomic(path, (("iteration,lr,loss\n" + "".join(kept)).encode(),))
 
 
 # glibc's mallopt parameters, and the largest block its heap serves; its

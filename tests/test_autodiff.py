@@ -3,6 +3,7 @@
 import ast
 import copy
 import gc
+import re
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -26,7 +27,6 @@ from cenet.tensor import (
     l1_loss,
     maxpool2d,
     op_census,
-    weighted_sum,
 )
 from cenet.verify import GradcheckResult, gradcheck, op_cases, op_names, run_op_suite
 
@@ -35,14 +35,9 @@ def t4(data, dtype=np.float32):
     return Tensor(np.asarray(data, dtype=dtype))
 
 
-def total(x):
-    """Sum of all elements, as a scalar tensor on the tape."""
-    return weighted_sum(x, np.ones(x.shape))
-
-
-def plus(a, b):
+def plus(a, b=None):
     """``a + b`` on the tape: a 1x1 identity convolution of ``a`` that adds
-    ``b`` as its skip."""
+    ``b`` as its skip; ``a`` itself, as a new tensor, without ``b``."""
     c = a.shape[1]
     return conv2d(a, t4(np.eye(c).reshape(c, c, 1, 1), a.dtype),
                   t4(np.zeros((1, c, 1, 1)), a.dtype), skip=b)
@@ -52,22 +47,20 @@ class TestBackward:
     def test_identity_chain(self):
         with Tape():
             x = t4(np.ones((1, 1, 1, 1)))
-            loss = total(x)
-            backward(loss)
+            backward(plus(x), np.ones(x.shape))
         assert x.grad.ravel()[0] == 1.0
 
     def test_sum_of_scaled(self):
         with Tape():
             x = t4(np.ones((1, 1, 2, 2)))
-            loss = weighted_sum(x, np.full(x.shape, 2.0))
-            backward(loss)
+            backward(plus(x), np.full(x.shape, 2.0))
         npt.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 2.0))
 
     def test_accumulation_over_two_consumers(self):
+        # y feeds the inner convolution and, as the skip, the outer one
         with Tape():
             y = t4(np.ones((1, 1, 2, 2)))
-            loss = plus(total(y), total(y))
-            backward(loss)
+            backward(plus(plus(y), y), np.ones(y.shape))
         npt.assert_array_equal(y.grad, np.full((1, 1, 2, 2), 2.0))
 
     def test_accumulation_matches_single_path_doubling(self):
@@ -75,27 +68,38 @@ class TestBackward:
         data = rng.uniform(-1, 1, (1, 2, 3, 3)).astype(np.float32)
         with Tape():
             y = Tensor(data.copy())
-            loss = plus(total(y), total(y))
-            backward(loss)
+            backward(plus(plus(y), y), np.ones(y.shape))
         with Tape():
             z = Tensor(data.copy())
-            loss2 = weighted_sum(z, np.full(z.shape, 2.0))
-            backward(loss2)
+            backward(plus(z), np.full(z.shape, 2.0))
         npt.assert_allclose(y.grad, z.grad, rtol=1e-6)
 
     def test_first_gradients_do_not_share_the_upstream_array(self):
-        # conv2d's backward hands its upstream array, here the loss's
-        # gradient, to its skip s; total(s) is recorded first, so it adds
-        # into s's gradient after the conv's rule set it
+        # conv2d's backward hands its upstream array, here the seeded
+        # output's gradient, to its skip s; plus(s) is recorded first, so it
+        # adds into s's gradient after the outer conv's rule set it
         with Tape():
             s = t4(np.ones((1, 1, 1, 1)))
-            first = total(s)
-            loss = plus(first, s)
-            backward(loss)
-            assert not np.shares_memory(s.grad, loss.grad)
-            npt.assert_array_equal(loss.grad, np.ones((1, 1, 1, 1)))
+            first = plus(s)
+            out = plus(first, s)
+            backward(out, np.ones(out.shape))
+            assert not np.shares_memory(s.grad, out.grad)
+            npt.assert_array_equal(out.grad, np.ones((1, 1, 1, 1)))
         npt.assert_array_equal(s.grad, np.full((1, 1, 1, 1), 2.0))
         assert first.grad is None  # released with its node once its rule ran
+
+    def test_the_callers_seed_never_becomes_a_tape_gradient(self):
+        # backward seeds a copy: changing the seed afterwards changes neither
+        # the output's gradient nor an input's
+        seed = np.full((1, 1, 2, 2), 3.0, np.float32)
+        with Tape():
+            x = t4(np.ones((1, 1, 2, 2)))
+            out = plus(x, x)
+            backward(out, seed)
+            assert not np.shares_memory(out.grad, seed) and out.grad.dtype == np.float32
+            seed[...] = 5.0
+            npt.assert_array_equal(out.grad, np.full(x.shape, 3.0))
+        npt.assert_array_equal(x.grad, np.full(x.shape, 6.0))
 
     def test_first_gradients_take_their_tensors_layout(self):
         # C order for inputs and for a weight given in C order; tap order,
@@ -104,7 +108,8 @@ class TestBackward:
         x, w = t4(rng.uniform(-1, 1, (2, 3, 5, 4))), t4(rng.uniform(-1, 1, (2, 3, 3, 3)))
         conv = Conv("c", 3, 2, 3, seed=0)
         with Tape():
-            backward(plus(total(conv2d(x, w, t4(np.zeros((1, 2, 1, 1))))), total(conv.forward(x))))
+            out = plus(conv2d(x, w, t4(np.zeros((1, 2, 1, 1)))), conv.forward(x))
+            backward(out, np.ones(out.shape))
         assert x.grad.flags.c_contiguous and w.grad.flags.c_contiguous
         assert conv.weight.data.transpose(2, 3, 0, 1).flags.c_contiguous
         assert conv.weight.grad.transpose(2, 3, 0, 1).flags.c_contiguous
@@ -142,21 +147,22 @@ class TestBackward:
         with Tape():
             x = t4(np.ones((1, 1, 2, 2)))
             y = plus(x, x)
-            with pytest.raises(ContractError):
+            with pytest.raises(ContractError, match=re.escape(
+                    "backward() requires a scalar loss, got shape (1, 1, 2, 2)")):
                 backward(y)
 
     def test_double_backward_rejected(self):
         with Tape():
             x = t4(np.ones((1, 1, 1, 1)))
-            loss = total(x)
-            backward(loss)
+            out = plus(x)
+            backward(out, np.ones(out.shape))
             with pytest.raises(ContractError):
-                backward(loss)
+                backward(out, np.ones(out.shape))
 
     def test_loss_without_tape_rejected(self):
-        loss = total(t4(np.ones((1, 1, 1, 1))))
+        out = plus(t4(np.ones((1, 1, 1, 1))))
         with pytest.raises(ContractError):
-            backward(loss)
+            backward(out, np.ones(out.shape))
 
     def test_tape_exited_out_of_order_is_an_error(self):
         outer, inner = Tape(), Tape()
@@ -410,7 +416,7 @@ class TestEvict:
         assert out.tape_node is None and tensor._recorded(out) is out
         assert out.data.flags.writeable and np.isfinite(out.data).all()
 
-    def test_a_prelu_output_as_the_loss_seeds_its_twin(self):
+    def test_a_prelu_output_as_the_loss_seeds_its_twin(self, prelu_conv, monkeypatch):
         # a 1x1 sum of three channels below zero, so the gain is the slope
         x = t4(np.array([-1.0, 0.5, -2.0]).reshape(1, 3, 1, 1))
         ones, zero, slope = t4(np.ones((1, 3, 1, 1))), t4(np.zeros((1, 1, 1, 1))), t4(
@@ -420,6 +426,29 @@ class TestEvict:
         npt.assert_array_equal(x.grad, np.full(x.shape, 0.25, np.float32))
         npt.assert_array_equal(slope.grad, np.full(slope.shape, -2.5, np.float32))
 
+        # seeded with an array, the output's twin takes the seed, and the
+        # gradients are those of the same output recorded without a twin
+        x, w, b, slope = prelu_conv
+        probe = np.random.default_rng(3).standard_normal((2, 4, 6, 5))
+
+        def seeded():
+            for t in prelu_conv:
+                t.grad = None
+            with Tape():
+                out = conv2d(x, w, b, slope)
+                recorded = tensor._recorded(out)
+                backward(out, probe)
+                npt.assert_array_equal(recorded.grad, probe.astype(np.float32))
+            return out, recorded, [t.grad for t in prelu_conv]
+
+        out, twin, grads = seeded()
+        assert twin is not out and out.grad is None
+        without_twins(monkeypatch)
+        out, recorded, twinless = seeded()
+        assert recorded is out
+        for got, want in zip(grads, twinless):
+            assert got.tobytes() == want.tobytes()
+
     def test_output_kept_past_its_tape_is_a_leaf_on_a_new_tape(self, prelu_conv):
         x, w, b, slope = prelu_conv
         with Tape():
@@ -428,7 +457,7 @@ class TestEvict:
         assert out.tape_node is None
         probe = np.random.default_rng(2).standard_normal(out.shape)
         with Tape():
-            backward(weighted_sum(out, probe))
+            backward(plus(out), probe)
             assert out.tape_node is None
         npt.assert_array_equal(out.grad, probe.astype(np.float32))
 
@@ -447,8 +476,8 @@ class TestBackwardRules:
         # constant windows: ties resolve to the first position, mass lands once
         with Tape():
             x = t4(np.zeros((1, 1, 4, 4)))
-            loss = total(maxpool2d(x))
-            backward(loss)
+            out = maxpool2d(x)
+            backward(out, np.ones(out.shape))
         windows = x.grad.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
         npt.assert_array_equal(windows.sum(axis=1), [1, 1, 1, 1])
         npt.assert_array_equal(windows[:, 0], [1, 1, 1, 1])  # first element wins the tie
@@ -458,8 +487,7 @@ class TestBackwardRules:
         with Tape():
             x = t4(rng.uniform(-1, 1, (2, 3, 6, 6)))
             out = maxpool2d(x)
-            loss = total(out)
-            backward(loss)
+            backward(out, np.ones(out.shape))
         assert x.grad.sum() == pytest.approx(out.size)
 
     def test_upsample_backward_sums_blocks(self):
@@ -468,8 +496,7 @@ class TestBackwardRules:
             x = t4(np.ones((1, 1, 2, 2)))
             picked = conv2d((x, t4(np.zeros((1, 1, 4, 4)))), t4([[[[1.0]], [[0.0]]]]),
                             t4(np.zeros((1, 1, 1, 1))))
-            loss = total(picked)
-            backward(loss)
+            backward(picked, np.ones(picked.shape))
         npt.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 4.0))
 
     def test_upsample_is_exact_adjoint(self):
@@ -485,8 +512,7 @@ class TestBackwardRules:
         fx = conv2d((Tensor(x_data), skip), w, b).data
         with Tape():
             x = Tensor(x_data)
-            loss = weighted_sum(conv2d((x, skip), w, b), y_data)
-            backward(loss)
+            backward(conv2d((x, skip), w, b), y_data)
         lhs = float((fx * y_data).sum())
         rhs = float((x_data * x.grad).sum())
         assert lhs == pytest.approx(rhs, rel=1e-4)
@@ -497,8 +523,8 @@ class TestBackwardRules:
             x = t4(np.ones((1, 1, 4, 4)))
             w = t4(np.zeros((2, 1, 3, 3)))
             b = t4(np.zeros((1, 2, 1, 1)))
-            loss = total(conv2d(x, w, b))
-            backward(loss)
+            out = conv2d(x, w, b)
+            backward(out, np.ones(out.shape))
         npt.assert_array_equal(b.grad.ravel(), [16.0, 16.0])
 
 
@@ -516,7 +542,7 @@ class TestGradcheckHarness:
     def test_rejects_float32_inputs(self):
         x = t4(np.ones((1, 1, 1, 1)))
         with pytest.raises(ContractError):
-            gradcheck(lambda: total(x), [x])
+            gradcheck(lambda: plus(x), [x])
 
     def test_reports_every_input(self):
         x = Tensor(np.ones((1, 1, 2, 2)))
@@ -595,9 +621,9 @@ class TestCensus:
             x = t4(np.ones((1, 1, 2, 2)))
             maxpool2d(x)
             maxpool2d(x)
-            total(x)
+            l1_loss(x, x)
         assert counts["maxpool2d"] == 2
-        assert counts["weighted_sum"] == 1
+        assert counts["l1_loss"] == 1
         assert "conv2d" not in counts
 
 
@@ -624,9 +650,8 @@ class TestOpCoverage:
 
     def test_every_recorded_op_has_a_caller_besides_the_checker(self):
         # an op only its gradcheck case calls is dead code, so every module
-        # is read but verify.op_cases (gradcheck's scalarizer counts); bare
-        # names only, so that np.matmul or a .reshape() call cannot stand in
-        # for an op
+        # is read but verify.op_cases; bare names only, so that np.matmul or
+        # a .reshape() call cannot stand in for an op
         sources = package_sources()
         sources["verify.py"].body = [node for node in sources["verify.py"].body
                                      if getattr(node, "name", None) != "op_cases"]

@@ -26,7 +26,6 @@ from cenet.tensor import (
     conv2d,
     maxpool2d,
     op_census,
-    weighted_sum,
 )
 from cenet.verify import _float64
 
@@ -220,7 +219,7 @@ class TestNonLocalBlock:
             p.data = rng.uniform(-0.5, 0.5, p.shape)
         x = Tensor(rng.uniform(-1, 1, (1, 6, 5, 5)))
         with Tape():
-            backward(weighted_sum(block.forward(x), rng.standard_normal(x.shape)))
+            backward(block.forward(x), rng.standard_normal(x.shape))
         largest = max(np.abs(p.grad).max() for p in block.parameters())
         assert np.abs(block.key.bias.grad).max() < 1e-12 * largest
         assert np.abs(block.query.bias.grad).max() > 1e-3 * largest  # the query bias does learn
@@ -258,7 +257,7 @@ class TestNonLocalMemory:
 
         def step():
             with Tape():
-                backward(weighted_sum(block.forward(z), np.ones(z.shape)))
+                backward(block.forward(z), np.ones(z.shape))
 
         assert traced_peak_bytes(step) < self.BOUND
         assert all(p.grad is not None for p in block.parameters())

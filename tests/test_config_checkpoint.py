@@ -301,7 +301,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(checkpoint.os, "fsync", record_fsync)
         monkeypatch.setattr(checkpoint.os, "replace", record_replace)
-        write_atomic(path, b"payload")
+        write_atomic(path, (b"payload",))
         # the temp file's inode is the new file's after the rename
         assert events == [("fsync", path.stat().st_ino),
                           ("replace", str(path)),
@@ -434,7 +434,7 @@ class TestCodec:
             deserialize(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_write_atomic_concatenates_chunks(self, tmp_path):
-        write_atomic(tmp_path / "f", b"a", b"b")
+        write_atomic(tmp_path / "f", (b"a", b"b"))
         assert (tmp_path / "f").read_bytes() == b"ab"
 
     def test_save_and_load_do_not_copy_the_checkpoint(self, tmp_path):

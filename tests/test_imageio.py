@@ -358,9 +358,10 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("blob,message", [
         (b"PX 1 1 255\n\0\0\0", "missing P6 magic at byte offset 0"),
-        (b"P6 0 1 255\n", r"non-positive PPM extents at byte offset \d+"),
-        (b"P6 1 -2 255\n", r"non-positive PPM extents at byte offset \d+"),
-    ], ids=["magic", "zero-width", "negative-height"])
+        (b"P6 0 1 255\n", "non-positive PPM extents at byte offset 3"),
+        (b"P6 1 -2 255\n", "non-positive PPM extents at byte offset 5"),
+        (b"P6\n# c 1\n2 0 255\n", "non-positive PPM extents at byte offset 11"),
+    ], ids=["magic", "zero-width", "negative-height", "after-comment"])
     def test_ppm_names_the_fault(self, blob, message):
         with pytest.raises(ImageParseError, match=f"^{message}$"):
             decode_ppm(blob)

@@ -21,7 +21,6 @@ from cenet.tensor import (
     conv2d,
     l1_loss,
     maxpool2d,
-    weighted_sum,
 )
 from cenet.verify import gradcheck
 
@@ -55,12 +54,18 @@ class TestTensor:
         (lambda: conv2d(t4(np.zeros((1, 1, 4, 4))), t4(np.zeros((1, 1, 3, 3))),
                         t4(np.zeros((1, 2, 1, 1)))), DimensionError,
          "conv2d bias must have shape (1, 1, 1, 1), got (1, 2, 1, 1)"),
-        (lambda: weighted_sum(t4(np.zeros((1, 1, 2, 2))), np.ones((1, 1, 2, 1))),
-         DimensionError, "weighted_sum weights must match (1, 1, 2, 2), got (1, 1, 2, 1)"),
-    ], ids=["not-4d", "item-of-many", "non-square-kernel", "bias-shape", "weighted-sum-shape"])
+        (lambda: seed_backward(np.ones((1, 1, 2, 1))), DimensionError,
+         "backward() grad must have the output's shape (1, 1, 2, 2), got (1, 1, 2, 1)"),
+    ], ids=["not-4d", "item-of-many", "non-square-kernel", "bias-shape", "seed-shape"])
     def test_contract_violation_is_named(self, make, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make()
+
+
+def seed_backward(grad):
+    """Seed ``backward`` with ``grad`` on a taped (1, 1, 2, 2) maxpool output."""
+    with Tape():
+        backward(maxpool2d(t4(np.zeros((1, 1, 4, 4)))), grad)
 
 
 def taped_grads(op, inputs, probe):
@@ -69,7 +74,7 @@ def taped_grads(op, inputs, probe):
         t.grad = None
     with Tape():
         out = op()
-        backward(weighted_sum(out, probe))
+        backward(out, probe)
     return [out.data] + [t.grad for t in inputs]
 
 
@@ -538,7 +543,7 @@ class TestMaxpool2d:
         with Tape():
             xt = t4(x)
             out = maxpool2d(xt)
-            backward(weighted_sum(out, up.reshape(out.shape)))
+            backward(out, up.reshape(out.shape))
         want = windows[np.arange(8), first]
         assert out.data.ravel().tobytes() == want.tobytes()
         routed = np.zeros_like(windows)
@@ -555,7 +560,7 @@ class TestMaxpool2d:
         up[0, 0, 0, :2] = [-0.0, -1e-45]
         with Tape():
             out = maxpool2d(x)
-            backward(weighted_sum(out, up))
+            backward(out, up)
         windows = x.data.reshape(1, 2, 2, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
         want = np.zeros_like(windows)
         want[np.arange(len(windows)), windows.argmax(axis=1)] = up.ravel()
@@ -595,7 +600,7 @@ class TestUpsample:
         up = rng.standard_normal((n, c, 2 * h, 2 * w)).astype(dtype)
         with Tape():
             out = read_upsampled(x)
-            backward(weighted_sum(out, up))
+            backward(out, up)
         assert out.data.tobytes() == x.data.repeat(2, axis=2).repeat(2, axis=3).tobytes()
         block_sum = up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
         assert x.grad.dtype == dtype and x.grad.tobytes() == block_sum.tobytes()
@@ -605,7 +610,7 @@ def input_gradients(op, inputs, probe):
     for t in inputs:
         t.grad = None
     with Tape():
-        backward(weighted_sum(op(*inputs), probe))
+        backward(op(*inputs), probe)
     return [t.grad for t in inputs]
 
 
@@ -710,10 +715,10 @@ class TestAttention:
             attention(q, k, v)
             forward = tracemalloc.get_traced_memory()[1]
             with Tape():
-                loss = weighted_sum(attention(q, k, v), probe)
+                out = attention(q, k, v)
                 tracemalloc.reset_peak()
                 held = tracemalloc.get_traced_memory()[0]
-                backward(loss)
+                backward(out, probe)
                 backward_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()

@@ -488,7 +488,7 @@ class TestCli:
         assert cli.main(["gradcheck", "--trials", "1"]) == 0
         out = capsys.readouterr().out
         # every op and block type appears exactly once in the report
-        for name in ("conv2d", "maxpool2d", "attention", "l1_loss", "weighted_sum",
+        for name in ("conv2d", "maxpool2d", "attention", "l1_loss",
                      "basic_block", "dense_residual_block", "nonlocal_block", "network"):
             assert sum(line.split()[0] == name for line in out.splitlines()) == 1, name
 
