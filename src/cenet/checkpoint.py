@@ -9,8 +9,10 @@ Layout, little-endian throughout:
         optimizer step count u64 | record count u32 | records as above
     crc32 u32 of all preceding bytes
 
-Round-trips are bit-exact, and a CRC mismatch or truncation is a
-corruption error. This module knows only the file format: checking the
+Round-trips are bit-exact. A malformed file raises ``CheckpointError``:
+a CRC mismatch or a truncation, and past a valid CRC a record whose name
+is not UTF-8 or whose dims numpy cannot hold, named by the record's byte
+offset. This module knows only the file format: checking the
 records against a network's parameter census is ``training.restore``'s
 job. Saving writes a C-contiguous float32 array's own buffer and converts
 any other a few rows at a time as the file is written; a loaded
@@ -107,14 +109,23 @@ class _Reader:
 def _unpack_records(reader: _Reader, count: int) -> dict[str, np.ndarray]:
     tensors = {}
     for _ in range(count):
+        offset = reader.pos
         name_len = reader.read("<I", "record name length")
-        name = str(reader.take(name_len, "record name"), "utf-8")
+        try:
+            name = str(reader.take(name_len, "record name"), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"record name at offset {offset} is not UTF-8") from None
         if name in tensors:
             raise CheckpointError(f"duplicate record {name!r}")
         ndim = reader.read("<B", "record ndim")
         dims = tuple(reader.read("<Q", "record dim") for _ in range(ndim))
         raw = reader.take(4 * math.prod(dims), f"values of {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
+        try:  # over 64 dims, or zero values in more elements than numpy can index
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"record {name!r} at offset {offset}: numpy cannot hold its {ndim} dims "
+                f"({exc})") from None
     return tensors
 
 

@@ -84,6 +84,23 @@ def _save_checkpoint(path: Path, network, optimizer, iteration, config):
     write_atomic(f"{path}.cfg", (format_config(config).encode(),))
 
 
+def _warn_of_config_changes(config: RunConfig, checkpoint):
+    """Log a warning for each config key whose value differs from the one
+    in ``checkpoint``'s ``.cfg`` sidecar (old -> new), or one warning when
+    there is no sidecar. Through the logger, not ``echo``: ``train`` echoes
+    exactly one line per logged loss row."""
+    sidecar = Path(f"{checkpoint}.cfg")
+    if not sidecar.is_file():
+        log.warning("%s is missing, so the config changes of this resume are unknown", sidecar)
+        return
+    old, new = (dict(line.partition(" = ")[::2] for line in text.splitlines())
+                for text in (sidecar.read_text(errors="replace"), format_config(config)))
+    for key in dict.fromkeys([*new, *old]):
+        if old.get(key) != new.get(key):
+            log.warning("resume changes %s: %s -> %s", key, old.get(key, "(unset)"),
+                        new.get(key, "(unset)"))
+
+
 def load_network(checkpoint) -> EnhancementNetwork:
     """The network saved in ``checkpoint``, its architecture read off the records."""
     ckpt = load(checkpoint)
@@ -135,7 +152,10 @@ def _keep_freed_memory():
 def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
     """Run (or continue) a training run; returns the final checkpoint path.
 
-    The process's malloc keeps freed memory from then on
+    A resume continues whatever the config says, warning of each key that
+    differs from the checkpoint's sidecar (``_warn_of_config_changes``).
+    ``echo``, when given, is called exactly once per logged loss row. The
+    process's malloc keeps freed memory from then on
     (``_keep_freed_memory``)."""
     config.validate()
     _keep_freed_memory()
@@ -153,6 +173,7 @@ def train(config: RunConfig, resume=None, echo=None) -> TrainResult:
     if resume is not None:
         ckpt = load(resume)
         restore(ckpt, network, optimizer)
+        _warn_of_config_changes(config, resume)
         start = ckpt.iteration
         del ckpt  # its arrays are views of the whole file
         if start >= config.schedule.total_iters:

@@ -421,10 +421,40 @@ class TestCodec:
         (resealed(ONE_RECORD + bytes(2)), "2 unexpected trailing bytes at offset 47"),
         (resealed(ONE_RECORD[:-6]),
          "truncated checkpoint: needed 12 bytes for values of 'w' at offset 34"),
-    ], ids=["too-short", "version", "trailing-bytes", "truncated-record"])
+        (resealed(ONE_RECORD[:24] + b"\xff" + ONE_RECORD[25:]),
+         "record name at offset 20 is not UTF-8"),
+        (resealed(ONE_RECORD[:20] + struct.pack("<I1sB65Q", 1, b"w", 65, *[1] * 65)
+                  + bytes(4) + ONE_RECORD[46:]),
+         r"record 'w' at offset 20: numpy cannot hold its 65 dims \(.*64.*\)"),
+        (resealed(ONE_RECORD[:20] + struct.pack("<I1sB3Q", 1, b"w", 3, 0, 2 ** 62, 2 ** 62)
+                  + ONE_RECORD[46:]),
+         r"record 'w' at offset 20: numpy cannot hold its 3 dims \(.*too big.*\)"),
+    ], ids=["too-short", "version", "trailing-bytes", "truncated-record", "name-not-utf8",
+            "65-dims", "too-many-elements"])
     def test_malformed_file_is_named(self, blob, message):
         with pytest.raises(CheckpointError, match=f"^{message}$"):
             deserialize(blob)
+
+    def test_mutants_raise_only_checkpoint_errors(self):
+        # 400 seeded mutants of a checkpoint with optimizer state, resealed so
+        # that the parser past the CRC sees them: 1-3 bytes XORed with a
+        # random nonzero byte, and in every fourth the tail cut off too
+        body = bytearray(serialize(fixed_checkpoint(True))[:-4])
+        rng = np.random.default_rng(36)
+        escapes = []
+        for trial in range(400):
+            mutant = body.copy()
+            for pos in rng.integers(len(mutant), size=rng.integers(1, 4)):
+                mutant[pos] ^= int(rng.integers(1, 256))
+            if trial % 4 == 0:
+                del mutant[rng.integers(len(mutant)):]
+            try:
+                deserialize(resealed(bytes(mutant)))
+            except CheckpointError:
+                pass
+            except Exception as exc:  # any other type is the failure
+                escapes.append((trial, type(exc).__name__, str(exc)[:80]))
+        assert escapes == []
 
     def test_duplicate_record_rejected(self):
         blob = serialize(Checkpoint(1, {"w": np.zeros(2, np.float32),

@@ -172,6 +172,26 @@ class TestConv2d:
         assert len(result.per_input) == len(widths) + 2
         assert result.max_rel_error < 1e-6
 
+    def test_each_band_is_one_read_only_view_of_its_slab(self, monkeypatch):
+        # with no byte budget, the taps' 648 bytes set 3 rows of 288 bytes a
+        # band: 5 rows in bands of 2 and 3
+        monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", 0)
+        k, h, w = 3, 5, 4
+        rng = np.random.default_rng(3)
+        xs = [rng.uniform(-1, 1, (2, c, h, w)) for c in (2, 1)]
+        padded = np.pad(np.concatenate(xs, axis=1), ((0, 0), (0, 0), (1, 1), (1, 1)))
+        bands = list(tensor._bands(xs, 3, k))
+        assert [(i, r0, r1) for i, r0, r1, _ in bands] == [(0, 0, 2), (0, 2, 5),
+                                                          (1, 0, 2), (1, 2, 5)]
+        for i, r0, r1, windows in bands:
+            assert windows.shape == (k, k, 3, (r1 - r0) * (w + 2))
+            for dy in range(k):
+                for dx in range(k):
+                    rows = windows[dy, dx].reshape(3, r1 - r0, w + 2)[..., :w]
+                    npt.assert_array_equal(rows, padded[i, :, r0 + dy:r1 + dy, dx:dx + w])
+            with pytest.raises(ValueError, match="read-only"):
+                windows[1, 1, 0, 0] = 0
+
     @pytest.mark.parametrize("k,widths", [(3, (3, 5)), (1, (2, 1, 4)), (5, (1, 6))])
     def test_tuple_is_bitwise_its_concatenation(self, monkeypatch, k, widths):
         # float32 and ragged bands: the tuple and the concatenation run the

@@ -1,5 +1,6 @@
 """End-to-end training, persistence, inference, and CLI behavior."""
 
+import logging
 import os
 import platform
 import re
@@ -164,6 +165,42 @@ class TestTraining:
         resumed = load(tmp_path / "run" / "checkpoint_final.ckpt")
         for name, arr in final.tensors.items():
             npt.assert_array_equal(arr, resumed.tensors[name])
+
+    def test_resume_warns_of_each_changed_config_key(self, dataset, tmp_path, caplog):
+        config = tiny_config(dataset, tmp_path / "run", iters=10)
+        config.checkpoint_every = 5
+        train(config)
+        config.schedule.initial_lr = 2e-3
+        with caplog.at_level(logging.WARNING, logger="cenet.training"):
+            train(config, resume=tmp_path / "run" / "checkpoint_00000005.ckpt")
+        assert caplog.messages == ["resume changes lr: 0.001 -> 0.002"]
+
+        caplog.clear()
+        (tmp_path / "run" / "checkpoint_00000005.ckpt.cfg").unlink()
+        with caplog.at_level(logging.WARNING, logger="cenet.training"):
+            train(config, resume=tmp_path / "run" / "checkpoint_00000005.ckpt")
+        assert len(caplog.messages) == 1
+        assert "checkpoint_00000005.ckpt.cfg is missing" in caplog.messages[0]
+
+    def test_echo_is_called_once_per_logged_loss_row(self, dataset, tmp_path, caplog):
+        # perfbench's train-desk workload counts each echo call as one op
+        config = tiny_config(dataset, tmp_path / "run", iters=12)
+        config.checkpoint_every = 10
+        calls = []
+        fresh = train(config, echo=calls.append)
+        assert calls == [f"iter {it}/12  lr {lr:.3g}  loss {loss:.6f}"
+                         for it, lr, loss in fresh.loss_rows]
+        assert [it for it, _, _ in fresh.loss_rows] == [5, 10, 12]
+
+        calls.clear()
+        config.log_every = 1  # a changed key: the resume logs a warning, not an echo
+        with caplog.at_level(logging.WARNING, logger="cenet.training"):
+            resumed = train(config, resume=tmp_path / "run" / "checkpoint_00000010.ckpt",
+                            echo=calls.append)
+        assert caplog.messages == ["resume changes log_every: 5 -> 1"]
+        assert calls == [f"iter {it}/12  lr {lr:.3g}  loss {loss:.6f}"
+                         for it, lr, loss in resumed.loss_rows]
+        assert [it for it, _, _ in resumed.loss_rows] == [11, 12]
 
     def test_resume_from_a_finished_run_is_an_error(self, dataset, tmp_path):
         config = tiny_config(dataset, tmp_path / "run", iters=5)
