@@ -1,6 +1,7 @@
 """Command-line entry point: train, infer, eval, gradcheck, ablate."""
 
 import argparse
+import logging
 import statistics
 import sys
 import time
@@ -19,6 +20,14 @@ from .verify import format_report, op_names, run_full_suite
 # ValueError covers the config, image-parse and dimension errors, which subclass it.
 _EXPECTED_ERRORS = (CheckpointError, DatasetError, PairError, TrainingError, ContractError,
                     ValueError, OSError, MemoryError)
+
+
+class _LevelPrefixed(logging.Formatter):
+    """A log record as ``<level>: <message>``, the form of the CLI's own
+    ``error: ...`` lines."""
+
+    def format(self, record):
+        return f"{record.levelname.lower()}: {super().format(record)}"
 
 
 def _cmd_train(args) -> int:
@@ -128,6 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the package's warnings go to stderr, prefixed, for this command only
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LevelPrefixed())
+    package_log = logging.getLogger("cenet")
+    package_log.addHandler(handler)
     try:
         return args.func(args)
     except _EXPECTED_ERRORS as exc:
@@ -138,6 +152,8 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_log.removeHandler(handler)
 
 
 if __name__ == "__main__":

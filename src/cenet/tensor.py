@@ -329,7 +329,7 @@ def _fill_upsampled(dst: np.ndarray, x: np.ndarray, lo: int):
             dst[:, j::2, phase::2] = src
 
 
-def _bands(xs: list[np.ndarray], cout: int, k: int):
+def _bands(xs: list[np.ndarray], cout: int, k: int, by_rows: bool = False):
     """Walk the output of a stride-1 "same" convolution of ``xs`` band by band.
 
     Yields (image, first row, end row, windows) per band of output rows.
@@ -338,16 +338,22 @@ def _bands(xs: list[np.ndarray], cout: int, k: int):
     outside the image, padded by p columns on each side and by one zero
     row below. An input with half the output's extents fills its channels
     with the rows of its nearest 2x upsample. ``windows`` is one read-only
-    (k, k, Cin, rows * (W + 2p)) view of the slab, each channel read flat:
-    ``windows[dy, dx]`` starts dy rows and dx columns in, so it holds the
-    band's output rows at the slab's pitch, as tap (dy, dx) reads them,
-    whose last 2p columns per row fall over the padding. A band holds
-    about ``_CONV_BAND_BYTES`` of input and output rows, every input
-    counted at the output's width, or as many rows as the taps' bytes when
-    those are larger, so that deep layers stream their taps once per band
-    of about their own size, not once per few rows. The H rows are split
-    into round(H / that many rows) bands of equal height, give or take a
-    row, so no band is a sliver.
+    view of the slab. By default the slab is channel-major, (Cin, rows +
+    2p + 1, W + 2p), and ``windows`` is (k, k, Cin, rows * (W + 2p)), each
+    channel read flat: ``windows[dy, dx]`` starts dy rows and dx columns
+    in, so it holds the band's output rows at the slab's pitch, as tap (dy,
+    dx) reads them, whose last 2p columns per row fall over the padding.
+    ``by_rows`` interleaves the slab's rows, (rows + 2p + 1, Cin, W + 2p),
+    filled through its channel-major transpose: the k kernel rows of all
+    Cin channels then sit at one stride, and ``windows`` is (k, rows, k *
+    Cin, W), ``windows[dx][r]`` the (dy, channel) rows that output row r
+    reads at tap column dx, W columns each. A band holds about
+    ``_CONV_BAND_BYTES`` of input and output rows, every input counted at
+    the output's width, or as many rows as the taps' bytes when those are
+    larger, so that deep layers stream their taps once per band of about
+    their own size, not once per few rows. The H rows are split into
+    round(H / that many rows) bands of equal height, give or take a row,
+    so no band is a sliver.
     """
     n, h, w = _extents(xs)
     p = k // 2
@@ -361,8 +367,10 @@ def _bands(xs: list[np.ndarray], cout: int, k: int):
         for j in range(count):
             r0, r1 = h * j // count, h * (j + 1) // count
             lo, hi = max(r0 - p, 0), min(r1 + p, h)
-            slab = np.zeros((cin, r1 - r0 + 2 * p + 1, wp), dtype=xs[0].dtype)
-            filled = slab[:, lo - r0 + p:hi - r0 + p, p:p + w]
+            height = r1 - r0 + 2 * p + 1
+            slab = np.zeros((height, cin, wp) if by_rows else (cin, height, wp), dtype=xs[0].dtype)
+            channels = slab.transpose(1, 0, 2) if by_rows else slab
+            filled = channels[:, lo - r0 + p:hi - r0 + p, p:p + w]
             c0 = 0
             for x in xs:
                 dst = filled[c0:c0 + x.shape[1]]
@@ -371,9 +379,12 @@ def _bands(xs: list[np.ndarray], cout: int, k: int):
                     dst[...] = x[i, :, lo:hi]
                 else:
                     _fill_upsampled(dst, x[i], lo)
-            step = slab.itemsize
-            windows = np.ndarray((k, k, cin, (r1 - r0) * wp), slab.dtype, slab, 0,
-                                 (wp * step, step, slab.strides[0], step))
+            step, outer = slab.itemsize, slab.strides[0]
+            if by_rows:
+                shape, strides = (k, r1 - r0, k * cin, w), (step, outer, wp * step, step)
+            else:
+                shape, strides = (k, k, cin, (r1 - r0) * wp), (wp * step, step, outer, step)
+            windows = np.ndarray(shape, slab.dtype, slab, 0, strides)
             windows.flags.writeable = False
             yield i, r0, r1, windows
 
@@ -402,29 +413,45 @@ def _prelu_grads(pre: np.ndarray, slope: np.ndarray, up: np.ndarray):
     return _prelu_gain(neg, slope) * up, d_slope
 
 
+def _by_rows(taps: np.ndarray) -> bool:
+    """Whether ``_same_conv`` runs the (k*k, Cout, Cin) ``taps`` on
+    row-interleaved slabs: for k > 1 when they fit ``_CONV_BAND_BYTES``.
+    Larger taps would be re-packed by each output row's GEMM."""
+    return len(taps) > 1 and taps.nbytes <= _CONV_BAND_BYTES
+
+
 def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=None,
                pre=None, skip=None) -> np.ndarray:
     """Stride-1 "same" convolution of the channel concatenation of ``xs``.
 
     ``xs`` are (N, Cin_j, H, W) arrays, or (N, Cin_j, H/2, W/2) ones read
     as their nearest 2x upsample, and ``taps`` the (k*k, Cout, Cin) tap
-    matrices. Per band of output rows, each tap is one GEMM with its
-    window of the band's slab, summed into the band's accumulator, whose
-    columns over the padding are computed and dropped. While the band is in
-    cache, the accumulator gets the (Cout, 1) ``bias`` added, is copied into
-    ``pre`` when that is given, and is scaled in place by the PReLU of
-    the (Cout, 1) ``slope``; the band's rows of the output-shaped ``skip``
-    are then added as the rows are written out.
+    matrices. Where ``_by_rows`` holds, the band's slab is row-interleaved
+    and each tap column dx is one (Cout, k*Cin) matrix: one batched GEMM
+    with the band's (rows, k*Cin, W) window gives every output row of that
+    column, k GEMMs per band with K = k*Cin. Otherwise (1x1 kernels, deep
+    layers) each tap is one GEMM with its window of the channel-major slab,
+    k² GEMMs per band with K = Cin, whose columns over the padding are
+    computed and dropped. Each GEMM is summed into the band's accumulator.
+    While the band is in cache, the accumulator gets the (Cout, 1) ``bias``
+    added, is copied into ``pre`` when that is given, and is scaled in place
+    by the PReLU of the (Cout, 1) ``slope``; the band's rows of the
+    output-shaped ``skip`` are then added as the rows are written out.
     """
     n, h, w = _extents(xs)
-    cout = taps.shape[1]
+    cout, cin = taps.shape[1:]
+    by_rows = _by_rows(taps)
+    if by_rows:  # tap column dx, its (dy, channel) pairs in the slab's row order
+        taps = taps.reshape(k, k, cout, cin).transpose(1, 2, 0, 3).reshape(k, cout, k * cin)
     out = np.empty((n, cout, h, w), dtype=xs[0].dtype)
-    for i, r0, r1, windows in _bands(xs, cout, k):
-        acc = np.zeros((cout, windows.shape[-1]), dtype=out.dtype)
+    for i, r0, r1, windows in _bands(xs, cout, k, by_rows):
+        shape = (r1 - r0, cout, w) if by_rows else (cout, windows.shape[-1])
+        acc = np.zeros(shape, dtype=out.dtype)
         part = np.empty_like(acc)
-        for tap, window in zip(taps, itertools.chain.from_iterable(windows)):
+        operands = windows if by_rows else itertools.chain.from_iterable(windows)
+        for tap, window in zip(taps, operands):
             acc += np.matmul(tap, window, out=part)
-        rows = acc.reshape(cout, r1 - r0, -1)[:, :, :w]
+        rows = acc.transpose(1, 0, 2) if by_rows else acc.reshape(cout, r1 - r0, -1)[:, :, :w]
         if bias is not None:
             acc += bias
         if pre is not None:
@@ -471,7 +498,11 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
     and padding only its own input rows, so no padded copy, upsample or
     concatenation of the inputs exists whole and the tape keeps only the
     inputs themselves; the backward reads the recorded inputs' values
-    through ``_values``, so a twin is rebuilt there. The GEMMs read the
+    through ``_values``, so a twin is rebuilt there. A kernel larger than
+    1x1 whose taps fit ``_CONV_BAND_BYTES`` runs on row-interleaved slabs,
+    k GEMMs with K = k*Cin per band; any other on channel-major ones, k²
+    GEMMs with K = Cin (``_same_conv``). The two sum in different orders,
+    so their float32 results differ in the last bits. The GEMMs read the
     weight as (k, k, Cout, Cin) tap matrices: a weight held in that order
     (``blocks.Conv``'s) is read and kept on the tape as it is, any other is
     copied into it. The backward rule yields a gradient for each input, the

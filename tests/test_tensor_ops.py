@@ -22,7 +22,7 @@ from cenet.tensor import (
     l1_loss,
     maxpool2d,
 )
-from cenet.verify import gradcheck
+from cenet.verify import _bias_off_the_kink, gradcheck
 
 from reference import (attention_grads_naive, attention_naive, conv2d_grads_naive, conv2d_naive,
                        maxpool2d_naive, prelu_ref)
@@ -144,32 +144,93 @@ class TestConv2d:
         (1, 3, (2, 2, 1), 1, 3),
     ])
     def test_row_bands_of_several_inputs(self, monkeypatch, n, k, widths, cout, rows):
-        # 7 rows in round(7 / rows) bands of equal height, give or take a row
+        # 7 rows in round(7 / rows) bands of equal height, give or take a
+        # row, on either slab layout, whatever the rule would pick; a loop,
+        # not a parameter, so the cases keep their names
         h, w = 7, 9
         cin = sum(widths)
         monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", rows * (cin + cout) * (w + k - 1) * 8)
-        heights = []
         bands = tensor._bands
-
-        def recorded_bands(xs, cout, k):
-            for band in bands(xs, cout, k):
-                heights.append(band[2] - band[1])
-                yield band
-
-        monkeypatch.setattr(tensor, "_bands", recorded_bands)
         rng = np.random.default_rng(len(widths) * 10 + k)
         xs = [Tensor(rng.uniform(-1, 1, (n, c, h, w))) for c in widths]
         wt, b = (Tensor(rng.uniform(-1, 1, shape))
                  for shape in ((cout, cin, k, k), (1, cout, 1, 1)))
-        out = conv2d(tuple(xs), wt, b)
-        # one slab per band, holding every input's rows
-        assert heights == {1: [1] * 7, 2: [1, 2, 2, 2], 3: [3, 4]}[rows] * n
         whole = np.concatenate([x.data for x in xs], axis=1)
-        npt.assert_allclose(out.data, conv2d_naive(whole, wt.data, b.data, 1, k // 2),
-                            rtol=1e-12, atol=1e-12)
-        result = gradcheck(lambda: conv2d(tuple(xs), wt, b), [*xs, wt, b], rng=rng,
+        for by_rows in (False, True):
+            heights, layouts = [], []
+
+            def recorded_bands(xs, cout, k, layout=False):
+                layouts.append(layout)
+                for band in bands(xs, cout, k, layout):
+                    heights.append(band[2] - band[1])
+                    yield band
+
+            monkeypatch.setattr(tensor, "_bands", recorded_bands)
+            monkeypatch.setattr(tensor, "_by_rows", lambda taps: by_rows)
+            out = conv2d(tuple(xs), wt, b)
+            # one slab per band, holding every input's rows
+            assert layouts == [by_rows]
+            assert heights == {1: [1] * 7, 2: [1, 2, 2, 2], 3: [3, 4]}[rows] * n
+            npt.assert_allclose(out.data, conv2d_naive(whole, wt.data, b.data, 1, k // 2),
+                                rtol=1e-12, atol=1e-12)
+            layouts.clear()
+            result = gradcheck(lambda: conv2d(tuple(xs), wt, b), [*xs, wt, b], rng=rng,
+                               name="conv2d")
+            # its taped forward, then the input gradient's convolution in the
+            # same layout and the weight gradient's channel-major bands
+            assert layouts[:3] == [by_rows, by_rows, False]
+            assert len(result.per_input) == len(widths) + 2
+            assert result.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("budget", ["default", "below-the-taps"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_both_layouts_match_the_oracles(self, monkeypatch, k, budget):
+        # a decoder join (a half-extent input, then a full one) with a PReLU
+        # and a skip; its taps fit the default band budget, so k > 1 runs on
+        # row-interleaved slabs, and a budget one byte below the taps' runs
+        # every k channel-major, as 1x1 kernels always do
+        n, h, w, cout, widths = 2, 6, 8, 3, (2, 3)
+        cin = sum(widths)
+        if budget == "below-the-taps":
+            monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", k * k * cout * cin * 8 - 1)
+        layouts = []
+        bands = tensor._bands
+
+        def recorded_bands(xs, cout, k, by_rows=False):
+            layouts.append(by_rows)
+            return bands(xs, cout, k, by_rows)
+
+        monkeypatch.setattr(tensor, "_bands", recorded_bands)
+        rng = np.random.default_rng(k)
+        coarse = Tensor(rng.uniform(-1, 1, (n, widths[0], h // 2, w // 2)))
+        full = Tensor(rng.uniform(-1, 1, (n, widths[1], h, w)))
+        wt, slope, skip = (Tensor(rng.uniform(-1, 1, shape)) for shape in (
+            (cout, cin, k, k), (1, cout, 1, 1), (n, cout, h, w)))
+        whole = np.concatenate([coarse.data.repeat(2, axis=2).repeat(2, axis=3), full.data],
+                               axis=1)
+        b = Tensor(_bias_off_the_kink(conv2d_naive(whole, wt.data, np.zeros(cout), 1, k // 2)))
+        inputs = [coarse, full, wt, b, slope, skip]
+        probe = rng.standard_normal((n, cout, h, w))
+        out, *grads = taped_grads(lambda: conv2d((coarse, full), wt, b, slope, skip), inputs,
+                                  probe)
+        by_rows = k > 1 and budget == "default"
+        # the forward, the input gradient, then the weight gradient's bands
+        assert layouts == [by_rows, by_rows, False]
+
+        pre = conv2d_naive(whole, wt.data, b.data, 1, k // 2)
+        npt.assert_allclose(out, prelu_ref(pre, slope.data) + skip.data, rtol=1e-12, atol=1e-12)
+        neg = pre < 0
+        d_pre = np.where(neg, slope.data, 1.0) * probe
+        d_x, d_w = conv2d_grads_naive(whole, wt.data, d_pre, k // 2)
+        d_coarse, d_full = np.split(d_x, [widths[0]], axis=1)
+        want = [d_coarse.reshape(n, -1, h // 2, 2, w // 2, 2).sum(axis=(3, 5)), d_full, d_w,
+                d_pre.sum(axis=(0, 2, 3)).reshape(b.shape),
+                (neg * pre * probe).sum(axis=(0, 2, 3)).reshape(slope.shape), probe]
+        assert len(grads) == len(want)
+        for got, ref in zip(grads, want):
+            npt.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+        result = gradcheck(lambda: conv2d((coarse, full), wt, b, slope, skip), inputs, rng=rng,
                            name="conv2d")
-        assert len(result.per_input) == len(widths) + 2
         assert result.max_rel_error < 1e-6
 
     def test_each_band_is_one_read_only_view_of_its_slab(self, monkeypatch):

@@ -105,6 +105,30 @@ def float64_trajectory(steps: int) -> tuple[list[float], float]:
     return losses, sum(float(np.vdot(p.data, p.data)) for p in params)
 
 
+# Two desk steps (2 stages, width 8, a batch of two 64x64 crops, Adam):
+# per step, the loss's bits and a digest of every parameter's gradient.
+_TWO_DESK_STEPS = """
+import hashlib
+import numpy as np
+from cenet.blocks import EnhancementNetwork
+from cenet.config import desk_preset
+from cenet.optim import Adam
+from cenet.tensor import Tape, Tensor, backward, l1_loss
+network = EnhancementNetwork(desk_preset().network, seed=0)
+params = network.parameters()
+optimizer = Adam(params)
+rng = np.random.default_rng(0)
+for _ in range(2):
+    x, y = (rng.uniform(0, 1, (2, 3, 64, 64)).astype(np.float32) for _ in range(2))
+    with Tape():
+        loss = l1_loss(network.forward(Tensor(x)), Tensor(y))
+        backward(loss)
+    digest = hashlib.sha256(b"".join(p.grad.tobytes() for p in params))
+    print(loss.data.tobytes().hex(), digest.hexdigest())
+    optimizer.step(params, 1e-3)
+"""
+
+
 class TestTraining:
     def test_float64_trajectory_matches_pinned_values(self):
         # float32 rounding moves a desk run's losses within a few steps, so
@@ -129,6 +153,22 @@ class TestTraining:
         log1 = (tmp_path / "r1" / "loss_log.csv").read_bytes()
         log2 = (tmp_path / "r2" / "loss_log.csv").read_bytes()
         assert log1 == log2
+
+    def test_desk_steps_do_not_depend_on_the_blas_thread_count(self):
+        # every GEMM of a desk step, forward and backward, must give the same
+        # bits at 1 and 2 BLAS threads, or a run is not the same on another
+        # machine or setting
+        src = str(Path(cli.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", _TWO_DESK_STEPS], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout)
+        assert len(runs[0].splitlines()) == 2
+        assert runs[0] == runs[1]
 
     def test_resume_matches_uninterrupted(self, dataset, tmp_path):
         full_cfg = tiny_config(dataset, tmp_path / "full", iters=40)
@@ -483,6 +523,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint ") and message in err
         assert ckpt_path.read_bytes() == before
+
+    def test_resume_warnings_reach_stderr_prefixed(self, dataset, tmp_path, capsys):
+        # a resume into another output_dir: its one warning is printed as
+        # the CLI prints its errors, and the handler goes with the command
+        head = tiny_config(dataset, tmp_path / "head", iters=4)
+        head.checkpoint_every = 2
+        train(head)
+        config_path = tmp_path / "run.cfg"
+        run = tiny_config(dataset, tmp_path / "run", iters=4)
+        run.checkpoint_every = 2
+        config_path.write_text(format_config(run))
+        code = cli.main(["train", "--config", str(config_path),
+                         "--resume", str(tmp_path / "head" / "checkpoint_00000002.ckpt")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            f"warning: resume changes output_dir: {tmp_path / 'head'} -> {tmp_path / 'run'}\n")
+        assert logging.getLogger("cenet").handlers == []
 
     def test_resume_rejects_a_checkpoint_without_optimizer_state(self, dataset, tmp_path,
                                                                  capsys):
