@@ -70,7 +70,11 @@ class Conv(Block):
     The weight is held in the tap order ``conv2d``'s GEMMs read: a
     C-contiguous (k, k, Cout, Cin) buffer, seen through ``weight.data`` as
     its (Cout, Cin, k, k) transpose. So ``conv2d`` reads the buffer itself,
-    copying nothing per call, and the weight's gradient takes that layout.
+    keeps no copy of it on the tape, and the weight's gradient takes that
+    layout. A convolution on row-interleaved slabs (``tensor._by_rows``:
+    k > 1 and taps within ``_CONV_BAND_BYTES``) still reorders the taps into
+    k (Cout, k*Cin) matrices in its forward and again in its input
+    gradient, a copy of at most that bound each time, dropped on return.
     """
 
     def __init__(self, name: str, c_in: int, c_out: int, k: int, seed: int,

@@ -323,6 +323,8 @@ def decode_ppm(data: bytes) -> Image:
             raise ImageParseError(f"non-positive PPM extents at byte offset {start}")
     if maxval != 255:
         raise UnsupportedImageError(f"only maxval 255 PPM is supported, got {maxval}")
+    if pos == len(data):
+        raise ImageParseError(f"truncated PPM header at byte offset {pos}")
     pos += 1  # single whitespace byte after maxval
     need = 3 * width * height
     if len(data) - pos < need:

@@ -31,7 +31,6 @@ import itertools
 import math
 import threading
 import weakref
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -161,25 +160,13 @@ class Tape:
 
 
 class _ThreadState(threading.local):
-    """Per-thread stacks of the open tapes and op censuses."""
+    """Per-thread stack of the open tapes."""
 
     def __init__(self):
         self.tape_stack: list[Tape] = []
-        self.census_stack: list[dict[str, int]] = []
 
 
 _LOCAL = _ThreadState()
-
-
-@contextmanager
-def op_census():
-    """Collect per-operation invocation counts for the enclosed code."""
-    counts: dict[str, int] = {}
-    _LOCAL.census_stack.append(counts)
-    try:
-        yield counts
-    finally:
-        _LOCAL.census_stack.pop()
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -214,8 +201,6 @@ def _emit(op_name, out_data, inputs, backward_fn, rebuild=None) -> Tensor:
     if not _all_finite(out_data):
         raise ContractError(f"{op_name} produced non-finite values")
     out = Tensor(out_data)
-    for counts in _LOCAL.census_stack:
-        counts[op_name] = counts.get(op_name, 0) + 1
     if _LOCAL.tape_stack:
         tape = _LOCAL.tape_stack[-1]
         output = out
@@ -640,17 +625,22 @@ def _attention_row_blocks(positions: int, itemsize: int, buffers: int = 1):
         yield slice(start, min(start + rows, positions))
 
 
-def _attention_probs(q_t: np.ndarray, k: np.ndarray, rows: slice, out=None) -> np.ndarray:
-    """Row-softmaxed affinities of the query positions ``rows`` to every key.
+def _exp_block(q_t: np.ndarray, k: np.ndarray, rows: slice, shift: bool, out=None):
+    """The exponentiated affinities of the query positions ``rows`` to every
+    key, and their row sums: the softmax of each row, and its mix of values,
+    once divided by them, whatever the shift.
 
-    ``q_t`` is (positions, C') and ``k`` is (C', positions); the result is
-    a (rows, positions) array, written into ``out`` when that is given.
+    ``q_t`` is (positions, C') and ``k`` is (C', positions). The logits
+    ``Q^T[rows] K`` are written into ``out`` when that is given, less each
+    row's max when ``shift`` is set, and exponentiated in place into the
+    (rows, positions) ``e``. The (rows, 1) sums are numpy's pairwise sums:
+    sums taken inside the value GEMM gave up to 1.5x the float32 error.
     """
-    p = np.matmul(q_t[rows], k, out=out)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    e = np.matmul(q_t[rows], k, out=out)
+    if shift:
+        e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e, e.sum(axis=-1, keepdims=True)
 
 
 # exp(x) for |x| <= 80 is finite and normal in float32 (which spans about
@@ -691,15 +681,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     Query positions are processed in row blocks, one block alive at a
     time, so the positions x positions affinity matrix never exists whole.
 
-    Every logit of query i lies within ``|q_i| max_j |k_j|``. A block
-    whose rows all keep that bound within ``80 - ln(positions * max(1,
-    max|v|))`` (``_unshifted_rows``) skips the max shift and normalises
-    after the value GEMM: it computes ``e = exp(Q^T[rows] K)`` in place,
-    the (rows, C') product ``e V^T`` and the row sums of ``e``, and divides
-    the one by the other; no exp or sum can overflow there. Any other block
-    keeps the exact max-shifted softmax before its value GEMM, the only
-    correct form for large logits. Backward recomputes each block's
-    affinities from ``q`` and ``k`` in the max-shifted form.
+    One routine, ``_exp_block``, exponentiates every block's logits in
+    place and takes their row sums, and the forward divides the block's
+    (rows, C') product ``e V^T`` by those sums: normalising after the value
+    GEMM is exact with or without a max shift. Every logit of query i lies
+    within ``|q_i| max_j |k_j|``. A block whose rows all keep that bound
+    within ``80 - ln(positions * max(1, max|v|))`` (``_unshifted_rows``)
+    skips the shift, as no exp or sum can overflow there; any other block
+    subtracts each row's max first, the only correct form for large
+    logits. Backward recomputes each block's affinities from ``q`` and
+    ``k`` through the same routine, max-shifted, and divides them by their
+    row sums.
     """
     qs, ks, vs = _attention_operands(q, k, v)
     n, c, positions = qs.shape
@@ -710,15 +702,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         q_t, v_t = qs[i].T, vs[i].T
         unshifted = _unshifted_rows(qs[i], ks[i], vs[i])
         for rows in blocks:
-            block = affinities[:rows.stop - rows.start]
-            if unshifted[rows].all():
-                np.exp(np.matmul(q_t[rows], ks[i], out=block), out=block)
-                mixed = block @ v_t
-                # numpy's pairwise sum: row sums taken inside the GEMM gave
-                # up to 1.5x the max-shifted path's float32 error
-                mixed /= block.sum(axis=-1, keepdims=True)
-            else:
-                mixed = _attention_probs(q_t, ks[i], rows, out=block) @ v_t
+            e, sums = _exp_block(q_t, ks[i], rows, not unshifted[rows].all(),
+                                 out=affinities[:rows.stop - rows.start])
+            mixed = e @ v_t
+            mixed /= sums
             out[i][:, rows] = mixed.T
 
     def backward_fn(up):
@@ -729,7 +716,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         for i in range(n):
             q_t, k_i, v_i = qs[i].T, ks[i], vs[i]
             for rows in blocks:
-                p = _attention_probs(q_t, k_i, rows)
+                p, sums = _exp_block(q_t, k_i, rows, shift=True)
+                p /= sums
                 u = ups[i][:, rows].T
                 d_v[i] += (p.T @ u).T
                 d_s = u @ v_i

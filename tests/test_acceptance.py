@@ -5,6 +5,7 @@ report. Budgets are asserted where the criterion states one.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -25,7 +26,7 @@ from cenet.imageio import (
 from cenet.inference import enhance
 from cenet.metrics import psnr, ssim
 from cenet.optim import Adam, StepDecaySchedule
-from cenet.tensor import Parameter, Tape, Tensor, backward, l1_loss, op_census
+from cenet.tensor import Parameter, Tape, Tensor, backward, l1_loss
 from cenet.training import train
 from cenet.verify import run_network_check, run_op_suite
 
@@ -111,8 +112,9 @@ def test_criterion_4_architecture_shapes():
         for lc in (False, True):
             net = EnhancementNetwork(
                 NetworkConfig(m, 4, use_global_context=gc, use_local_context=lc), seed=0)
-            with op_census() as counts, Tape() as tape:
+            with Tape() as tape:
                 out = net.forward(x)
+                counts = Counter(node.op_name for node in tape.nodes)
                 joins = multi_input_convs(tape)
             assert out.shape == x.shape
             structure = net.structure()

@@ -26,7 +26,6 @@ from cenet.tensor import (
     conv2d,
     l1_loss,
     maxpool2d,
-    op_census,
 )
 from cenet.verify import GradcheckResult, gradcheck, op_cases, op_names, run_op_suite
 
@@ -179,16 +178,16 @@ class TestBackward:
         y = plus(x, x)
         assert y.tape_node is None
 
-    def test_tape_and_census_are_per_thread(self):
-        # an op in a second thread sees neither this thread's tape nor its census
+    def test_tape_is_per_thread(self):
+        # an op in a second thread does not see this thread's tape
         x = t4(np.ones((1, 1, 1, 1)))
         outs = []
         worker = threading.Thread(target=lambda: outs.append(plus(x, x)))
-        with Tape() as tape, op_census() as counts:
+        with Tape() as tape:
             worker.start()
             worker.join(timeout=10)
             assert not worker.is_alive()
-            assert outs[0].tape_node is None and tape.nodes == [] and counts == {}
+            assert outs[0].tape_node is None and tape.nodes == []
 
 
 @contextmanager
@@ -613,18 +612,6 @@ class TestGradcheckHarness:
             assert len(inputs) == len(inputs_skipped), name
             for a, b in zip(inputs + [probe], inputs_skipped + [probe_skipped]):
                 npt.assert_array_equal(a, b, err_msg=name)
-
-
-class TestCensus:
-    def test_counts_ops(self):
-        with op_census() as counts:
-            x = t4(np.ones((1, 1, 2, 2)))
-            maxpool2d(x)
-            maxpool2d(x)
-            l1_loss(x, x)
-        assert counts["maxpool2d"] == 2
-        assert counts["l1_loss"] == 1
-        assert "conv2d" not in counts
 
 
 def package_sources() -> dict[str, ast.Module]:

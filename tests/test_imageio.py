@@ -92,9 +92,9 @@ def build_png(arr, color_type=2, bit_depth=8, interlace=0, filters=None,
             + png_chunk(b"IEND", b""))
 
 
-def png_from_stream(raw, w, h):
-    """Wrap a raw (already filtered) RGB scanline stream in a minimal PNG."""
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+def png_from_stream(raw, w, h, color_type=2):
+    """Wrap a raw (already filtered) RGB or RGBA scanline stream in a minimal PNG."""
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
     return (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr)
             + png_chunk(b"IDAT", zlib.compress(raw))
             + png_chunk(b"IEND", b""))
@@ -361,7 +361,8 @@ class TestMalformedInput:
         (b"P6 0 1 255\n", "non-positive PPM extents at byte offset 3"),
         (b"P6 1 -2 255\n", "non-positive PPM extents at byte offset 5"),
         (b"P6\n# c 1\n2 0 255\n", "non-positive PPM extents at byte offset 11"),
-    ], ids=["magic", "zero-width", "negative-height", "after-comment"])
+        (b"P6\n1 1\n255", "truncated PPM header at byte offset 10"),
+    ], ids=["magic", "zero-width", "negative-height", "after-comment", "ends-at-maxval"])
     def test_ppm_names_the_fault(self, blob, message):
         with pytest.raises(ImageParseError, match=f"^{message}$"):
             decode_ppm(blob)
@@ -370,6 +371,82 @@ class TestMalformedInput:
     def test_image_must_be_h_w_3(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"must be (H, W, 3), got {shape}")):
             Image(np.zeros(shape, np.float32))
+
+
+def with_fixed_crcs(blob: bytearray) -> bytes:
+    """``blob`` with the CRC of each whole chunk recomputed, the chunks found
+    by walking its (perhaps mutated) length fields from the signature on."""
+    pos = len(PNG_SIGNATURE)
+    while pos + 12 <= len(blob):
+        end = pos + 8 + struct.unpack(">I", blob[pos:pos + 4])[0]
+        if end + 4 > len(blob):
+            break
+        blob[end:end + 4] = struct.pack(">I", zlib.crc32(blob[pos + 4:end]))
+        pos = end + 4
+    return bytes(blob)
+
+
+def mutated(blob: bytes, rng, trial: int, span=None) -> bytearray:
+    """``blob`` with 1-3 bytes, drawn from ``span`` (all by default), XORed
+    with a random nonzero byte, and in every fourth trial its tail cut off."""
+    lo, hi = span or (0, len(blob))
+    mutant = bytearray(blob)
+    for pos in rng.integers(lo, hi, size=rng.integers(1, 4)):
+        mutant[pos] ^= int(rng.integers(1, 256))
+    if trial % 4 == 0:
+        del mutant[rng.integers(len(mutant)):]
+    return mutant
+
+
+def image_error_escapes(decode, mutants) -> list:
+    """The (trial, type, message) of each mutant whose decode raised anything
+    but ``ImageParseError`` or ``UnsupportedImageError``."""
+    escapes = []
+    for trial, mutant in enumerate(mutants):
+        try:
+            decode(mutant)
+        except (ImageParseError, UnsupportedImageError):
+            pass
+        except Exception as exc:  # any other type is the failure
+            escapes.append((trial, type(exc).__name__, str(exc)[:80]))
+    return escapes
+
+
+class TestMutants:
+    """Seeded mutation fuzz of the parsers: they may accept a mutant or name
+    its fault, but no other exception may escape. 300 PNG and 300 PPM
+    mutants take about 0.2 s."""
+
+    def test_png_mutants_raise_only_image_errors(self):
+        # 5x4 RGB and RGBA images whose rows use every filter type (the
+        # wavefront) or only None, Sub and Up (the row path). Odd trials
+        # mutate the file and fix up the CRCs, so the chunk parser past the
+        # CRC check sees them; even ones mutate the inflated scanlines,
+        # filter types included, and recompress them for the defilter.
+        bases = [(rand_u8(5, 4, seed, channels=3 + (color == 6)), color, filters)
+                 for seed, (color, filters) in enumerate(itertools.product(
+                     (2, 6), ([0, 1, 2, 3, 4], [1, 2, 0])))]
+        rng = np.random.default_rng(11)
+
+        def mutants():
+            for trial in range(300):
+                arr, color, filters = bases[trial // 2 % len(bases)]
+                if trial % 2:
+                    blob = build_png(arr, color_type=color, filters=filters)
+                    yield with_fixed_crcs(mutated(blob, rng, trial // 2))
+                else:
+                    raw = mutated(filter_scanlines(arr, filters), rng, trial // 2)
+                    yield png_from_stream(bytes(raw), arr.shape[1], arr.shape[0], color)
+
+        assert image_error_escapes(decode_png, mutants()) == []
+
+    def test_ppm_mutants_raise_only_image_errors(self):
+        # even trials mutate only the 11-byte header, odd ones anywhere
+        blob = encode_ppm(Image.from_u8(rand_u8(5, 4, seed=0)))
+        rng = np.random.default_rng(12)
+        mutants = (mutated(blob, rng, trial, None if trial % 2 else (0, 11))
+                   for trial in range(300))
+        assert image_error_escapes(decode_ppm, mutants) == []
 
 
 class TestConversions:

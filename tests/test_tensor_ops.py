@@ -748,17 +748,28 @@ class TestAttention:
         q.reshape(3, 16)[:, 8:] *= 300
         npt.assert_array_equal(tensor._unshifted_rows(*(x.reshape(3, 16) for x in (q, k, v))),
                                np.arange(16) < 8)
-        shifted_blocks = []
-        probs = tensor._attention_probs
+        shifts = []
+        exp_block = tensor._exp_block
 
-        def spy(q_t, k, rows, out=None):
-            shifted_blocks.append(rows.start)
-            return probs(q_t, k, rows, out)
+        def spy(q_t, k, rows, shift, out=None):
+            shifts.append((rows.start, shift))
+            return exp_block(q_t, k, rows, shift, out)
 
-        monkeypatch.setattr(tensor, "_attention_probs", spy)
-        out = attention(Tensor(q), Tensor(k), Tensor(v))
-        assert shifted_blocks == [8, 12]
-        npt.assert_allclose(out.data, attention_naive(q, k, v), rtol=1e-12, atol=1e-12)
+        monkeypatch.setattr(tensor, "_exp_block", spy)
+        inputs = [Tensor(x) for x in (q, k, v)]
+        probe = rng.standard_normal(q.shape)
+        with Tape():
+            out = attention(*inputs)
+            assert shifts == [(0, False), (4, False), (8, True), (12, True)]
+            npt.assert_allclose(out.data, attention_naive(q, k, v), rtol=1e-12, atol=1e-12)
+            # the backward's 4-row blocks recompute every block max-shifted;
+            # without the shift exp overflows float64 on rows 8-15
+            shifts.clear()
+            use_block_rows(monkeypatch, 4, 16, buffers=3)
+            backward(out, probe)
+        assert shifts == [(0, True), (4, True), (8, True), (12, True)]
+        for a, b in zip((t.grad for t in inputs), attention_grads_naive(q, k, v, probe)):
+            npt.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_float32_error_is_no_larger_than_the_max_shifted_paths(self):
         # Both paths' float32 error is mostly the value GEMM's accumulation,
@@ -768,7 +779,9 @@ class TestAttention:
         q, k, v = (rng.standard_normal((8, 48 * 48)).astype(np.float32) for _ in range(3))
         assert tensor._unshifted_rows(q, k, v).all()
         unshifted = attention(*(Tensor(x.reshape(1, 8, 48, 48)) for x in (q, k, v))).data
-        shifted = (tensor._attention_probs(q.T, k, slice(None)) @ v.T).T
+        e, sums = tensor._exp_block(q.T, k, slice(None), shift=True)
+        shifted_after = (e @ v.T / sums).T  # the forward's over-the-bound blocks
+        shifted_before = (e / sums @ v.T).T  # the softmax the backward reads
         logits = q.T.astype(np.float64) @ k
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         oracle = (p / p.sum(axis=1, keepdims=True) @ v.T.astype(np.float64)).T
@@ -776,7 +789,8 @@ class TestAttention:
         def rms_error(x):
             return np.sqrt(np.mean((x.reshape(oracle.shape) - oracle) ** 2))
 
-        assert rms_error(unshifted) <= 1.05 * rms_error(shifted)
+        assert rms_error(unshifted) <= 1.05 * min(rms_error(shifted_after),
+                                                  rms_error(shifted_before))
 
     @pytest.mark.parametrize("scale", [1.0, 1000.0], ids=["unshifted", "max-shifted"])
     def test_memory_is_row_blocks_and_operand_sized_arrays(self, monkeypatch, scale):

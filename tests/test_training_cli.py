@@ -5,8 +5,10 @@ import os
 import platform
 import re
 import resource
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -205,6 +207,39 @@ class TestTraining:
         resumed = load(tmp_path / "run" / "checkpoint_final.ckpt")
         for name, arr in final.tensors.items():
             npt.assert_array_equal(arr, resumed.tensors[name])
+
+    def test_run_killed_mid_run_resumes_to_the_uninterrupted_bytes(self, dataset, tmp_path):
+        # a `cenet train` subprocess is killed once its first intermediate
+        # checkpoint exists, about 110 iterations before its end, and resumed
+        # from its newest one; about 2 s in all
+        def config_file(name):
+            config = tiny_config(dataset, tmp_path / name, iters=120)
+            config.checkpoint_every = 10
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(format_config(config))
+            return path
+
+        assert cli.main(["train", "--config", str(config_file("full"))]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        killed_cfg, killed = config_file("killed"), tmp_path / "killed"
+        run = subprocess.Popen([sys.executable, "-m", "cenet.cli", "train", "--config",
+                                str(killed_cfg)], env=env, stdout=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(killed.glob("checkpoint_0*.ckpt")) and run.poll() is None:
+                assert time.monotonic() < deadline, "no intermediate checkpoint in 60 s"
+                time.sleep(0.002)
+        finally:
+            run.kill()
+            run.wait(timeout=60)
+        assert run.returncode == -signal.SIGKILL
+        assert not (killed / "checkpoint_final.ckpt").exists()
+        newest = max(killed.glob("checkpoint_0*.ckpt"))
+        assert cli.main(["train", "--config", str(killed_cfg), "--resume", str(newest)]) == 0
+        for name in ("loss_log.csv", "checkpoint_final.ckpt"):
+            assert (killed / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_resume_warns_of_each_changed_config_key(self, dataset, tmp_path, caplog):
         config = tiny_config(dataset, tmp_path / "run", iters=10)
