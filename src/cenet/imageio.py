@@ -313,7 +313,9 @@ def decode_ppm(data: bytes) -> Image:
     for field_name in ("width", "height", "maxval"):
         token, pos = _ppm_token(data, pos)
         starts.append(pos - len(token))
-        try:
+        try:  # ASCII decimal digits, after a minus sign that names a negative extent
+            if not token.removeprefix(b"-").isdigit():
+                raise ValueError(token)
             fields.append(int(token))
         except ValueError:
             raise ImageParseError(f"invalid PPM {field_name} at byte offset {starts[-1]}") from None

@@ -180,9 +180,16 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(squares) or bool(np.isfinite(a).all())
 
 
-# What a twin's ``data`` views, per dtype: one NaN, broadcast read-only to
-# the twin's shape, so its shape and dtype stay readable without values.
-_EVICTED = {np.dtype(t): np.full((1, 1, 1, 1), np.nan, dtype=t) for t in (np.float32, np.float64)}
+def _read_only_nan(dtype) -> np.ndarray:
+    nan = np.full((1, 1, 1, 1), np.nan, dtype=dtype)
+    nan.flags.writeable = False
+    return nan
+
+
+# What a twin's ``data`` views, per dtype: one read-only NaN, seen with zero
+# strides in the twin's shape, so its shape and dtype stay readable without
+# values, and the view is read-only as its base is.
+_EVICTED = {np.dtype(t): _read_only_nan(t) for t in (np.float32, np.float64)}
 
 
 def _recorded(t: Tensor) -> Tensor:
@@ -195,8 +202,10 @@ def _emit(op_name, out_data, inputs, backward_fn, rebuild=None) -> Tensor:
 
     The node records each input as ``_recorded`` gives it. With a
     ``rebuild``, the node's output is a twin of the result whose ``data``
-    views ``_EVICTED``, so the tape holds no reference to the result's
-    values; ``_values`` has ``rebuild`` recompute them in the backward.
+    is a read-only zero-stride view of ``_EVICTED``, built by the
+    ``ndarray`` constructor (``np.broadcast_to`` cost about 10 us a call),
+    so the tape holds no reference to the result's values; ``_values`` has
+    ``rebuild`` recompute them in the backward.
     """
     if not _all_finite(out_data):
         raise ContractError(f"{op_name} produced non-finite values")
@@ -206,7 +215,7 @@ def _emit(op_name, out_data, inputs, backward_fn, rebuild=None) -> Tensor:
         output = out
         if rebuild is not None:
             output = Tensor(_EVICTED[out.dtype])
-            output.data = np.broadcast_to(output.data, out.shape)
+            output.data = np.ndarray(out.shape, out.dtype, output.data, 0, (0, 0, 0, 0))
         # lists: a tuple built from an iterator is resized, and freeing it grows
         # the free list of its new size, which held 0.7 MiB more over a desk run
         node = _TapeNode(tape, op_name, [_recorded(t) for t in inputs], output, backward_fn,
@@ -218,7 +227,7 @@ def _emit(op_name, out_data, inputs, backward_fn, rebuild=None) -> Tensor:
 
 def _values(t: Tensor) -> np.ndarray:
     """``t.data``, first rebuilt, once, by its producing node if ``t`` is a twin."""
-    if np.may_share_memory(t.data, _EVICTED[t.dtype]):
+    if t.data.base is _EVICTED[t.data.dtype]:
         t.data = t.tape_node.rebuild()
     return t.data
 
@@ -296,6 +305,9 @@ _CONV_BAND_BYTES = 256 * 2 ** 10
 
 def _extents(xs: list[np.ndarray]) -> tuple[int, int, int]:
     """(N, H, W) of a convolution over ``xs``: the largest input's extents."""
+    if len(xs) == 1:
+        n, _, h, w = xs[0].shape
+        return n, h, w
     return xs[0].shape[0], max(x.shape[2] for x in xs), max(x.shape[3] for x in xs)
 
 
@@ -374,28 +386,42 @@ def _bands(xs: list[np.ndarray], cout: int, k: int, by_rows: bool = False):
             yield i, r0, r1, windows
 
 
-def _prelu_gain(neg: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """PReLU's gain per element: ``slope`` where ``neg``, else 1.
+def _prelu_gain(neg: np.ndarray, slope: np.ndarray, off=None) -> np.ndarray:
+    """PReLU's gain per element, written over the float mask ``neg`` (1
+    where the pre-activation is negative, else 0): ``slope`` where ``neg``,
+    else 1. ``off``, an array of ``neg``'s shape that nothing reads any
+    more, takes ``neg - 1`` when given, so no new array is touched.
 
     Branch-free, so mixed signs cost no more than one sign: ``neg * slope``
     minus ``neg - 1``. Where ``neg`` that subtracts +0.0, which keeps every
-    slope's bits, -0.0 included (adding ``~neg`` would turn it into +0.0).
-    ``neg`` is cast to floats once, up front: a bool operand of a
-    broadcast product is cast in the product's buffered loop, which took
-    up to 1.7x as long.
+    slope's bits, -0.0 included (adding ``1 - neg`` would turn it into
+    +0.0). The mask is float, not bool: a bool operand of a broadcast
+    product is cast in the product's buffered loop, which took up to 1.7x
+    as long.
     """
-    gain = neg.astype(slope.dtype)
-    off = gain - 1
-    gain *= slope
-    gain -= off
-    return gain
+    off = np.subtract(neg, 1, out=off)
+    neg *= slope
+    neg -= off
+    return neg
+
+
+def _negative(a: np.ndarray) -> np.ndarray:
+    """The float mask of ``a``'s negative elements, in ``a``'s dtype: one
+    comparison written as floats, no bool array."""
+    return np.less(a, 0, out=np.empty_like(a))
 
 
 def _prelu_grads(pre: np.ndarray, slope: np.ndarray, up: np.ndarray):
-    """Gradients of PReLU at pre-activation ``pre``: the input's and the slope's."""
-    neg = pre < 0
-    d_slope = (pre * up * neg).sum(axis=(0, 2, 3)).reshape(slope.shape)
-    return _prelu_gain(neg, slope) * up, d_slope
+    """Gradients of PReLU at pre-activation ``pre``: the input's and the
+    slope's. One float mask serves the slope's product and then the gain,
+    which reuses the product's array once it is summed."""
+    neg = _negative(pre)
+    product = pre * up
+    product *= neg
+    d_slope = product.sum(axis=(0, 2, 3)).reshape(slope.shape)
+    gain = _prelu_gain(neg, slope, product)
+    gain *= up
+    return gain, d_slope
 
 
 def _by_rows(taps: np.ndarray) -> bool:
@@ -417,7 +443,10 @@ def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=
     column, k GEMMs per band with K = k*Cin. Otherwise (1x1 kernels, deep
     layers) each tap is one GEMM with its window of the channel-major slab,
     k² GEMMs per band with K = Cin, whose columns over the padding are
-    computed and dropped. Each GEMM is summed into the band's accumulator.
+    computed and dropped. The first tap's GEMM writes the band's
+    accumulator and each later one is added to it, in tap order: bit for
+    bit the sum that starts from zeros, as a GEMM's own sums start from
+    +0.0, with no zero fill and no first add (``TestSameConvAccumulator``).
     While the band is in cache, the accumulator gets the (Cout, 1) ``bias``
     added, is copied into ``pre`` when that is given, and is scaled in place
     by the PReLU of the (Cout, 1) ``slope``; the band's rows of the
@@ -430,19 +459,18 @@ def _same_conv(xs: list[np.ndarray], taps: np.ndarray, k: int, bias=None, slope=
         taps = taps.reshape(k, k, cout, cin).transpose(1, 2, 0, 3).reshape(k, cout, k * cin)
     out = np.empty((n, cout, h, w), dtype=xs[0].dtype)
     for i, r0, r1, windows in _bands(xs, cout, k, by_rows):
-        shape = (r1 - r0, cout, w) if by_rows else (cout, windows.shape[-1])
-        acc = np.zeros(shape, dtype=out.dtype)
+        operands = iter(windows if by_rows else itertools.chain.from_iterable(windows))
+        acc = np.matmul(taps[0], next(operands))
         part = np.empty_like(acc)
-        operands = windows if by_rows else itertools.chain.from_iterable(windows)
-        for tap, window in zip(taps, operands):
+        for tap, window in zip(taps[1:], operands):
             acc += np.matmul(tap, window, out=part)
         rows = acc.transpose(1, 0, 2) if by_rows else acc.reshape(cout, r1 - r0, -1)[:, :, :w]
         if bias is not None:
             acc += bias
         if pre is not None:
             pre[i, :, r0:r1] = rows
-        if slope is not None:
-            acc *= _prelu_gain(acc < 0, slope)
+        if slope is not None:  # the mask takes the last GEMM's array, still in cache
+            acc *= _prelu_gain(np.less(acc, 0, out=part), slope)
         if skip is None:
             out[i, :, r0:r1] = rows
         else:
@@ -508,8 +536,8 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         raise DimensionError(
             "conv2d inputs disagree on batch/spatial extents (each must have the largest "
             f"extents or exactly half of them): {' vs '.join(str(t.shape) for t in xs)}")
-    widths = [t.shape[1] for t in xs]
-    cin = sum(widths)
+    edges = (0, *itertools.accumulate(t.shape[1] for t in xs))  # the inputs' channel ranges
+    cin = edges[-1]
     cout, wcin, kh, kw = weight.shape
     if kh != kw:
         raise DimensionError(f"conv2d kernels are square, got {kh}x{kw}")
@@ -552,19 +580,18 @@ def conv2d(x: Tensor | tuple[Tensor, ...], weight: Tensor, bias: Tensor,
         for i, r0, r1, windows in _bands([_values(t) for t in xs], cout, k):
             up_band = np.zeros((cout, windows.shape[-1]), dtype=up.dtype)
             up_band.reshape(cout, r1 - r0, -1)[:, :, :w] = up[i, :, r0:r1]
-            for d_row, row in zip(d_w, windows):
-                d_row += np.matmul(up_band, row.transpose(0, 2, 1))
+            for d_row, row in zip(d_w, windows.transpose(0, 1, 3, 2)):
+                d_row += np.matmul(up_band, row)
         d_bias = up.sum(axis=(0, 2, 3), keepdims=True)
-        edges = itertools.pairwise(itertools.accumulate(widths, initial=0))
         d_xs = (d_x[:, lo:hi] if t.shape[2] == h else _block_sum(d_x[:, lo:hi])
-                for t, (lo, hi) in zip(xs, edges))
+                for t, lo, hi in zip(xs, edges, edges[1:]))
         grads = (*d_xs, None, d_bias)
         if slope is not None:
             grads += (d_slope,)
         return (*grads, d_skip) if has_skip else grads
 
     def rebuild():
-        gain = _prelu_gain(pre < 0, slope.data)
+        gain = _prelu_gain(_negative(pre), slope.data)
         gain *= pre  # the forward's product with its operands swapped, so bit for bit
         return gain
 
@@ -625,6 +652,19 @@ def _attention_row_blocks(positions: int, itemsize: int, buffers: int = 1):
         yield slice(start, min(start + rows, positions))
 
 
+def _logit_bounds(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per query position of the (C', positions) ``q``: a bound on the
+    magnitude of its logits q_i . k_j, ``|q_i| max_j |k_j|``."""
+    with np.errstate(over="ignore"):  # an infinite norm only means "no bound"
+        return np.linalg.norm(q, axis=0) * np.linalg.norm(k, axis=0).max()
+
+
+# The least exponent whose exp is a normal float, per dtype: about -87.3 in
+# float32 and -708.4 in float64, one step above the log of the smallest normal.
+_EXP_FLOOR = {np.dtype(t): np.nextafter(np.log(np.finfo(t).tiny), 0)
+              for t in (np.float32, np.float64)}
+
+
 def _exp_block(q_t: np.ndarray, k: np.ndarray, rows: slice, shift: bool, out=None):
     """The exponentiated affinities of the query positions ``rows`` to every
     key, and their row sums: the softmax of each row, and its mix of values,
@@ -633,13 +673,25 @@ def _exp_block(q_t: np.ndarray, k: np.ndarray, rows: slice, shift: bool, out=Non
     ``q_t`` is (positions, C') and ``k`` is (C', positions). The logits
     ``Q^T[rows] K`` are written into ``out`` when that is given, less each
     row's max when ``shift`` is set, and exponentiated in place into the
-    (rows, positions) ``e``. The (rows, 1) sums are numpy's pairwise sums:
-    sums taken inside the value GEMM gave up to 1.5x the float32 error.
+    (rows, positions) ``e``. A shifted block any of whose rows can spread
+    past ``-_EXP_FLOOR`` (twice its ``_logit_bounds``) is clamped at the
+    floor before the exp and has the floor's exp taken off after it: an exp
+    below the floor would be subnormal, which is slow, here and in the
+    value GEMM, and its share of a row sum of at least 1 is below rounding.
+    Other blocks make no extra pass. The (rows, 1) sums are numpy's
+    pairwise sums: sums taken inside the value GEMM gave up to 1.5x the
+    float32 error.
     """
     e = np.matmul(q_t[rows], k, out=out)
+    floor = _EXP_FLOOR[e.dtype]
+    clamp = shift and not 2 * _logit_bounds(q_t[rows].T, k).max() <= -floor
     if shift:
         e -= e.max(axis=-1, keepdims=True)
+    if clamp:
+        np.maximum(e, floor, out=e)
     np.exp(e, out=e)
+    if clamp:  # the clamped exps become zeros
+        e -= np.exp(floor)
     return e, e.sum(axis=-1, keepdims=True)
 
 
@@ -652,16 +704,14 @@ def _unshifted_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per query position: whether its softmax can skip the max shift.
 
     ``q``, ``k`` and ``v`` are (C', positions). Each logit q_i . k_j lies
-    within ``bound_i = |q_i| max_j |k_j|``. Where ``bound_i`` is at most
+    within ``bound_i`` (``_logit_bounds``). Where ``bound_i`` is at most
     ``80 - ln(positions * max(1, max|v|))``, every exp(q_i . k_j) and its
     row sum are finite and normal, and its sums weighted by ``v`` are
     finite: each adds at most ``positions`` terms of at most
     e**bound_i * max|v|.
     """
-    with np.errstate(over="ignore"):  # an infinite norm only means "not safe"
-        bound = np.linalg.norm(q, axis=0) * np.linalg.norm(k, axis=0).max()
     limit = _UNSHIFTED_EXP_LIMIT - math.log(q.shape[1] * max(1.0, float(np.abs(v).max())))
-    return bound <= limit
+    return _logit_bounds(q, k) <= limit
 
 
 def _attention_operands(*tensors: Tensor):

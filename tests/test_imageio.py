@@ -362,7 +362,13 @@ class TestMalformedInput:
         (b"P6 1 -2 255\n", "non-positive PPM extents at byte offset 5"),
         (b"P6\n# c 1\n2 0 255\n", "non-positive PPM extents at byte offset 11"),
         (b"P6\n1 1\n255", "truncated PPM header at byte offset 10"),
-    ], ids=["magic", "zero-width", "negative-height", "after-comment", "ends-at-maxval"])
+        (b"P6\n1_0 1\n255\n" + bytes(30), "invalid PPM width at byte offset 3"),
+        (b"P6\n+2 1\n255\n" + bytes(6), "invalid PPM width at byte offset 3"),
+        (b"P6\n1 1\n2_55\n\0\0\0", "invalid PPM maxval at byte offset 7"),
+        (b"P6 1 \xd9\xa1 255\n", "invalid PPM height at byte offset 5"),
+        (b"P6 1 - 255\n", "invalid PPM height at byte offset 5"),
+    ], ids=["magic", "zero-width", "negative-height", "after-comment", "ends-at-maxval",
+            "underscore-width", "plus-width", "underscore-maxval", "non-ascii-digit", "lone-minus"])
     def test_ppm_names_the_fault(self, blob, message):
         with pytest.raises(ImageParseError, match=f"^{message}$"):
             decode_ppm(blob)

@@ -510,6 +510,105 @@ class TestConvPrelu:
                    t4(np.zeros((1, 2, 1, 1))), t4(np.zeros((1, 1, 1, 1))))
 
 
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def accumulated_from_zeros(xs, taps, k, by_rows, bias=None, slope=None, pre=None, skip=None):
+    """``_same_conv`` as a sum that starts from zeros: each band's
+    accumulator is zero-filled and every tap's GEMM is added to it in tap
+    order, then the bias, the PReLU (as ``where(acc < 0, slope, 1) * acc``
+    with a bool mask) and the skip, in that order."""
+    n, h, w = tensor._extents(xs)
+    cout, cin = taps.shape[1:]
+    if by_rows:
+        taps = taps.reshape(k, k, cout, cin).transpose(1, 2, 0, 3).reshape(k, cout, k * cin)
+    out = np.empty((n, cout, h, w), dtype=xs[0].dtype)
+    for i, r0, r1, windows in tensor._bands(xs, cout, k, by_rows):
+        operands = windows if by_rows else [wd for row in windows for wd in row]
+        acc = np.zeros((r1 - r0, cout, w) if by_rows else (cout, windows.shape[-1]), out.dtype)
+        for tap, window in zip(taps, operands):
+            acc += np.matmul(tap, window)
+        rows = acc.transpose(1, 0, 2) if by_rows else acc.reshape(cout, r1 - r0, -1)[:, :, :w]
+        if bias is not None:
+            acc += bias
+        if pre is not None:
+            pre[i, :, r0:r1] = rows
+        if slope is not None:
+            neg = acc < 0
+            gain = neg.astype(acc.dtype)
+            off = gain - 1
+            gain *= slope
+            gain -= off
+            acc *= gain
+        out[i, :, r0:r1] = rows if skip is None else rows + skip[i, :, r0:r1]
+    return out
+
+
+class TestSameConvAccumulator:
+    """``_same_conv``'s first tap writes the band's accumulator, which then
+    sums the rest: bit for bit the sum that starts from zeros."""
+
+    @pytest.mark.parametrize("case", ["plain", "prelu", "skip", "join"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("by_rows", [False, True], ids=["channel-major", "row-interleaved"])
+    def test_first_tap_write_is_the_sum_from_zeros(self, monkeypatch, by_rows, k, case):
+        monkeypatch.setattr(tensor, "_by_rows", lambda taps: by_rows)
+        monkeypatch.setattr(tensor, "_CONV_BAND_BYTES", 2048)  # several bands per image
+        rng = np.random.default_rng(k * 10 + len(case))
+        n, h, w, cout = 2, 8, 6, 3
+        full = rng.uniform(-1, 1, (n, 4, h, w)).astype(np.float32)
+        full[:, :, :2] = -0.0  # rows whose products are all signed zeros
+        xs = [full]
+        if case == "join":
+            xs = [rng.uniform(-1, 1, (n, 2, h // 2, w // 2)).astype(np.float32), full]
+        cin = sum(x.shape[1] for x in xs)
+        taps = rng.uniform(-1, 1, (k * k, cout, cin)).astype(np.float32)
+        bias = slope = pre = want_pre = skip = None
+        if case in ("prelu", "skip", "join"):
+            bias = rng.uniform(-1, 1, (cout, 1)).astype(np.float32)
+        if case in ("prelu", "join"):
+            slope = np.array([-0.0, 0.0, 0.25], np.float32).reshape(cout, 1)
+            pre, want_pre = (np.empty((n, cout, h, w), np.float32) for _ in range(2))
+        if case == "skip":
+            skip = rng.uniform(-1, 1, (n, cout, h, w)).astype(np.float32)
+        got = tensor._same_conv(xs, taps, k, bias, slope, pre, skip)
+        want = accumulated_from_zeros(xs, taps, k, by_rows, bias, slope, want_pre, skip)
+        assert bits(got) == bits(want)
+        if pre is not None:
+            assert bits(pre) == bits(want_pre)
+
+
+class TestPreluBackwardBits:
+    """PReLU's gradients from one float mask, bit for bit those of the
+    bool mask, signed zeros included."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_match_the_bool_mask_forms(self, dtype):
+        rng = np.random.default_rng(11)
+        slope = np.array([-0.0, 0.0, 0.25, 1.0], dtype).reshape(1, 4, 1, 1)
+        pre = rng.uniform(-1, 1, (2, 4, 5, 6)).astype(dtype)
+        pre[:, :, 0, :3] = -0.0
+        pre[:, :, 0, 3:] = 0.0
+        up = rng.uniform(-1, 1, pre.shape).astype(dtype)
+        up[:, :, 1, :2] = -0.0
+        d_pre, d_slope = tensor._prelu_grads(pre, slope, up)
+        assert bits(d_pre) == bits(np.where(pre < 0, slope * up, up))
+        assert bits(d_slope) == bits((pre * up * (pre < 0)).sum(axis=(0, 2, 3)).reshape(slope.shape))
+
+    def test_taped_output_twin_is_a_read_only_zero_stride_view(self):
+        rng = np.random.default_rng(12)
+        x, wt = t4(rng.uniform(-1, 1, (1, 2, 4, 4))), t4(rng.uniform(-1, 1, (3, 2, 3, 3)))
+        b, slope = t4(np.zeros((1, 3, 1, 1))), t4(np.full((1, 3, 1, 1), 0.25))
+        with Tape():
+            out = conv2d(x, wt, b, slope)
+            twin = tensor._recorded(out)
+            assert twin is not out
+            assert not twin.data.flags.writeable
+            assert twin.data.strides == (0, 0, 0, 0) and twin.shape == out.shape
+            assert np.shares_memory(twin.data, tensor._EVICTED[np.dtype(np.float32)])
+
+
 class TestConvSkip:
     """``conv2d`` with a ``skip``: a residual sum in each band's epilogue."""
 
@@ -791,6 +890,44 @@ class TestAttention:
 
         assert rms_error(unshifted) <= 1.05 * min(rms_error(shifted_after),
                                                   rms_error(shifted_before))
+
+    def test_sharp_rows_send_no_exp_input_below_the_floor(self, monkeypatch):
+        # queries scaled by 1000 spread each row's logits over thousands, far
+        # past -87.3, below which float32 exps are subnormal and slow
+        rng = np.random.default_rng(9)
+        q, k, v = (rng.uniform(-1, 1, (1, 4, 6, 6)).astype(np.float32) for _ in range(3))
+        q *= 1000
+        probe = rng.standard_normal(q.shape).astype(np.float32)
+
+        def outputs_and_grads():
+            inputs = [Tensor(x) for x in (q, k, v)]
+            with Tape():
+                out = attention(*inputs)
+                backward(out, probe)
+            return [out.data, *(t.grad for t in inputs)]
+
+        float32 = np.dtype(np.float32)
+        floor = tensor._EXP_FLOOR[float32]
+        assert np.exp(floor) >= np.finfo(np.float32).tiny > np.exp(np.nextafter(floor, -np.inf))
+        monkeypatch.setitem(tensor._EXP_FLOOR, float32, np.float32(-np.inf))
+        unclamped = outputs_and_grads()
+        monkeypatch.undo()
+        lowest = []
+        exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            lowest.append(np.min(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        clamped = outputs_and_grads()
+        monkeypatch.undo()
+        assert len(lowest) >= 2 and min(lowest) >= floor, (lowest, floor)
+        # exps of the clamped logits were below 1.2e-38 or zero, so the
+        # outputs and gradients agree to float32 rounding of their scale
+        for got, want in zip(clamped, unclamped):
+            scale = np.abs(want).max()
+            npt.assert_allclose(got, want, rtol=0, atol=np.finfo(np.float32).eps * scale)
 
     @pytest.mark.parametrize("scale", [1.0, 1000.0], ids=["unshifted", "max-shifted"])
     def test_memory_is_row_blocks_and_operand_sized_arrays(self, monkeypatch, scale):
